@@ -29,18 +29,11 @@ from .io import (
     write_trajectory_csv,
 )
 from .model import (
-    SimState,
     StepRecord,
     Trajectory,
-    bernoulli,
     cubic_increment,
-    initial_state,
-    intensity,
-    momentum_direct,
-    momentum_update,
     normal_cdf,
     simulate,
-    step,
 )
 from .params import BASELINE, PARAM_FIELDS, ModelParams
 from .rng import RngStream
@@ -68,7 +61,6 @@ __all__ = [
     "PARAM_FIELDS",
     "RngStream",
     "STAT_FIELDS",
-    "SimState",
     "StepRecord",
     "SummaryStats",
     "SweepCell",
@@ -76,22 +68,16 @@ __all__ = [
     "SweepSpec",
     "Trajectory",
     "ValueSummary",
-    "bernoulli",
     "canonical_axis",
     "compare_medians",
     "cubic_increment",
     "detect_crashes",
-    "initial_state",
-    "intensity",
-    "momentum_direct",
-    "momentum_update",
     "normal_cdf",
     "plot_sweep",
     "plot_trajectory",
     "read_trajectory_csv",
     "run_sweep",
     "simulate",
-    "step",
     "summarize",
     "summary_payload",
     "sweep_payload",

@@ -108,9 +108,15 @@ def _resolve_seeds(flag: str | None, filed) -> tuple[int, ...]:
         return parse_seed_range(_DEFAULT_SEEDS)
     if isinstance(filed, str):
         return parse_seed_range(filed)
-    if isinstance(filed, list) and all(isinstance(s, int) for s in filed):
+    if isinstance(filed, list) and all(_is_seed(s) for s in filed):
         return tuple(filed)
-    raise ConfigError(f"config seeds must be \"A..B\" or a list of integers (got {filed!r})")
+    raise ConfigError(
+        f"config seeds must be \"A..B\" or a list of integers in [0, 2**64) (got {filed!r})"
+    )
+
+
+def _is_seed(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:

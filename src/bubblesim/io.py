@@ -14,7 +14,9 @@ so any output file is sufficient to re-run its simulation identically.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import asdict
 from os import PathLike
 from pathlib import Path
@@ -102,10 +104,6 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
     return out
 
 
-def _stats_dict(stats: SummaryStats) -> dict:
-    return asdict(stats)
-
-
 def _detector_dict(cfg: CrashConfig | None) -> dict | None:
     return None if cfg is None else asdict(cfg)
 
@@ -122,7 +120,7 @@ def summary_payload(
     return {
         "config": {"params": params.as_dict(), "detector": _detector_dict(cfg)},
         "seed": int(seed),
-        "stats": _stats_dict(stats),
+        "stats": asdict(stats),
         "version": ARTIFACT_VERSION,
     }
 
@@ -159,7 +157,7 @@ def sweep_payload(result: SweepResult, cfg: CrashConfig | None = None) -> dict:
                 {
                     "value": c.value,
                     "seed": c.seed,
-                    "stats": None if c.stats is None else _stats_dict(c.stats),
+                    "stats": None if c.stats is None else asdict(c.stats),
                     "error": c.error,
                 }
                 for c in result.cells
@@ -175,8 +173,19 @@ def write_summary_json(payload: dict, path: str | PathLike[str]) -> None:
 
 
 def _write_text(path: str | PathLike[str], text: str) -> None:
+    """Write all of ``text`` or nothing: a failed write leaves ``path`` as it was.
+
+    The text goes to a temp file next to the target, which then replaces the
+    target in one rename; the temp file is removed if anything fails.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.replace(tmp, target)
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)  # already gone after a successful replace

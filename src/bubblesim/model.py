@@ -30,16 +30,23 @@ always both, so RNG consumption is path-independent):
     5. Z_t      ~ Bernoulli(Phi(x_t))           [draw 2, drawn even if dN_t=0]
     6. log P_t  = log P_{t-1} + d (2 Z_t - 1) dN_t
 
+A Bernoulli(p) draw is 1 when its uniform u satisfies u < p, else 0.
+
 Periods t=0 and t=1 are initial conditions (log P_0 = log P_1 = log_p0,
 x_0 = x_1 = x0, M_1 = 0, N_1 = 0); the dynamics run for t = 2..T, so a full
 simulation covers T+1 periods and consumes exactly 2*(T-1) uniforms.
+
+``simulate`` is the only way to run the model: one loop that takes all
+2*(T-1) uniforms from the stream at once and writes each period straight into
+preallocated columns.  The step-by-step reference form of the same update
+lives with the tests, which check the kernel against it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -56,37 +63,6 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def momentum_direct(returns: Sequence[float], r: float) -> float:
-    """Momentum as the explicit weighted sum over a full return history.
-
-    ``returns[i]`` is the log-return of period i+1; the most recent return
-    gets weight exp(-r), the one before it exp(-2r), and so on.  O(n) per
-    call, so O(T^2) along a trajectory -- this is the reference form that the
-    incremental update is checked against, not the one used in simulation.
-    """
-    if r <= 0:
-        raise ValueError(f"momentum_direct requires r > 0 (got r={r})")
-    arr = np.asarray(returns, dtype=float)
-    if arr.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("momentum_direct requires finite returns")
-    weights = np.exp(-r * np.arange(arr.size, 0, -1, dtype=float))
-    return float(weights @ arr)
-
-
-def momentum_update(m_prev: float, last_return: float, r: float) -> float:
-    """One incremental momentum step: exp(-r) * (m_prev + last_return)."""
-    if r <= 0:
-        raise ValueError(f"momentum_update requires r > 0 (got r={r})")
-    return math.exp(-r) * (m_prev + last_return)
-
-
-def intensity(params: ModelParams, m: float) -> float:
-    """Trading intensity Lambda + k*m; any real, squashed by Phi before use."""
-    return params.Lambda + params.k * m
-
-
 def cubic_increment(params: ModelParams, m: float) -> float:
     """Direction-pressure increment h (m-a)(m-b)(m-c).
 
@@ -95,26 +71,6 @@ def cubic_increment(params: ModelParams, m: float) -> float:
     Exactly zero at the roots.
     """
     return params.h * (m - params.a) * (m - params.b) * (m - params.c)
-
-
-def bernoulli(p: float, rng: RngStream) -> int:
-    """One Bernoulli(p) draw: consumes exactly one uniform, returns 0 or 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"bernoulli requires p in [0, 1] (got p={p!r})")
-    return 1 if rng.uniform() < p else 0
-
-
-@dataclass(frozen=True, slots=True)
-class SimState:
-    """Evolving simulation state after period t."""
-
-    t: int
-    log_price: float
-    prev_log_price: float
-    momentum: float
-    x: float
-    n_trades: int
-    ticks: int  # integer tick offset from log_p0; log_price == log_p0 + d*ticks
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,57 +85,6 @@ class StepRecord:
     trade: int
     direction: int
     n_trades: int
-
-
-def initial_state(params: ModelParams) -> SimState:
-    """State after the initial conditions, i.e. at the end of period t=1."""
-    return SimState(
-        t=1,
-        log_price=params.log_p0,
-        prev_log_price=params.log_p0,
-        momentum=0.0,
-        x=params.x0,
-        n_trades=0,
-        ticks=0,
-    )
-
-
-def step(params: ModelParams, state: SimState, rng: RngStream) -> tuple[SimState, StepRecord]:
-    """Advance one period, consuming exactly two uniform draws.
-
-    Follows the fixed update order documented at module level.  The direction
-    draw happens unconditionally, even on no-trade periods, which keeps the
-    RNG stream aligned across parameter changes.
-    """
-    if state.t < 1:
-        raise ValueError(f"step requires state.t >= 1 (got t={state.t})")
-    m = momentum_update(state.momentum, state.log_price - state.prev_log_price, params.r)
-    lam = intensity(params, m)
-    traded = bernoulli(normal_cdf(lam), rng)
-    x = state.x + cubic_increment(params, m)
-    z = bernoulli(normal_cdf(x), rng)
-    ticks = state.ticks + (2 * z - 1) * traded
-    log_price = params.log_p0 + params.d * ticks
-    new_state = SimState(
-        t=state.t + 1,
-        log_price=log_price,
-        prev_log_price=state.log_price,
-        momentum=m,
-        x=x,
-        n_trades=state.n_trades + traded,
-        ticks=ticks,
-    )
-    record = StepRecord(
-        t=new_state.t,
-        log_price=log_price,
-        momentum=m,
-        lam=lam,
-        x=x,
-        trade=traded,
-        direction=z,
-        n_trades=new_state.n_trades,
-    )
-    return new_state, record
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,40 +157,58 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     """Run the full model for periods 0..T as a pure function of (params, seed).
 
     Identical inputs give bit-identical trajectories.  Consumes exactly
-    2*(T-1) uniforms regardless of the realized path.
+    2*(T-1) uniforms regardless of the realized path: the whole budget is
+    taken from the stream up front, and period t reads the pair at 2(t-2).
     """
     rng = RngStream(seed)
-    state = initial_state(params)
+    uniforms = rng.take(2 * (params.T - 1))
 
-    lam0 = intensity(params, 0.0)
-    log_price = [params.log_p0, params.log_p0]
-    momentum = [0.0, 0.0]
-    lam = [lam0, lam0]
-    x = [params.x0, params.x0]
-    trade = [0, 0]
-    direction = [0, 0]
-    n_trades = [0, 0]
+    log_p0, d, x0 = params.log_p0, params.d, params.x0
+    Lambda, k = params.Lambda, params.k
+    decay = math.exp(-params.r)
+    n = params.T + 1
 
-    for _ in range(params.T - 1):
-        state, rec = step(params, state, rng)
-        log_price.append(rec.log_price)
-        momentum.append(rec.momentum)
-        lam.append(rec.lam)
-        x.append(rec.x)
-        trade.append(rec.trade)
-        direction.append(rec.direction)
-        n_trades.append(rec.n_trades)
+    lam0 = Lambda + k * 0.0  # Lambda + k M at M = 0, computed as every period computes it
+    log_price = [log_p0] * n
+    momentum = [0.0] * n
+    lam = [lam0] * n
+    x = [x0] * n
+    trade = [0] * n
+    direction = [0] * n
 
+    # state at the end of period 1: equal initial prices, zero momentum
+    lp = prev_lp = log_p0
+    m = 0.0
+    xt = x0
+    ticks = 0
+    pairs = iter(uniforms)
+    for t, u_trade, u_dir in zip(range(2, n), pairs, pairs):
+        m = decay * (m + (lp - prev_lp))
+        lam_t = Lambda + k * m
+        traded = 1 if u_trade < normal_cdf(lam_t) else 0
+        xt = xt + cubic_increment(params, m)
+        z = 1 if u_dir < normal_cdf(xt) else 0
+        ticks += (2 * z - 1) * traded
+        prev_lp = lp
+        lp = log_p0 + d * ticks
+        log_price[t] = lp
+        momentum[t] = m
+        lam[t] = lam_t
+        x[t] = xt
+        trade[t] = traded
+        direction[t] = z
+
+    trade_col = np.array(trade, dtype=np.int64)
     return Trajectory(
         params=params,
         seed=seed,
-        t=np.arange(params.T + 1, dtype=np.int64),
+        t=np.arange(n, dtype=np.int64),
         log_price=np.array(log_price, dtype=float),
         momentum=np.array(momentum, dtype=float),
         lam=np.array(lam, dtype=float),
         x=np.array(x, dtype=float),
-        trade=np.array(trade, dtype=np.int64),
+        trade=trade_col,
         direction=np.array(direction, dtype=np.int64),
-        n_trades=np.array(n_trades, dtype=np.int64),
+        n_trades=np.cumsum(trade_col),
         n_rng_draws=rng.n_draws,
     )

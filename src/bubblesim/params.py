@@ -68,6 +68,9 @@ class ModelParams:
         if name not in PARAM_FIELDS:
             raise ValueError(f"unknown parameter field {name!r}")
         if name == "T":
+            # sweeps pass every axis value as a float: accept 2000.0, not 2.7
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"ModelParams requires an integer T (got {value!r})")
             value = int(value)
         return replace(self, **{name: value})
 

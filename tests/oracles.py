@@ -1,15 +1,30 @@
-"""Independent numerical references the test suite checks the package against.
+"""Reference forms the test suite checks the package against.
 
 The normal-CDF oracle here deliberately shares no code path with the package:
 the package goes through the complementary error function, while this oracle
 integrates the normal density directly with composite Gauss-Legendre
 quadrature in extended precision, anchored by an asymptotic-series tail.
 Agreement between the two is therefore evidence, not tautology.
+
+The model oracles are the slow, literal forms of the dynamics: momentum as
+the explicit O(n) weighted sum over the whole return history, and the
+step-by-step update that advances an immutable state one period at a time,
+drawing each uniform through its own ``RngStream.uniform()`` call.
+``simulate_stepwise`` strings those steps together; the fused kernel
+``bubblesim.simulate`` must reproduce it bit for bit.  Both share the
+package's ``normal_cdf`` and ``cubic_increment``, which the acceptance gate
+checks on their own.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, replace
+from typing import Sequence
+
 import numpy as np
+
+from bubblesim import ModelParams, RngStream, StepRecord, Trajectory, cubic_increment, normal_cdf
 
 _LONG_SQRT_2PI = np.sqrt(2 * np.longdouble(np.pi))
 
@@ -61,3 +76,126 @@ def normal_cdf_reference(grid: np.ndarray) -> np.ndarray:
     out[0] = normal_tail(float(-z[0]))
     out[1:] = out[0] + np.cumsum(panel)
     return out.astype(float)
+
+
+def momentum_direct(returns: Sequence[float], r: float) -> float:
+    """Momentum as the explicit weighted sum over a full return history.
+
+    ``returns[i]`` is the log-return of period i+1; the most recent return
+    gets weight exp(-r), the one before it exp(-2r), and so on.  O(n) per
+    call, so O(T^2) along a trajectory -- the reference form that the
+    incremental update is checked against, not the one used in simulation.
+    """
+    if r <= 0:
+        raise ValueError(f"momentum_direct requires r > 0 (got r={r})")
+    arr = np.asarray(returns, dtype=float)
+    if arr.size == 0:
+        return 0.0
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("momentum_direct requires finite returns")
+    weights = np.exp(-r * np.arange(arr.size, 0, -1, dtype=float))
+    return float(weights @ arr)
+
+
+def momentum_update(m_prev: float, last_return: float, r: float) -> float:
+    """One incremental momentum step: exp(-r) * (m_prev + last_return)."""
+    if r <= 0:
+        raise ValueError(f"momentum_update requires r > 0 (got r={r})")
+    return math.exp(-r) * (m_prev + last_return)
+
+
+def intensity(params: ModelParams, m: float) -> float:
+    """Trading intensity Lambda + k*m; any real, squashed by Phi before use."""
+    return params.Lambda + params.k * m
+
+
+def bernoulli(p: float, rng) -> int:
+    """One Bernoulli(p) draw: consumes exactly one uniform, returns 0 or 1."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"bernoulli requires p in [0, 1] (got p={p!r})")
+    return 1 if rng.uniform() < p else 0
+
+
+@dataclass(frozen=True, slots=True)
+class SimState:
+    """Evolving simulation state after period t."""
+
+    t: int
+    log_price: float
+    prev_log_price: float
+    momentum: float
+    x: float
+    n_trades: int
+    ticks: int  # integer tick offset from log_p0; log_price == log_p0 + d*ticks
+
+
+def initial_state(params: ModelParams) -> SimState:
+    """State after the initial conditions, i.e. at the end of period t=1."""
+    return SimState(
+        t=1,
+        log_price=params.log_p0,
+        prev_log_price=params.log_p0,
+        momentum=0.0,
+        x=params.x0,
+        n_trades=0,
+        ticks=0,
+    )
+
+
+def step(params: ModelParams, state: SimState, rng) -> tuple[SimState, StepRecord]:
+    """Advance one period, consuming exactly two uniform draws.
+
+    Follows the update order documented in ``bubblesim.model``.  The
+    direction draw happens unconditionally, even on no-trade periods.
+    ``rng`` is anything with a ``uniform()`` method.
+    """
+    if state.t < 1:
+        raise ValueError(f"step requires state.t >= 1 (got t={state.t})")
+    m = momentum_update(state.momentum, state.log_price - state.prev_log_price, params.r)
+    lam = intensity(params, m)
+    traded = bernoulli(normal_cdf(lam), rng)
+    x = state.x + cubic_increment(params, m)
+    z = bernoulli(normal_cdf(x), rng)
+    ticks = state.ticks + (2 * z - 1) * traded
+    log_price = params.log_p0 + params.d * ticks
+    new_state = SimState(
+        t=state.t + 1,
+        log_price=log_price,
+        prev_log_price=state.log_price,
+        momentum=m,
+        x=x,
+        n_trades=state.n_trades + traded,
+        ticks=ticks,
+    )
+    record = StepRecord(
+        t=new_state.t,
+        log_price=log_price,
+        momentum=m,
+        lam=lam,
+        x=x,
+        trade=traded,
+        direction=z,
+        n_trades=new_state.n_trades,
+    )
+    return new_state, record
+
+
+def simulate_stepwise(params: ModelParams, seed: int) -> Trajectory:
+    """The whole trajectory for (params, seed), one ``step`` per period."""
+    rng = RngStream(seed)
+    state = initial_state(params)
+    rest = StepRecord(
+        t=0,
+        log_price=params.log_p0,
+        momentum=0.0,
+        lam=intensity(params, 0.0),
+        x=params.x0,
+        trade=0,
+        direction=0,
+        n_trades=0,
+    )
+    records = [rest, replace(rest, t=1)]
+    for _ in range(params.T - 1):
+        state, rec = step(params, state, rng)
+        records.append(rec)
+    return Trajectory.from_records(params, seed, records, rng.n_draws)

@@ -38,14 +38,13 @@ from bubblesim import (
     compare_medians,
     cubic_increment,
     detect_crashes,
-    momentum_direct,
     normal_cdf,
     run_sweep,
     simulate,
     write_trajectory_csv,
 )
 from bubblesim.cli import main
-from oracles import normal_cdf_reference
+from oracles import momentum_direct, normal_cdf_reference
 from synthetic import flat_trajectory, single_crash_trajectory
 
 # sha256 of the baseline seed-42 trajectory CSV, frozen from the first

@@ -116,6 +116,26 @@ def test_config_constraint_violation_quotes_the_constraint(tmp_path, capsys):
     assert "requires a < b < c" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", [[True, False], [0, -1], [2**64], [1, 2.0]])
+def test_config_seeds_must_be_64_bit_integers(tmp_path, capsys, seeds):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": seeds}))
+    out = tmp_path / "o"
+    assert _run("sweep", "--config", str(cfg), "--axis", "b", "--values", "0.01",
+                "--T", "50", "--out", str(out)) == 1
+    assert "config seeds must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_seed_list_at_the_64_bit_edges_is_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": [0, 2**64 - 1]}))
+    out = tmp_path / "o"
+    assert _run("sweep", "--config", str(cfg), "--axis", "b", "--values", "0.01",
+                "--T", "50", "--out", str(out), "--no-plot") == 0
+    assert json.loads((out / "sweep.json").read_text())["seed"] == [0, 2**64 - 1]
+
+
 def test_missing_or_invalid_config_exits_1(tmp_path, capsys):
     assert _run("simulate", "--config", str(tmp_path / "nope.json")) == 1
     bad = tmp_path / "bad.json"

@@ -1,10 +1,12 @@
-"""CSV/JSON serialization: schema, exact round-trips, stable bytes."""
+"""CSV/JSON serialization: schema, exact round-trips, stable bytes, atomic writes."""
 
+import builtins
 import json
 
 import numpy as np
 import pytest
 
+import bubblesim.io
 from bubblesim import (
     CSV_HEADER,
     CrashConfig,
@@ -89,6 +91,55 @@ def test_write_error_carries_the_path(tmp_path):
     target = tmp_path / "not-a-dir" / "x.csv"
     with pytest.raises(OSError, match="x.csv"):
         write_trajectory_csv(simulate(ModelParams(T=2), 0), target)
+
+
+class _HalfWrittenFile:
+    """File stand-in that writes half of its text, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def _fail_mid_write(monkeypatch):
+    monkeypatch.setattr(bubblesim.io, "open",
+                        lambda *a, **kw: _HalfWrittenFile(builtins.open(*a, **kw)), raising=False)
+
+
+def _fail_on_replace(monkeypatch):
+    def refuse(src, dst):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(bubblesim.io.os, "replace", refuse)
+
+
+@pytest.mark.parametrize("inject", [_fail_mid_write, _fail_on_replace])
+def test_failed_write_leaves_the_existing_file_and_no_temp_file(tmp_path, monkeypatch, inject):
+    target = tmp_path / "trajectory.csv"
+    target.write_text("previous artifact\n")
+    inject(monkeypatch)
+    with pytest.raises(OSError, match=f"failed to write {target}"):
+        write_trajectory_csv(simulate(P, 1), target)
+    assert target.read_text() == "previous artifact\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+
+
+def test_successful_write_replaces_the_file_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "summary.json"
+    target.write_text("previous artifact\n")
+    write_summary_json({"a": 1}, target)
+    assert target.read_text() == '{\n  "a": 1\n}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
 # ---------------------------------------------------------------- JSON

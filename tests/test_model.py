@@ -1,23 +1,28 @@
-"""Step semantics, trajectory structure, and the model's hard invariants."""
+"""Step semantics, trajectory structure, and the model's hard invariants.
+
+The step, intensity and Bernoulli tests exercise the step-by-step reference
+form in ``oracles``; the kernel tests below check that ``simulate`` equals
+that reference bit for bit, so the step semantics hold for the kernel too.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubblesim import (
     ModelParams,
     RngStream,
-    SimState,
     Trajectory,
-    bernoulli,
     cubic_increment,
-    initial_state,
-    intensity,
     normal_cdf,
     simulate,
-    step,
 )
+from oracles import SimState, bernoulli, initial_state, intensity, simulate_stepwise, step
+
+COLUMNS = ("t", "log_price", "momentum", "lam", "x", "trade", "direction", "n_trades")
 
 
 class FixedUniforms:
@@ -220,6 +225,78 @@ def test_simulate_with_unreachable_intensity_is_flat():
     assert np.all(traj.log_price == p.log_p0)
     assert traj.n_trades[-1] == 0
     assert traj.n_rng_draws == 2 * (p.T - 1)  # direction draws still happen
+
+
+# ---------------------------------------------------------------- kernel == oracle
+
+
+def _assert_bitwise_equal(kernel: Trajectory, oracle: Trajectory) -> None:
+    for name in COLUMNS:
+        got, want = getattr(kernel, name), getattr(oracle, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert kernel.n_rng_draws == oracle.n_rng_draws == 2 * (kernel.params.T - 1)
+
+
+def _random_params(rng: np.random.Generator, T: int) -> ModelParams:
+    a, b, c = np.sort(rng.uniform(-2.0, 2.0, size=3))
+    return ModelParams(
+        T=T,
+        d=float(rng.uniform(0.001, 0.1)),
+        r=float(rng.uniform(1e-5, 0.5)),
+        Lambda=float(rng.uniform(-4.0, 3.0)),
+        k=float(rng.uniform(0.01, 50.0)),
+        h=float(rng.uniform(0.001, 5.0)),
+        a=float(a),
+        b=float(b),
+        c=float(c),
+        log_p0=float(rng.uniform(-3.0, 3.0)),
+        x0=float(rng.uniform(-2.0, 2.0)),
+    )
+
+
+def test_simulate_equals_the_stepwise_oracle_bitwise():
+    rng = np.random.Generator(np.random.PCG64(31))
+    horizons = [2, 3, 4, 5] + [int(T) for T in rng.integers(6, 1500, size=36)]
+    for T in horizons:
+        params = _random_params(rng, T)
+        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+        _assert_bitwise_equal(simulate(params, seed), simulate_stepwise(params, seed))
+    for seed in (0, 2**64 - 1):
+        _assert_bitwise_equal(simulate(ModelParams(T=300), seed), simulate_stepwise(ModelParams(T=300), seed))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    T=st.integers(2, 400),
+    seed=st.integers(0, 2**64 - 1),
+    d=st.floats(1e-4, 0.5),
+    r=st.floats(1e-6, 1.0),
+    Lambda=st.floats(-6.0, 4.0),
+    k=st.floats(1e-3, 100.0),
+    h=st.floats(1e-3, 10.0),
+    roots=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3, unique=True),
+    log_p0=st.floats(-5.0, 5.0),
+    x0=st.floats(-3.0, 3.0),
+)
+def test_simulate_equals_the_stepwise_oracle_property(T, seed, d, r, Lambda, k, h, roots, log_p0, x0):
+    a, b, c = sorted(roots)
+    params = ModelParams(T=T, d=d, r=r, Lambda=Lambda, k=k, h=h, a=a, b=b, c=c,
+                         log_p0=log_p0, x0=x0)
+    _assert_bitwise_equal(simulate(params, seed), simulate_stepwise(params, seed))
+
+
+@pytest.mark.parametrize("b, bad", [(0.02, "inf"), (0.0, "nan")])
+def test_simulate_fails_like_the_oracle_on_overflow(b, bad):
+    # h (m-a) overflows at m = 0; times (m-b) = 0 it becomes nan.  A failed
+    # sweep cell stores this message in sweep.json.
+    params = ModelParams(T=20, h=1e300, a=-1e10, b=b, c=1e10)
+    with pytest.raises(ValueError) as kernel_err:
+        simulate(params, 3)
+    with pytest.raises(ValueError) as oracle_err:
+        simulate_stepwise(params, 3)
+    assert str(kernel_err.value) == str(oracle_err.value)
+    assert str(kernel_err.value) == f"normal_cdf requires a finite argument (got {bad})"
 
 
 # ---------------------------------------------------------------- trajectory

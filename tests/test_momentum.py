@@ -1,11 +1,16 @@
-"""Momentum: incremental recursion vs the explicit weighted sum."""
+"""Momentum reference forms: incremental recursion vs the explicit weighted sum.
+
+Both forms live in ``oracles``; criterion 01 checks the kernel's momentum
+column against ``momentum_direct``, and ``test_model`` checks the kernel
+against the step-wise form bit for bit.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from bubblesim import momentum_direct, momentum_update
+from oracles import momentum_direct, momentum_update
 
 
 def test_empty_history_has_zero_momentum():

@@ -83,6 +83,13 @@ def test_with_value_replaces_one_field():
         ModelParams().with_value("b", 5.0)  # lands above c
 
 
+def test_with_value_rejects_a_non_integral_horizon():
+    assert ModelParams().with_value("T", 2000.0).T == 2000  # the form SweepSpec passes
+    for bad in (2.7, 2000.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="integer T"):
+            ModelParams().with_value("T", bad)
+
+
 def test_as_dict_round_trips():
     p = ModelParams(b=0.03, Lambda=-1.5)
     assert ModelParams(**p.as_dict()) == p

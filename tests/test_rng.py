@@ -70,3 +70,30 @@ def test_invalid_seeds_are_rejected(bad):
 def test_seed_bounds_are_inclusive_exclusive():
     assert RngStream(0).seed == 0
     assert RngStream(2**64 - 1).seed == 2**64 - 1
+
+
+def test_take_equals_repeated_uniform_calls_across_a_block_boundary():
+    n = 4096 + 1000  # crosses the first internal block boundary
+    taken = RngStream(123).take(n)
+    single = RngStream(123)
+    assert taken == [single.uniform() for _ in range(n)]
+
+
+def test_take_after_uniform_calls_continues_the_same_stream():
+    mixed = RngStream(42)
+    head = [mixed.uniform() for _ in range(4000)]
+    tail = mixed.take(200)  # 96 from the open block, 104 past it
+    after = mixed.uniform()
+    assert head[:10] == list(SEED42_FIRST_TEN)
+    single = RngStream(42)
+    assert head + tail + [after] == [single.uniform() for _ in range(4201)]
+    assert mixed.n_draws == single.n_draws == 4201
+
+
+def test_take_zero_draws_nothing():
+    rng = RngStream(7)
+    assert rng.take(0) == []
+    assert rng.n_draws == 0
+    assert rng.uniform() == RngStream(7).uniform()
+    with pytest.raises(ValueError):
+        rng.take(-1)
