@@ -19,6 +19,7 @@ config file, parameter constraint violations, a sweep with no valid cell);
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -119,6 +120,14 @@ def _is_seed(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
 
 
+def _real(name: str, value) -> float:
+    """A config-file number as a float; bools and non-numbers are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ConfigError(f"config {name} must be a real number (got {value!r})")
+
+
 def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags into one RunConfig.
 
@@ -148,11 +157,14 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             det[k] = flag_val
     if det:
         base = CrashConfig.for_params(params)
+        window = det.get("peak_window", base.peak_window)
+        if isinstance(window, float) and window.is_integer():
+            window = int(window)  # 500.0 is accepted; CrashConfig rejects 2.7 and bools
         try:
             crash = CrashConfig(
-                threshold=float(det.get("threshold", base.threshold)),
-                peak_window=int(det.get("peak_window", base.peak_window)),
-                min_drawdown=float(det.get("min_drawdown", base.min_drawdown)),
+                threshold=_real("threshold", det.get("threshold", base.threshold)),
+                peak_window=window,
+                min_drawdown=_real("min_drawdown", det.get("min_drawdown", base.min_drawdown)),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -169,7 +181,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         v = filed["values"]
         if not isinstance(v, list):
             raise ConfigError(f"config values must be a list of reals (got {v!r})")
-        values = tuple(float(x) for x in v)
+        values = tuple(_real("values entry", x) for x in v)
     else:
         values = None
 

@@ -47,24 +47,16 @@ _COLUMN_ATTRS = {
 }
 
 
-def _fmt_real(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_trajectory_csv(traj: Trajectory, path: str | PathLike[str]) -> None:
-    """Write one row per period, t ascending, under the fixed header."""
+    """Write one row per period, t ascending, under the fixed header.
+
+    Rows are formatted from whole columns through one row template:
+    ``%.17g`` for reals and ``%d`` for integers.
+    """
     names = CSV_HEADER.split(",")
-    columns = [traj_column(traj, name) for name in names]
-    lines = [CSV_HEADER]
-    for i in range(len(traj)):
-        parts = []
-        for name, col in zip(names, columns):
-            if name in _INT_COLUMNS:
-                parts.append(str(int(col[i])))
-            else:
-                parts.append(_fmt_real(float(col[i])))
-        lines.append(",".join(parts))
-    _write_text(path, "\n".join(lines) + "\n")
+    row = ",".join("%d" if name in _INT_COLUMNS else "%.17g" for name in names) + "\n"
+    columns = [traj_column(traj, name).tolist() for name in names]
+    _write_text(path, CSV_HEADER + "\n" + "".join(map(row.__mod__, zip(*columns))))
 
 
 def traj_column(traj: Trajectory, name: str) -> np.ndarray:

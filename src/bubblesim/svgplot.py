@@ -56,13 +56,17 @@ class _Scale:
         self.pix_lo = pix_lo
         self.pix_hi = pix_hi
 
-    def __call__(self, v: float) -> float:
+    def __call__(self, v: float | np.ndarray) -> float | np.ndarray:
         frac = (v - self.lo) / (self.hi - self.lo)
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
 
 def _points(xs: np.ndarray, ys: np.ndarray, sx: _Scale, sy: _Scale) -> str:
-    return " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys))
+    """Polyline points, scaled as whole float64 columns: the same IEEE
+    operations per element as scaling each point on its own."""
+    px = sx(np.asarray(xs, dtype=float)).tolist()
+    py = sy(np.asarray(ys, dtype=float)).tolist()
+    return " ".join(map("%.2f,%.2f".__mod__, zip(px, py)))
 
 
 def _polyline(points: str, stroke: str, cls: str = "series", extra: str = "") -> str:

@@ -25,6 +25,7 @@ string and the sweep continues; only a sweep with no surviving cell raises.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -55,6 +56,13 @@ def canonical_axis(axis: str) -> str:
     )
 
 
+def _is_integral(x) -> bool:
+    """True for integers and for finite reals with no fractional part."""
+    if isinstance(x, numbers.Integral):
+        return True
+    return isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Definition of one sweep: base parameters, axis, values, matched seeds."""
@@ -66,8 +74,15 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", canonical_axis(self.axis))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        values, seeds = tuple(self.values), tuple(self.seeds)
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"SweepSpec requires real values (got {v!r})")
+        for s in seeds:
+            if isinstance(s, bool) or not _is_integral(s):
+                raise ValueError(f"SweepSpec requires integer seeds (got {s!r})")
+        object.__setattr__(self, "values", tuple(float(v) for v in values))
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         if not self.values:
             raise ValueError("SweepSpec requires a non-empty values list")
         if any(not math.isfinite(v) for v in self.values):

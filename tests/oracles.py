@@ -14,6 +14,11 @@ drawing each uniform through its own ``RngStream.uniform()`` call.
 ``bubblesim.simulate`` must reproduce it bit for bit.  Both share the
 package's ``normal_cdf`` and ``cubic_increment``, which the acceptance gate
 checks on their own.
+
+The formatter oracles are the per-cell forms of the artifact writers: the
+trajectory CSV built one cell at a time with ``str``/``format``, and SVG
+polyline points scaled and formatted one point at a time.  The columnar
+writers must produce the same text, character for character.
 """
 
 from __future__ import annotations
@@ -24,7 +29,16 @@ from typing import Sequence
 
 import numpy as np
 
-from bubblesim import ModelParams, RngStream, StepRecord, Trajectory, cubic_increment, normal_cdf
+from bubblesim import (
+    CSV_HEADER,
+    ModelParams,
+    RngStream,
+    StepRecord,
+    Trajectory,
+    cubic_increment,
+    normal_cdf,
+)
+from bubblesim.io import traj_column
 
 _LONG_SQRT_2PI = np.sqrt(2 * np.longdouble(np.pi))
 
@@ -199,3 +213,27 @@ def simulate_stepwise(params: ModelParams, seed: int) -> Trajectory:
         state, rec = step(params, state, rng)
         records.append(rec)
     return Trajectory.from_records(params, seed, records, rng.n_draws)
+
+
+def trajectory_csv_text(traj: Trajectory) -> str:
+    """The trajectory CSV, one cell at a time: ``str(int(v))`` for the
+    integer columns, ``format(float(v), ".17g")`` for the reals."""
+    names = CSV_HEADER.split(",")
+    int_columns = {"t", "trade", "direction", "n_trades"}
+    columns = [traj_column(traj, name) for name in names]
+    lines = [CSV_HEADER]
+    for i in range(len(traj)):
+        parts = []
+        for name, col in zip(names, columns):
+            if name in int_columns:
+                parts.append(str(int(col[i])))
+            else:
+                parts.append(format(float(col[i]), ".17g"))
+        lines.append(",".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def polyline_points(xs, ys, sx, sy) -> str:
+    """SVG polyline points, one point at a time: each coordinate scaled as a
+    Python float and formatted with two decimals."""
+    return " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys))

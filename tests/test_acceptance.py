@@ -51,6 +51,14 @@ from synthetic import flat_trajectory, single_crash_trajectory
 # verified run
 BASELINE_SEED42_CSV_SHA256 = "17c5f1757c6f61337cd6e1139cab5f0218ab681b311ef3da63cb2d744b9539d5"
 
+# sha256 of the other CLI artifacts, frozen from the same code as the CSV:
+# `simulate --seed 42` and `sweep --axis b --values 0.0001,0.01,0.02
+# --seeds 0..2`.  No other test pins the SVG bytes.
+BASELINE_SEED42_SVG_SHA256 = "0194bc6ee3b426eaac7ed8d124a651e5e3098e46296691785e5e7e0a94e9a646"
+BASELINE_SEED42_JSON_SHA256 = "f3104629afee0d7c353e9e9562d11bf79a613adee66666e414bcd55b463eec2c"
+B_SWEEP_3_JSON_SHA256 = "8d3a99779d21f47fc1b7eac0a32b8c8876a94552cfbb00300b3a812ffb52463a"
+B_SWEEP_3_SVG_SHA256 = "551b617d76bc4846f40c85076d4171e179b8c8bac04a7176cb0b30a2f4e8cdf2"
+
 # exact pilot outcome for the crossing ensemble (criterion 10 demands >= 80)
 PILOT_CROSSING_COUNT = 100
 
@@ -135,6 +143,24 @@ def test_criterion_04_determinism(tmp_path):
     assert serial.cells == parallel.cells
     assert serial.summaries == parallel.summaries
     print(f"criterion 04: CSV sha256 {digest[:16]}..., serial == parallel")
+
+
+def test_frozen_cli_artifact_bytes(tmp_path):
+    """Every CLI artifact of seed 42 and of a small b-sweep keeps its bytes."""
+    sim, sweep = tmp_path / "sim", tmp_path / "sweep"
+    assert main(["simulate", "--seed", "42", "--out", str(sim)]) == 0
+    assert main(["sweep", "--axis", "b", "--values", "0.0001,0.01,0.02",
+                 "--seeds", "0..2", "--out", str(sweep)]) == 0
+    expected = {
+        sim / "trajectory.csv": BASELINE_SEED42_CSV_SHA256,
+        sim / "trajectory.svg": BASELINE_SEED42_SVG_SHA256,
+        sim / "summary.json": BASELINE_SEED42_JSON_SHA256,
+        sweep / "sweep.json": B_SWEEP_3_JSON_SHA256,
+        sweep / "sweep.svg": B_SWEEP_3_SVG_SHA256,
+    }
+    for path, want in expected.items():
+        got = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == want, f"{path.name} hash drifted: {got}"
 
 
 def test_criterion_05_lattice_and_rng_freeze():

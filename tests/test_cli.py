@@ -153,6 +153,38 @@ def test_detector_overrides_reach_the_summary(tmp_path):
     assert det["threshold"] == 0.02  # unset pieces keep their defaults
 
 
+@pytest.mark.parametrize("entry", [
+    {"peak_window": 2.7},
+    {"peak_window": True},
+    {"peak_window": "300"},
+    {"threshold": True},
+    {"threshold": "0.02"},
+    {"min_drawdown": True},
+    {"min_drawdown": [0.1]},
+    {"min_drawdown": 10**400},
+    {"axis": "r", "values": [True]},
+    {"values": [0.01, "0.02"]},
+])
+def test_config_detector_keys_and_values_are_checked_not_truncated(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"axis": "b", "values": [0.01], **entry}))
+    out = tmp_path / "o"
+    assert _run("sweep", "--config", str(cfg), "--seeds", "0..1", "--T", "50",
+                "--out", str(out)) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_whole_number_peak_window_is_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"peak_window": 300.0, "threshold": 0, "min_drawdown": 1}))
+    out = tmp_path / "o"
+    assert _run("simulate", "--config", str(cfg), "--T", "50", "--out", str(out), "--no-plot") == 0
+    det = json.loads((out / "summary.json").read_text())["config"]["detector"]
+    assert det == {"peak_window": 300, "threshold": 0.0, "min_drawdown": 1.0}
+    assert type(det["peak_window"]) is int and type(det["threshold"]) is float
+
+
 # ---------------------------------------------------------------- sweep
 
 

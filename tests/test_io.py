@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bubblesim.io
 from bubblesim import (
@@ -12,6 +14,7 @@ from bubblesim import (
     CrashConfig,
     ModelParams,
     SweepSpec,
+    Trajectory,
     read_trajectory_csv,
     run_sweep,
     simulate,
@@ -21,6 +24,7 @@ from bubblesim import (
     write_summary_json,
     write_trajectory_csv,
 )
+from oracles import trajectory_csv_text
 from synthetic import flat_trajectory
 
 P = ModelParams(T=300)
@@ -56,6 +60,58 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(cols["n_trades"], traj.n_trades)
     assert cols["t"].dtype == np.int64
     assert cols["momentum"].dtype == np.float64
+
+
+# extremes the writers must carry: signed zero, the smallest subnormal, the
+# smallest normal, +-1.7e308, the largest double, and the ends of int64
+_EDGE_REALS = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+_EDGE_INTS = [0, -1, 2**63 - 1, -(2**63)]
+
+
+def _columns_trajectory(reals: list[list[float]], ints: list[list[int]]) -> Trajectory:
+    """A Trajectory holding arbitrary columns: four real, four int64."""
+    log_price, momentum, lam, x = (np.array(c, dtype=float) for c in reals)
+    t, trade, direction, n_trades = (np.array(c, dtype=np.int64) for c in ints)
+    return Trajectory(params=P, seed=0, t=t, log_price=log_price, momentum=momentum,
+                      lam=lam, x=x, trade=trade, direction=direction,
+                      n_trades=n_trades, n_rng_draws=0)
+
+
+@st.composite
+def _trajectories(draw, reals=st.floats(allow_nan=False, allow_infinity=False)):
+    n = draw(st.integers(0, 12))
+    real = st.one_of(reals, st.sampled_from(_EDGE_REALS))
+    ints = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(_EDGE_INTS))
+    return _columns_trajectory(
+        [draw(st.lists(real, min_size=n, max_size=n)) for _ in range(4)],
+        [draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(4)],
+    )
+
+
+_EDGE_TRAJECTORY = _columns_trajectory([_EDGE_REALS] * 4, [_EDGE_INTS * 2, [0] * 8, [1] * 8, [-1] * 8])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(traj=_trajectories(reals=st.floats()))
+@example(traj=_EDGE_TRAJECTORY)
+def test_csv_text_equals_the_per_cell_oracle(tmp_path_factory, traj):
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_text(encoding="utf-8") == trajectory_csv_text(traj)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(traj=_trajectories())
+@example(traj=_EDGE_TRAJECTORY)
+def test_csv_round_trips_bitwise_for_any_finite_doubles(tmp_path_factory, traj):
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    write_trajectory_csv(traj, path)
+    cols = read_trajectory_csv(path)
+    for name in CSV_HEADER.split(","):
+        want = bubblesim.io.traj_column(traj, name)
+        assert cols[name].dtype == want.dtype
+        assert cols[name].tobytes() == want.tobytes(), name  # bitwise, so -0.0 != 0.0
 
 
 def test_reals_carry_seventeen_significant_digits(tmp_path):

@@ -4,8 +4,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bubblesim import ModelParams, SweepSpec, plot_sweep, plot_trajectory, run_sweep, simulate
+from bubblesim.svgplot import _points, _Scale
+from oracles import polyline_points
 from synthetic import flat_trajectory
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
@@ -67,6 +71,34 @@ def test_plot_output_is_deterministic(tmp_path):
     plot_trajectory(traj, a)
     plot_trajectory(traj, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PIXEL = st.one_of(st.integers(-2000, 2000), st.floats(-2000.0, 2000.0))
+
+
+@st.composite
+def _scales(draw):
+    lo, hi = sorted(draw(st.lists(_FINITE, min_size=2, max_size=2, unique=True)))
+    return _Scale(lo, hi, draw(_PIXEL), draw(_PIXEL))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(xy=st.lists(st.tuples(_FINITE, _FINITE), max_size=20), sx=_scales(), sy=_scales())
+@example(
+    xy=[(-0.0, -0.0), (5e-324, 5e-324), (1.7e308, 1.7e308), (-1.7e308, -1.7e308)],
+    sx=_Scale(0.0, 5000.0, 72, 876),
+    sy=_Scale(-1.7e308, 1.7e308, 170, 40),
+)
+def test_points_equal_the_per_point_oracle(xy, sx, sy):
+    xs = np.array([x for x, _ in xy], dtype=float)
+    ys = np.array([y for _, y in xy], dtype=float)
+    t = np.arange(len(xy), dtype=np.int64)  # trajectories plot against int64 t
+    # data far outside a scale's range overflows to inf alike in both forms;
+    # only numpy warns about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _points(xs, ys, sx, sy) == polyline_points(xs, ys, sx, sy)
+        assert _points(t, ys, sx, sy) == polyline_points(t, ys, sx, sy)
 
 
 # ---------------------------------------------------------------- sweep plot

@@ -1,5 +1,6 @@
 """Sweep grids: ordering, determinism, error isolation, aggregation."""
 
+import numpy as np
 import pytest
 
 from bubblesim import (
@@ -55,6 +56,26 @@ def test_spec_validation():
         SweepSpec(base=SMALL, axis="b", values=(0.01, 0.02), seeds=())
     with pytest.raises(ValueError):
         SweepSpec(base=SMALL, axis="b", values=(0.01, 0.02), seeds=(-1,))
+
+
+@pytest.mark.parametrize("seeds", [(1.5, True), (True,), (0, 2.7), ("3",), (float("nan"),)])
+def test_spec_rejects_bool_and_non_integral_seeds(seeds):
+    with pytest.raises(ValueError, match="integer seeds"):
+        SweepSpec(base=SMALL, axis="b", values=(0.01,), seeds=seeds)
+
+
+@pytest.mark.parametrize("values", [(True,), (0.01, True), ("0.01",), (None,)])
+def test_spec_rejects_bool_and_non_real_values(values):
+    with pytest.raises(ValueError, match="real values"):
+        SweepSpec(base=SMALL, axis="b", values=values, seeds=(0,))
+
+
+def test_spec_accepts_integral_and_numpy_numbers():
+    spec = SweepSpec(base=SMALL, axis="b", values=(np.float64(0.01), 1), seeds=(np.uint64(3), 2.0))
+    assert spec.seeds == (3, 2)
+    assert all(type(s) is int for s in spec.seeds)
+    assert spec.values == (0.01, 1.0)
+    assert all(type(v) is float for v in spec.values)
 
 
 # ---------------------------------------------------------------- running
