@@ -329,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # MemoryError: numpy refuses the columns of a T too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

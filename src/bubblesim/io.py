@@ -86,13 +86,13 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
     for i, row in enumerate(rows):
         if len(row) != len(names):
             raise ValueError(f"row {i + 1} of {path} has {len(row)} fields, expected {len(names)}")
+    columns = list(zip(*rows)) or [()] * len(names)
     out: dict[str, np.ndarray] = {}
-    for j, name in enumerate(names):
-        vals = [row[j] for row in rows]
+    for name, col in zip(names, columns):
         if name in _INT_COLUMNS:
-            out[name] = np.array([int(v) for v in vals], dtype=np.int64)
+            out[name] = np.fromiter(map(int, col), np.int64, len(col))
         else:
-            out[name] = np.array([float(v) for v in vals], dtype=float)
+            out[name] = np.fromiter(map(float, col), float, len(col))
     return out
 
 

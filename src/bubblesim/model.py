@@ -36,10 +36,16 @@ Periods t=0 and t=1 are initial conditions (log P_0 = log P_1 = log_p0,
 x_0 = x_1 = x0, M_1 = 0, N_1 = 0); the dynamics run for t = 2..T, so a full
 simulation covers T+1 periods and consumes exactly 2*(T-1) uniforms.
 
-``simulate`` is the only way to run the model: one loop that takes all
-2*(T-1) uniforms from the stream at once and writes each period straight into
-preallocated columns.  The step-by-step reference form of the same update
-lives with the tests, which check the kernel against it bit for bit.
+``simulate`` is the only way to run the model.  It takes all 2*(T-1)
+uniforms from the stream at once, then runs one loop that carries only the
+state the path feeds back on: the momentum M_t, the pressure x_t and the tick
+count.  Each period it stores M_t and tests the trade draw; it tests the
+direction draw only when a trade fires.  The other columns (lambda, x,
+direction, trade, n_trades, log P) are rebuilt afterwards as whole numpy
+columns, with the loop's IEEE operations in the loop's order, so every bit is
+the same as a period-by-period evaluation.  The step-by-step reference form
+of the update lives with the tests, which check the kernel against it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ def cubic_increment(params: ModelParams, m: float) -> float:
 
     Positive for m strictly inside (a, b), negative strictly inside (b, c):
     crossing the middle root b flips accumulation into selling pressure.
-    Exactly zero at the roots.
+    Exactly zero at the roots.  Also applies elementwise to an array of m.
     """
     return params.h * (m - params.a) * (m - params.b) * (m - params.c)
 
@@ -159,56 +165,72 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     Identical inputs give bit-identical trajectories.  Consumes exactly
     2*(T-1) uniforms regardless of the realized path: the whole budget is
     taken from the stream up front, and period t reads the pair at 2(t-2).
+    Raises ``ValueError`` (from ``normal_cdf``) at the first period whose
+    intensity or direction pressure is not finite, intensity first.
     """
     rng = RngStream(seed)
     uniforms = rng.take(2 * (params.T - 1))
 
     log_p0, d, x0 = params.log_p0, params.d, params.x0
     Lambda, k = params.Lambda, params.k
+    h, a, b, c = params.h, params.a, params.b, params.c
     decay = math.exp(-params.r)
+    erfc = math.erfc
     n = params.T + 1
 
-    lam0 = Lambda + k * 0.0  # Lambda + k M at M = 0, computed as every period computes it
-    log_price = [log_p0] * n
+    # Only momentum and x feed back into the path, and x only at a trade.
+    # The loop never raises: a non-finite value makes erfc nan and its test
+    # false, and the check after the loop raises for the first one.
     momentum = [0.0] * n
-    lam = [lam0] * n
-    x = [x0] * n
-    trade = [0] * n
-    direction = [0] * n
-
-    # state at the end of period 1: equal initial prices, zero momentum
-    lp = prev_lp = log_p0
-    m = 0.0
+    traded_at: list[int] = []
+    lp = log_p0
+    m = ret = 0.0
     xt = x0
     ticks = 0
     pairs = iter(uniforms)
     for t, u_trade, u_dir in zip(range(2, n), pairs, pairs):
-        m = decay * (m + (lp - prev_lp))
-        lam_t = Lambda + k * m
-        traded = 1 if u_trade < normal_cdf(lam_t) else 0
-        xt = xt + cubic_increment(params, m)
-        z = 1 if u_dir < normal_cdf(xt) else 0
-        ticks += (2 * z - 1) * traded
-        prev_lp = lp
-        lp = log_p0 + d * ticks
-        log_price[t] = lp
+        m = decay * (m + ret)
         momentum[t] = m
-        lam[t] = lam_t
-        x[t] = xt
-        trade[t] = traded
-        direction[t] = z
+        xt = xt + h * (m - a) * (m - b) * (m - c)
+        if u_trade < 0.5 * erfc(-(Lambda + k * m) / _SQRT2):
+            ticks += 1 if u_dir < 0.5 * erfc(-xt / _SQRT2) else -1
+            new_lp = log_p0 + d * ticks
+            ret = new_lp - lp
+            lp = new_lp
+            traded_at.append(t)
+        else:
+            ret = 0.0  # the return of an unchanged finite price
 
-    trade_col = np.array(trade, dtype=np.int64)
+    # The other columns, rebuilt whole with the loop's IEEE operations in
+    # the loop's order: cumsum (add.accumulate) adds strictly left to right.
+    mom = np.array(momentum)
+    trade = np.zeros(n, dtype=np.int64)
+    trade[traded_at] = 1
+    direction = np.zeros(n, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = Lambda + k * mom
+        increments = cubic_increment(params, mom[2:])
+        x = np.concatenate(([x0], np.cumsum(np.concatenate(([x0], increments)))))
+        bad = ~(np.isfinite(lam) & np.isfinite(x))
+        if bad.any():  # normal_cdf raises on the first bad period, lam first
+            t = int(bad.argmax())
+            normal_cdf(float(lam[t]))
+            normal_cdf(float(x[t]))
+        cdf_x = 0.5 * np.fromiter(map(erfc, (-x[2:] / _SQRT2).tolist()), float, n - 2)
+        direction[2:] = np.array(uniforms[1::2]) < cdf_x
+        log_price = log_p0 + d * np.cumsum(trade * (2 * direction - 1))
+    log_price[:2] = log_p0
+
     return Trajectory(
         params=params,
         seed=seed,
         t=np.arange(n, dtype=np.int64),
-        log_price=np.array(log_price, dtype=float),
-        momentum=np.array(momentum, dtype=float),
-        lam=np.array(lam, dtype=float),
-        x=np.array(x, dtype=float),
-        trade=trade_col,
-        direction=np.array(direction, dtype=np.int64),
-        n_trades=np.cumsum(trade_col),
+        log_price=log_price,
+        momentum=mom,
+        lam=lam,
+        x=x,
+        trade=trade,
+        direction=direction,
+        n_trades=np.cumsum(trade),
         n_rng_draws=rng.n_draws,
     )

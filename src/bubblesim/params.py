@@ -51,7 +51,11 @@ class ModelParams:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"ModelParams requires a real number for {name} (got {value!r})")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise ValueError(f"ModelParams requires finite values (got {name}={value!r})")
         for name in ("d", "r", "k", "h"):
             if getattr(self, name) <= 0:

@@ -116,6 +116,15 @@ def test_config_constraint_violation_quotes_the_constraint(tmp_path, capsys):
     assert "requires a < b < c" in capsys.readouterr().err
 
 
+def test_config_int_beyond_the_float_range_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"r": 1' + "0" * 400 + "}")  # a 401-digit JSON integer
+    assert _run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ModelParams requires finite values (got r=1000")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("seeds", [[True, False], [0, -1], [2**64], [1, 2.0]])
 def test_config_seeds_must_be_64_bit_integers(tmp_path, capsys, seeds):
     cfg = tmp_path / "cfg.json"
@@ -237,6 +246,15 @@ def test_io_failure_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert _run("simulate", "--T", "100", "--out", str(blocker / "sub")) == 2
+
+
+def test_horizon_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # the 2(T-1) float64 draws of T = 10**17 take about 1.4 EiB, more than
+    # any 64-bit address space, so numpy refuses the allocation at once
+    assert _run("simulate", "--T", str(10**17), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "o").exists()
 
 
 def test_console_script_runs_end_to_end(tmp_path):

@@ -143,6 +143,21 @@ def test_read_rejects_malformed_files(tmp_path):
         read_trajectory_csv(tmp_path / "missing.csv")
 
 
+def test_read_reports_bad_cells_and_reads_a_header_only_file(tmp_path):
+    path = tmp_path / "cells.csv"
+    path.write_text(CSV_HEADER + "\n0,0,0,-2,0,0,0,0\n1.5,0,0,-2,0,0,0,0\n")
+    with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: '1.5'$"):
+        read_trajectory_csv(path)
+    path.write_text(CSV_HEADER + "\n0,0,abc,-2,0,x,0,0\n")  # columns fail left to right
+    with pytest.raises(ValueError, match=r"^could not convert string to float: 'abc'$"):
+        read_trajectory_csv(path)
+    path.write_text(CSV_HEADER + "\n")
+    cols = read_trajectory_csv(path)
+    assert list(cols) == CSV_HEADER.split(",")
+    assert all(len(col) == 0 for col in cols.values())
+    assert cols["t"].dtype == np.int64 and cols["x"].dtype == np.float64
+
+
 def test_write_error_carries_the_path(tmp_path):
     target = tmp_path / "not-a-dir" / "x.csv"
     with pytest.raises(OSError, match="x.csv"):

@@ -6,10 +6,11 @@ that reference bit for bit, so the step semantics hold for the kernel too.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bubblesim import (
@@ -255,15 +256,42 @@ def _random_params(rng: np.random.Generator, T: int) -> ModelParams:
     )
 
 
+def _assert_same_outcome(params: ModelParams, seed: int) -> None:
+    """The kernel equals the oracle bitwise, or raises its ValueError text,
+    and never warns: a RuntimeWarning means a numpy step saw an overflow or
+    nan that the scalar loop does not report."""
+    try:
+        want = simulate_stepwise(params, seed)
+    except ValueError as exc:
+        want = exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError) as got:
+                simulate(params, seed)
+            assert str(got.value) == str(want)
+        else:
+            _assert_bitwise_equal(simulate(params, seed), want)
+
+
 def test_simulate_equals_the_stepwise_oracle_bitwise():
     rng = np.random.Generator(np.random.PCG64(31))
     horizons = [2, 3, 4, 5] + [int(T) for T in rng.integers(6, 1500, size=36)]
     for T in horizons:
         params = _random_params(rng, T)
         seed = int(rng.integers(0, 2**64, dtype=np.uint64))
-        _assert_bitwise_equal(simulate(params, seed), simulate_stepwise(params, seed))
+        _assert_same_outcome(params, seed)
     for seed in (0, 2**64 - 1):
-        _assert_bitwise_equal(simulate(ModelParams(T=300), seed), simulate_stepwise(ModelParams(T=300), seed))
+        _assert_same_outcome(ModelParams(T=300), seed)
+
+
+_BASE = dict(T=50, seed=1, d=0.01, r=0.001, Lambda=-2.0, k=10.0, h=0.2,
+             roots=[-1.0, 0.02, 1.0], log_p0=0.0, x0=0.0)
+# m = exp(-700) * d after the first up-tick, a root of the cubic, so x stays
+# finite while the second up-tick overflows log P (and, one period later, M)
+_M_AT_ROOT = math.exp(-700.0) * 1e308
+_OVERFLOW = dict(d=1e308, r=700.0, Lambda=30.0, h=1e-12, x0=1000.0,
+                 roots=[_M_AT_ROOT, _M_AT_ROOT + 1, _M_AT_ROOT + 2])
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -279,11 +307,35 @@ def test_simulate_equals_the_stepwise_oracle_bitwise():
     log_p0=st.floats(-5.0, 5.0),
     x0=st.floats(-3.0, 3.0),
 )
+# signed zeros in the initial conditions
+@example(**{**_BASE, "log_p0": -0.0})
+@example(**{**_BASE, "x0": -0.0})
+@example(**{**_BASE, "Lambda": -0.0})
+# fast decay: momentum underflows to -0.0 after a down-tick (seed 21 does)
+@example(**{**_BASE, "T": 3000, "r": 20.0, "Lambda": -3.0, "seed": 21})
+# t=3: k*M and h*(M-a) overflow at M = b, so lam is inf and x nan; lam wins
+@example(**{**_BASE, "T": 10, "d": 10.0, "Lambda": 30.0, "k": 1e308, "h": 1e308,
+            "roots": [-1e-300, math.exp(-0.001) * 10.0, 20.0]})
+# x is nan at t=2, and lam is -inf from t=3 on
+@example(**{**_BASE, "T": 20, "d": 1e308, "Lambda": 30.0, "h": 1e300,
+            "roots": [-1e10, 0.0, 1e10]})
+# the trades overflow log P at t=3 (T=3 ends there) and M at t=4
+@example(**{**_BASE, **_OVERFLOW, "T": 3})
+@example(**{**_BASE, **_OVERFLOW, "T": 6})
 def test_simulate_equals_the_stepwise_oracle_property(T, seed, d, r, Lambda, k, h, roots, log_p0, x0):
     a, b, c = sorted(roots)
     params = ModelParams(T=T, d=d, r=r, Lambda=Lambda, k=k, h=h, a=a, b=b, c=c,
                          log_p0=log_p0, x0=x0)
-    _assert_bitwise_equal(simulate(params, seed), simulate_stepwise(params, seed))
+    _assert_same_outcome(params, seed)
+
+
+def test_the_edge_examples_reach_their_edges():
+    traj = simulate(ModelParams(T=3000, r=20.0, Lambda=-3.0), 21)
+    assert np.any((traj.momentum == 0.0) & np.signbit(traj.momentum))
+    a, b, c = _OVERFLOW["roots"]
+    rest = {name: v for name, v in _OVERFLOW.items() if name != "roots"}
+    overflow = ModelParams(T=3, a=a, b=b, c=c, **rest)
+    assert simulate(overflow, 1).log_price.tolist() == [0.0, 0.0, 1e308, math.inf]
 
 
 @pytest.mark.parametrize("b, bad", [(0.02, "inf"), (0.0, "nan")])

@@ -65,6 +65,14 @@ def test_non_finite_reals_are_rejected(bad):
         ModelParams(log_p0=bad)
 
 
+@pytest.mark.parametrize("field", ["r", "Lambda", "log_p0"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ints_beyond_the_float_range_are_rejected_as_non_finite(field, sign):
+    # math.isfinite raises OverflowError on them; construction must not
+    with pytest.raises(ValueError, match=rf"requires finite values \(got {field}=-?1000"):
+        ModelParams(**{field: sign * 10**400})
+
+
 def test_instances_are_immutable():
     p = ModelParams()
     with pytest.raises(dataclasses.FrozenInstanceError):
