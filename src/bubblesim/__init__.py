@@ -29,7 +29,6 @@ from .io import (
     write_trajectory_csv,
 )
 from .model import (
-    StepRecord,
     Trajectory,
     cubic_increment,
     normal_cdf,
@@ -61,7 +60,6 @@ __all__ = [
     "PARAM_FIELDS",
     "RngStream",
     "STAT_FIELDS",
-    "StepRecord",
     "SummaryStats",
     "SweepCell",
     "SweepResult",

@@ -15,13 +15,12 @@ only removes marginal ones, which makes sweeps over the floor monotone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Trajectory
-from .params import ModelParams
+from .params import ModelParams, finite_real
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,10 +36,10 @@ class CrashConfig:
             raise ValueError(f"CrashConfig requires an integer peak_window (got {self.peak_window!r})")
         if self.peak_window < 1:
             raise ValueError(f"CrashConfig requires peak_window >= 1 (got {self.peak_window})")
-        if not math.isfinite(self.threshold):
-            raise ValueError(f"CrashConfig requires a finite threshold (got {self.threshold!r})")
-        if not math.isfinite(self.min_drawdown) or self.min_drawdown <= 0:
-            raise ValueError(f"CrashConfig requires min_drawdown > 0 (got {self.min_drawdown!r})")
+        if not finite_real(self.threshold):
+            raise ValueError(f"CrashConfig requires a finite real threshold (got {self.threshold!r})")
+        if not finite_real(self.min_drawdown) or self.min_drawdown <= 0:
+            raise ValueError(f"CrashConfig requires a finite real min_drawdown > 0 (got {self.min_drawdown!r})")
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "CrashConfig":

@@ -185,12 +185,13 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     else:
         values = None
 
+    if not isinstance(filed.get("out", ""), str):
+        raise ConfigError(f"config out must be a path string (got {filed['out']!r})")
+    if not isinstance(filed.get("plot", True), bool):
+        raise ConfigError(f"config plot must be true or false (got {filed['plot']!r})")
     out_val = getattr(args, "out", None) or filed.get("out") or _DEFAULT_OUT
     plot_flag = getattr(args, "plot", None)
-    if plot_flag is not None:
-        plot = bool(plot_flag)
-    else:
-        plot = bool(filed.get("plot", True))
+    plot = plot_flag if plot_flag is not None else filed.get("plot", True)
 
     return RunConfig(
         mode=args.mode,

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -79,26 +78,12 @@ def cubic_increment(params: ModelParams, m: float) -> float:
     return params.h * (m - params.a) * (m - params.b) * (m - params.c)
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
-    """Observables of one period: one row of a trajectory."""
-
-    t: int
-    log_price: float
-    momentum: float
-    lam: float
-    x: float
-    trade: int
-    direction: int
-    n_trades: int
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Full simulation output: per-period columns for t = 0..T.
 
     Columns are numpy arrays of length T+1 (two initial periods plus T-1
-    dynamic ones).  ``record(t)`` and ``records`` expose row views.
+    dynamic ones).
     """
 
     params: ModelParams
@@ -115,48 +100,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def record(self, i: int) -> StepRecord:
-        return StepRecord(
-            t=int(self.t[i]),
-            log_price=float(self.log_price[i]),
-            momentum=float(self.momentum[i]),
-            lam=float(self.lam[i]),
-            x=float(self.x[i]),
-            trade=int(self.trade[i]),
-            direction=int(self.direction[i]),
-            n_trades=int(self.n_trades[i]),
-        )
-
-    @property
-    def records(self) -> list[StepRecord]:
-        return [self.record(i) for i in range(len(self))]
-
-    @classmethod
-    def from_records(
-        cls,
-        params: ModelParams,
-        seed: int,
-        records: Iterable[StepRecord],
-        n_rng_draws: int = 0,
-    ) -> "Trajectory":
-        """Pack an explicit record sequence into columns (used for fixtures)."""
-        rows = list(records)
-        if not rows:
-            raise ValueError("Trajectory.from_records requires at least one record")
-        return cls(
-            params=params,
-            seed=seed,
-            t=np.array([rec.t for rec in rows], dtype=np.int64),
-            log_price=np.array([rec.log_price for rec in rows], dtype=float),
-            momentum=np.array([rec.momentum for rec in rows], dtype=float),
-            lam=np.array([rec.lam for rec in rows], dtype=float),
-            x=np.array([rec.x for rec in rows], dtype=float),
-            trade=np.array([rec.trade for rec in rows], dtype=np.int64),
-            direction=np.array([rec.direction for rec in rows], dtype=np.int64),
-            n_trades=np.array([rec.n_trades for rec in rows], dtype=np.int64),
-            n_rng_draws=n_rng_draws,
-        )
 
 
 def simulate(params: ModelParams, seed: int) -> Trajectory:

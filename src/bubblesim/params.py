@@ -23,7 +23,23 @@ ModelParams instance in the system is valid by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
+
+
+def finite_real(value) -> bool:
+    """True for a real number, not a bool, whose float value is finite.
+
+    nan, +-inf and an int beyond the float range (on which ``math.isfinite``
+    raises ``OverflowError``) are not finite; a bool or a non-number is not
+    real.  ModelParams, SweepSpec and CrashConfig share this one rule.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -51,11 +67,7 @@ class ModelParams:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"ModelParams requires a real number for {name} (got {value!r})")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int beyond the float range
-                finite = False
-            if not finite:
+            if not finite_real(value):
                 raise ValueError(f"ModelParams requires finite values (got {name}={value!r})")
         for name in ("d", "r", "k", "h"):
             if getattr(self, name) <= 0:

@@ -223,11 +223,8 @@ def plot_sweep(result: SweepResult, path: str | PathLike[str]) -> None:
         n = len(medians)
         isx = _Scale(-0.5, n - 0.5, x0, x0 + inset_w)
         isy = _Scale(mlo, mhi, inset_top + inset_h, inset_top)
-        pts = " ".join(
-            f"{isx(i):.2f},{isy(m):.2f}"
-            for i, (_, m) in enumerate(medians)
-            if m is not None
-        )
+        drawn_at = [i for i, (_, m) in enumerate(medians) if m is not None]
+        pts = _points(drawn_at, [m for _, m in known], isx, isy)
         body.append(_polyline(pts, "#444", cls="inset-series"))
         for i, (value, m) in enumerate(medians):
             if m is None:

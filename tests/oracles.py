@@ -24,7 +24,8 @@ writers must produce the same text, character for character.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ from bubblesim import (
     CSV_HEADER,
     ModelParams,
     RngStream,
-    StepRecord,
     Trajectory,
     cubic_increment,
     normal_cdf,
@@ -41,6 +41,10 @@ from bubblesim import (
 from bubblesim.io import traj_column
 
 _LONG_SQRT_2PI = np.sqrt(2 * np.longdouble(np.pi))
+
+# One period's observables; the field names are Trajectory's column names.
+Row = namedtuple("Row", "t log_price momentum lam x trade direction n_trades")
+_INT_COLUMNS = {"t", "trade", "direction", "n_trades"}
 
 
 def _density(x: np.ndarray) -> np.ndarray:
@@ -156,7 +160,7 @@ def initial_state(params: ModelParams) -> SimState:
     )
 
 
-def step(params: ModelParams, state: SimState, rng) -> tuple[SimState, StepRecord]:
+def step(params: ModelParams, state: SimState, rng) -> tuple[SimState, Row]:
     """Advance one period, consuming exactly two uniform draws.
 
     Follows the update order documented in ``bubblesim.model``.  The
@@ -181,7 +185,7 @@ def step(params: ModelParams, state: SimState, rng) -> tuple[SimState, StepRecor
         n_trades=state.n_trades + traded,
         ticks=ticks,
     )
-    record = StepRecord(
+    row = Row(
         t=new_state.t,
         log_price=log_price,
         momentum=m,
@@ -191,41 +195,35 @@ def step(params: ModelParams, state: SimState, rng) -> tuple[SimState, StepRecor
         direction=z,
         n_trades=new_state.n_trades,
     )
-    return new_state, record
+    return new_state, row
 
 
 def simulate_stepwise(params: ModelParams, seed: int) -> Trajectory:
     """The whole trajectory for (params, seed), one ``step`` per period."""
     rng = RngStream(seed)
     state = initial_state(params)
-    rest = StepRecord(
-        t=0,
-        log_price=params.log_p0,
-        momentum=0.0,
-        lam=intensity(params, 0.0),
-        x=params.x0,
-        trade=0,
-        direction=0,
-        n_trades=0,
-    )
-    records = [rest, replace(rest, t=1)]
+    rest = Row(0, params.log_p0, 0.0, intensity(params, 0.0), params.x0, 0, 0, 0)
+    rows = [rest, rest._replace(t=1)]
     for _ in range(params.T - 1):
-        state, rec = step(params, state, rng)
-        records.append(rec)
-    return Trajectory.from_records(params, seed, records, rng.n_draws)
+        state, row = step(params, state, rng)
+        rows.append(row)
+    columns = {
+        name: np.array(col, dtype=np.int64 if name in _INT_COLUMNS else float)
+        for name, col in zip(Row._fields, zip(*rows))
+    }
+    return Trajectory(params=params, seed=seed, n_rng_draws=rng.n_draws, **columns)
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
     """The trajectory CSV, one cell at a time: ``str(int(v))`` for the
     integer columns, ``format(float(v), ".17g")`` for the reals."""
     names = CSV_HEADER.split(",")
-    int_columns = {"t", "trade", "direction", "n_trades"}
     columns = [traj_column(traj, name) for name in names]
     lines = [CSV_HEADER]
     for i in range(len(traj)):
         parts = []
         for name, col in zip(names, columns):
-            if name in int_columns:
+            if name in _INT_COLUMNS:
                 parts.append(str(int(col[i])))
             else:
                 parts.append(format(float(col[i]), ".17g"))

@@ -8,7 +8,9 @@ with d = 0.01 has drawdown 0.1, bit for bit.
 
 from __future__ import annotations
 
-from bubblesim import ModelParams, StepRecord, Trajectory
+import numpy as np
+
+from bubblesim import ModelParams, Trajectory
 
 
 def make_trajectory(momentum, ticks, params: ModelParams | None = None) -> Trajectory:
@@ -21,29 +23,27 @@ def make_trajectory(momentum, ticks, params: ModelParams | None = None) -> Traje
         params = ModelParams()
     if len(momentum) != len(ticks):
         raise ValueError("momentum and ticks must have the same length")
-    records = []
-    prev = 0
-    n_trades = 0
-    for t, (m, j) in enumerate(zip(momentum, ticks)):
-        move = j - prev
-        if abs(move) > 1:
-            raise ValueError(f"tick offset jumps by {move} at t={t}; at most 1 allowed")
-        trade = 1 if move != 0 else 0
-        n_trades += trade
-        records.append(
-            StepRecord(
-                t=t,
-                log_price=params.log_p0 + params.d * j,
-                momentum=float(m),
-                lam=params.Lambda + params.k * float(m),
-                x=0.0,
-                trade=trade,
-                direction=1 if move > 0 else 0,
-                n_trades=n_trades,
-            )
-        )
-        prev = j
-    return Trajectory.from_records(params, seed=0, records=records)
+    momentum = np.asarray(momentum, dtype=float)
+    ticks = np.asarray(ticks, dtype=np.int64)
+    moves = np.diff(ticks, prepend=0)
+    jumps = np.flatnonzero(np.abs(moves) > 1)
+    if jumps.size:
+        t = int(jumps[0])
+        raise ValueError(f"tick offset jumps by {int(moves[t])} at t={t}; at most 1 allowed")
+    trade = (moves != 0).astype(np.int64)
+    return Trajectory(
+        params=params,
+        seed=0,
+        t=np.arange(len(ticks), dtype=np.int64),
+        log_price=params.log_p0 + params.d * ticks,
+        momentum=momentum,
+        lam=params.Lambda + params.k * momentum,
+        x=np.zeros(len(ticks)),
+        trade=trade,
+        direction=(moves > 0).astype(np.int64),
+        n_trades=np.cumsum(trade),
+        n_rng_draws=0,
+    )
 
 
 def flat_trajectory(n: int = 12, params: ModelParams | None = None) -> Trajectory:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bubblesim import (
     CrashConfig,
@@ -43,6 +45,22 @@ def test_config_validation():
         CrashConfig(threshold=0.02, peak_window=500, min_drawdown=0.0)
     with pytest.raises(ValueError):
         CrashConfig(threshold=float("nan"), peak_window=500, min_drawdown=0.05)
+
+
+@pytest.mark.parametrize("setting, bad", [
+    ("threshold", 10**400),
+    ("threshold", -10**400),
+    ("threshold", True),
+    ("threshold", "x"),
+    ("threshold", None),
+    ("min_drawdown", 10**400),
+    ("min_drawdown", True),
+    ("min_drawdown", "0.05"),
+], ids=lambda v: "huge_int" if isinstance(v, int) and abs(v) == 10**400 else None)
+def test_config_rejects_non_finite_and_non_real_settings(setting, bad):
+    kwargs = {"threshold": 0.02, "peak_window": 500, "min_drawdown": 0.05, setting: bad}
+    with pytest.raises(ValueError, match=f"finite real {setting}"):
+        CrashConfig(**kwargs)
 
 
 # ---------------------------------------------------------------- crossings
@@ -130,6 +148,38 @@ def test_events_never_overlap_on_simulated_paths():
         for prev, nxt in zip(events, events[1:]):
             assert prev.t_cross <= prev.t_peak <= prev.t_trough
             assert prev.t_trough < nxt.t_cross
+
+
+# random momentum around the 0.02 threshold and a +-1 tick walk of the same length
+_walks = hst.integers(2, 150).flatmap(lambda n: hst.tuples(
+    hst.lists(hst.floats(-0.1, 0.1), min_size=n, max_size=n),
+    hst.lists(hst.sampled_from((-1, 0, 1)), min_size=n, max_size=n).map(np.cumsum),
+))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_walks, hst.integers(1, 40), hst.floats(0.001, 0.1))
+def test_events_never_overlap_on_random_walks(walk, window, floor):
+    cfg = CrashConfig(threshold=0.02, peak_window=window, min_drawdown=floor)
+    events = detect_crashes(make_trajectory(*walk), cfg)
+    for prev, nxt in zip(events, events[1:]):
+        assert prev.t_trough < nxt.t_cross
+
+
+# drawdowns on the walks are whole ticks of d = 0.01: floors between them
+_HALF_TICK_FLOORS = [(k + 0.5) * 0.01 for k in range(8)]
+
+
+@settings(derandomize=True, deadline=None)
+@given(_walks, hst.integers(1, 40))
+def test_raising_the_drawdown_floor_only_removes_events(walk, window):
+    traj = make_trajectory(*walk)
+    found = [
+        set(detect_crashes(traj, CrashConfig(threshold=0.02, peak_window=window, min_drawdown=f)))
+        for f in _HALF_TICK_FLOORS
+    ]
+    for lower, higher in zip(found, found[1:]):
+        assert higher <= lower
 
 
 def test_too_short_trajectories_are_rejected():

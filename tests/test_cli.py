@@ -184,6 +184,16 @@ def test_config_detector_keys_and_values_are_checked_not_truncated(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry", [{"out": 5}, {"out": ["a"]}, {"plot": "false"}, {"plot": 0}])
+def test_config_out_and_plot_types_are_checked(tmp_path, monkeypatch, capsys, entry):
+    # no --out flag: it would override the file's out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(entry))
+    assert _run("simulate", "--config", "cfg.json", "--T", "50") == 1
+    assert capsys.readouterr().err.startswith(f"error: config {next(iter(entry))} must be")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_config_whole_number_peak_window_is_accepted(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"peak_window": 300.0, "threshold": 0, "min_drawdown": 1}))

@@ -349,24 +349,3 @@ def test_simulate_fails_like_the_oracle_on_overflow(b, bad):
         simulate_stepwise(params, 3)
     assert str(kernel_err.value) == str(oracle_err.value)
     assert str(kernel_err.value) == f"normal_cdf requires a finite argument (got {bad})"
-
-
-# ---------------------------------------------------------------- trajectory
-
-
-def test_record_views_match_the_columns():
-    traj = simulate(ModelParams(T=50), 2)
-    rec = traj.record(7)
-    assert rec.t == int(traj.t[7])
-    assert rec.log_price == float(traj.log_price[7])
-    assert rec.lam == float(traj.lam[7])
-    assert len(traj.records) == len(traj)
-
-
-def test_from_records_round_trips():
-    traj = simulate(ModelParams(T=40), 4)
-    clone = Trajectory.from_records(traj.params, traj.seed, traj.records, traj.n_rng_draws)
-    for name in ("t", "log_price", "momentum", "lam", "x", "trade", "direction", "n_trades"):
-        assert np.array_equal(getattr(traj, name), getattr(clone, name))
-    with pytest.raises(ValueError):
-        Trajectory.from_records(traj.params, 0, [])

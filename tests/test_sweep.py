@@ -70,6 +70,13 @@ def test_spec_rejects_bool_and_non_real_values(values):
         SweepSpec(base=SMALL, axis="b", values=values, seeds=(0,))
 
 
+@pytest.mark.parametrize("values", [(10**400,), (0.01, -10**400), (float("nan"),), (0.01, float("inf"))])
+def test_spec_rejects_non_finite_values(values):
+    # an int beyond the float range is not finite either: no OverflowError
+    with pytest.raises(ValueError, match="finite values"):
+        SweepSpec(base=SMALL, axis="b", values=values, seeds=(0,))
+
+
 def test_spec_accepts_integral_and_numpy_numbers():
     spec = SweepSpec(base=SMALL, axis="b", values=(np.float64(0.01), 1), seeds=(np.uint64(3), 2.0))
     assert spec.seeds == (3, 2)
