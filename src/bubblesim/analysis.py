@@ -42,11 +42,13 @@ class CrashConfig:
             raise ValueError(f"CrashConfig requires a finite real min_drawdown > 0 (got {self.min_drawdown!r})")
 
     @classmethod
-    def for_params(cls, params: ModelParams) -> "CrashConfig":
+    def for_params(cls, params: ModelParams, **settings) -> "CrashConfig":
         """Defaults tied to the model: threshold at the middle cubic root b
         (where accumulation flips to selling pressure) and a drawdown floor of
-        five ticks, well above single-trade noise."""
-        return cls(threshold=params.b, peak_window=500, min_drawdown=5.0 * params.d)
+        five ticks, well above single-trade noise.  A setting given by keyword
+        replaces its default, which is then never checked."""
+        defaults = {"threshold": params.b, "peak_window": 500, "min_drawdown": 5.0 * params.d}
+        return cls(**{**defaults, **settings})
 
 
 @dataclass(frozen=True, slots=True)

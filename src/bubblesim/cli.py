@@ -30,8 +30,8 @@ from .analysis import CrashConfig, summarize
 from .model import simulate
 from .params import PARAM_FIELDS, ModelParams
 from .sweep import SweepSpec, compare_medians, run_sweep
-from .io import summary_payload, sweep_payload, write_summary_json, write_trajectory_csv
-from .svgplot import plot_sweep, plot_trajectory
+from .io import _write_text, summary_payload, sweep_payload, write_summary_json, write_trajectory_csv
+from .svgplot import _sweep_svg, _trajectory_svg
 
 _DEFAULT_SEED = 0
 _DEFAULT_SEEDS = "0..49"
@@ -156,16 +156,14 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         if flag_val is not None:
             det[k] = flag_val
     if det:
-        base = CrashConfig.for_params(params)
-        window = det.get("peak_window", base.peak_window)
+        window = det.get("peak_window")
         if isinstance(window, float) and window.is_integer():
-            window = int(window)  # 500.0 is accepted; CrashConfig rejects 2.7 and bools
+            det["peak_window"] = int(window)  # 500.0 is accepted; CrashConfig rejects 2.7 and bools
+        for k in ("threshold", "min_drawdown"):
+            if k in det:
+                det[k] = _real(k, det[k])
         try:
-            crash = CrashConfig(
-                threshold=_real("threshold", det.get("threshold", base.threshold)),
-                peak_window=window,
-                min_drawdown=_real("min_drawdown", det.get("min_drawdown", base.min_drawdown)),
-            )
+            crash = CrashConfig.for_params(params, **det)  # defaults only for keys not given
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -271,15 +269,16 @@ def _run_simulate(cfg: RunConfig) -> None:
     traj = simulate(cfg.params, cfg.seed)
     crash = cfg.crash if cfg.crash is not None else CrashConfig.for_params(cfg.params)
     stats = summarize(traj, crash)
+    svg = _trajectory_svg(traj) if cfg.plot else None  # a plot that fails writes nothing
     _ensure_out(cfg)
     csv_path = cfg.out / "trajectory.csv"
     json_path = cfg.out / "summary.json"
     write_trajectory_csv(traj, csv_path)
     write_summary_json(summary_payload(stats, cfg.params, cfg.seed, crash), json_path)
     written = [csv_path, json_path]
-    if cfg.plot:
+    if svg is not None:
         svg_path = cfg.out / "trajectory.svg"
-        plot_trajectory(traj, svg_path)
+        _write_text(svg_path, svg)
         written.append(svg_path)
     for p in written:
         print(f"wrote {p}")
@@ -298,13 +297,14 @@ def _run_sweep_cmd(cfg: RunConfig) -> None:
         result = run_sweep(spec, cfg.crash)
     except RuntimeError as exc:
         raise ConfigError(str(exc)) from exc
+    svg = _sweep_svg(result) if cfg.plot else None  # a plot that fails writes nothing
     _ensure_out(cfg)
     json_path = cfg.out / "sweep.json"
     write_summary_json(sweep_payload(result, cfg.crash), json_path)
     written = [json_path]
-    if cfg.plot:
+    if svg is not None:
         svg_path = cfg.out / "sweep.svg"
-        plot_sweep(result, svg_path)
+        _write_text(svg_path, svg)
         written.append(svg_path)
     for axis_value, med in compare_medians(result, "peak_log_price"):
         print(f"{spec.axis}={axis_value:g}: median peak_log_price={med}")

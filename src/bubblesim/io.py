@@ -89,10 +89,7 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
     columns = list(zip(*rows)) or [()] * len(names)
     out: dict[str, np.ndarray] = {}
     for name, col in zip(names, columns):
-        if name in _INT_COLUMNS:
-            out[name] = np.fromiter(map(int, col), np.int64, len(col))
-        else:
-            out[name] = np.fromiter(map(float, col), float, len(col))
+        out[name] = np.array(col, dtype=np.int64 if name in _INT_COLUMNS else float)
     return out
 
 

@@ -17,7 +17,6 @@ mapping colors to values.
 from __future__ import annotations
 
 from os import PathLike
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -61,12 +60,87 @@ class _Scale:
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
 
+_ZERO = ord("0")
+
+
+def _fixed2_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The '%.2f' text of each element as a row of ASCII bytes, and a mask
+    of the elements left to Python.
+
+    A row holds the sign, as many integer-digit slots as the largest element
+    needs, '.', and two decimals; unused sign and leading-digit slots hold 0.
+    n = rint(|v| * 100) equals the correctly rounded hundredths unless the
+    product sits within its rounding error of a tie: below 2**30 that error
+    is at most 2**-24, so elements within 2**-20 of a tie, at or above
+    2**30, or not finite are masked and their rows left all zero.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.abs(v) * 100.0
+        guard = ~(y < 2.0**30) | (np.abs(y - np.floor(y) - 0.5) <= 2.0**-20)
+    whole, cents = np.divmod(np.rint(np.where(guard, 0.0, y)).astype(np.int64), 100)
+    width = len(str(int(whole.max(initial=0))))
+    cells = np.zeros((len(v), width + 4), np.uint8)
+    cells[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    for col in range(width, 0, -1):  # units digit first; it is kept even when 0
+        shown = whole > 0 if col < width else True
+        whole, digit = np.divmod(whole, 10)
+        cells[:, col] = np.where(shown, digit + _ZERO, 0)
+    tens, units = np.divmod(cents, 10)
+    cells[:, -3] = ord(".")
+    cells[:, -2] = tens + _ZERO
+    cells[:, -1] = units + _ZERO
+    cells[guard] = 0
+    return cells, guard
+
+
 def _points(xs: np.ndarray, ys: np.ndarray, sx: _Scale, sy: _Scale) -> str:
-    """Polyline points, scaled as whole float64 columns: the same IEEE
-    operations per element as scaling each point on its own."""
-    px = sx(np.asarray(xs, dtype=float)).tolist()
-    py = sy(np.asarray(ys, dtype=float)).tolist()
-    return " ".join(map("%.2f,%.2f".__mod__, zip(px, py)))
+    """Polyline points "x,y x,y ...", each coordinate as '%.2f' would write it.
+
+    Scaling runs on whole float64 columns, the same IEEE operations per
+    element as scaling each point on its own.  The text of all coordinates
+    is laid out at once in a byte matrix, one row per coordinate followed by
+    its separator; the zero padding is dropped, and the few coordinates
+    masked by _fixed2_cells are formatted in Python and spliced in where
+    their row starts.
+    """
+    px = sx(np.asarray(xs, dtype=float))
+    py = sy(np.asarray(ys, dtype=float))
+    v = np.empty(2 * len(px))
+    v[0::2] = px
+    v[1::2] = py
+    cells, guard = _fixed2_cells(v)
+    rows = np.empty((len(v), cells.shape[1] + 1), np.uint8)
+    rows[:, :-1] = cells
+    rows[0::2, -1] = ord(",")
+    rows[1::2, -1] = ord(" ")
+    flat = rows.ravel()[:-1]  # no separator after the last point
+    text = flat[flat != 0].tobytes().decode("ascii")
+    if not guard.any():
+        return text
+    lengths = np.count_nonzero(rows, axis=1)
+    starts = np.cumsum(lengths) - lengths
+    pieces, done = [], 0
+    for i in np.flatnonzero(guard).tolist():
+        at = int(starts[i])
+        pieces += [text[done:at], "%.2f" % v[i]]
+        done = at
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
+def escape(s: str) -> str:
+    """Escape &, < and > for XML character data, as xml.sax.saxutils does."""
+    return s.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(s: str) -> str:
+    """Escape and quote an XML attribute value, as xml.sax.saxutils does."""
+    s = escape(s).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in s:
+        return f'"{s}"'
+    if "'" not in s:
+        return f"'{s}'"
+    return '"%s"' % s.replace('"', "&quot;")
 
 
 def _polyline(points: str, stroke: str, cls: str = "series", extra: str = "") -> str:
@@ -135,6 +209,12 @@ def _document(height: float, body: list[str]) -> str:
 
 def plot_trajectory(traj: Trajectory, path: str | PathLike[str]) -> None:
     """Four stacked panels over a shared time axis, threshold line in panel 2."""
+    _write_text(path, _trajectory_svg(traj))
+
+
+def _trajectory_svg(traj: Trajectory) -> str:
+    """The document plot_trajectory writes; raises ValueError before any
+    write when a series has no finite range to scale."""
     panels = [
         ("log_price", "log price", traj.log_price, None),
         ("momentum", "momentum (dashed: crossing threshold)", traj.momentum, traj.params.b),
@@ -149,7 +229,7 @@ def plot_trajectory(traj: Trajectory, path: str | PathLike[str]) -> None:
     body.append(_text(_MARGIN_LEFT, axis_y, str(int(traj.t[0])), "xtick"))
     body.append(_text(_W - _MARGIN_RIGHT, axis_y, str(int(traj.t[-1])), "xtick", anchor="end"))
     body.append(_text((_MARGIN_LEFT + _W - _MARGIN_RIGHT) / 2, axis_y, "t", "xlabel", anchor="middle"))
-    _write_text(path, _document(axis_y + _BOTTOM / 2, body))
+    return _document(axis_y + _BOTTOM / 2, body)
 
 
 def plot_sweep(result: SweepResult, path: str | PathLike[str]) -> None:
@@ -158,6 +238,12 @@ def plot_sweep(result: SweepResult, path: str | PathLike[str]) -> None:
     The representative path for each value is the first seed of the sweep's
     (matched) seed list, re-simulated here; failed values are skipped.
     """
+    _write_text(path, _sweep_svg(result))
+
+
+def _sweep_svg(result: SweepResult) -> str:
+    """The document plot_sweep writes; raises ValueError before any write
+    when the drawn paths have no finite range to scale."""
     spec = result.spec
     rep_seed = spec.seeds[0]
     paths: list[tuple[float, Trajectory | None]] = []
@@ -233,4 +319,4 @@ def plot_sweep(result: SweepResult, path: str | PathLike[str]) -> None:
             body.append(_text(isx(i), inset_top + inset_h + 14, f"{value:g}", "xtick", anchor="middle", size=10))
     body.append("</g>")
 
-    _write_text(path, _document(inset_top + inset_h + 40, body))
+    return _document(inset_top + inset_h + 40, body)

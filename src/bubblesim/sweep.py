@@ -27,7 +27,6 @@ string and the sweep continues; only a sweep with no surviving cell raises.
 from __future__ import annotations
 
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -198,6 +197,8 @@ def run_sweep(
     if n_jobs == 1:
         cells = [_run_cell(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: a serial run never needs it
+
         chunk = max(1, len(tasks) // (4 * n_jobs))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             cells = list(pool.map(_run_cell, tasks, chunksize=chunk))

@@ -1,4 +1,10 @@
-"""The public API: every name in ``bubblesim.__all__``, pinned."""
+"""The public API: every name in ``bubblesim.__all__``, pinned, and what
+importing it loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import bubblesim
 
@@ -43,3 +49,17 @@ def test_public_names_are_pinned_and_resolve():
     assert len(PUBLIC_NAMES) == 31
     missing = [name for name in PUBLIC_NAMES if not hasattr(bubblesim, name)]
     assert missing == []
+
+
+def test_import_leaves_out_modules_only_some_runs_need():
+    # xml.sax pulls in urllib.request, and the process pool is imported by
+    # run_sweep only when it fans out; none of them belongs in start-up
+    code = (
+        "import sys, bubblesim; "
+        "print(sorted(m for m in ('xml.sax', 'urllib.request', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bubblesim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bubblesim import CSV_HEADER, ModelParams, read_trajectory_csv, simulate
@@ -162,6 +163,19 @@ def test_detector_overrides_reach_the_summary(tmp_path):
     assert det["threshold"] == 0.02  # unset pieces keep their defaults
 
 
+def test_a_given_min_drawdown_replaces_a_default_that_would_fail(tmp_path, capsys):
+    # 5*d overflows to inf, so the default floor fails; a given floor is used
+    # without computing or checking the default
+    out = tmp_path / "run"
+    huge_d = ("simulate", "--d", "1e308", "--T", "5", "--out", str(out), "--no-plot")
+    assert _run(*huge_d, "--min-drawdown", "1") == 0
+    det = json.loads((out / "summary.json").read_text())["config"]["detector"]
+    assert det == {"threshold": 0.02, "peak_window": 500, "min_drawdown": 1.0}
+    capsys.readouterr()
+    assert _run(*huge_d, "--threshold", "0.03") == 1
+    assert "min_drawdown > 0 (got inf)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", [
     {"peak_window": 2.7},
     {"peak_window": True},
@@ -235,6 +249,22 @@ def test_sweep_with_no_valid_cell_exits_1(tmp_path, capsys):
     assert _run("sweep", "--axis", "b", "--values", "1.5,2.5", "--seeds", "0..1",
                 "--T", "250", "--out", str(tmp_path / "sw")) == 1
     assert "requires a < b < c" in capsys.readouterr().err
+
+
+# a log-price path that overflows to inf has no range to plot
+_UNPLOTTABLE = ("--log_p0", "1.79e308", "--d", "1e307", "--Lambda", "30", "--T", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--seed", "0", *_UNPLOTTABLE),
+    ("sweep", "--axis", "Lambda", "--values", "30,31", "--seeds", "0..3", *_UNPLOTTABLE),
+])
+def test_a_failed_plot_writes_no_artifact(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with np.errstate(invalid="ignore"):  # the sweep's IQR of inf peaks
+        assert _run(*argv, "--out", str(out)) == 1
+    assert "cannot scale non-finite data range" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------- baseline

@@ -158,6 +158,58 @@ def test_read_reports_bad_cells_and_reads_a_header_only_file(tmp_path):
     assert cols["t"].dtype == np.int64 and cols["x"].dtype == np.float64
 
 
+def _one_cell_csv(path, column, cell):
+    """A one-row trajectory CSV whose ``column`` cell reads ``cell``."""
+    row = dict(zip(CSV_HEADER.split(","), "0 0 0 -2 0 0 0 0".split()))
+    row[column] = cell
+    path.write_text(CSV_HEADER + "\n" + ",".join(row.values()) + "\n", encoding="utf-8")
+
+
+# cells parse as Python's int() and float() parse them
+@pytest.mark.parametrize("column, cell, value", [
+    ("t", " 5", 5),
+    ("t", "+5", 5),
+    ("t", "5_000", 5000),
+    ("t", "-0", 0),
+    ("t", "\u0665", 5),  # ARABIC-INDIC DIGIT FIVE
+    ("n_trades", str(2**63 - 1), 2**63 - 1),
+    ("n_trades", str(-(2**63)), -(2**63)),
+    ("x", "1_0.5", 10.5),
+    ("momentum", "nan", np.nan),
+    ("x", "-inf", -np.inf),
+    ("x", "infinity", np.inf),
+    ("x", "1e400", np.inf),
+    ("x", "5e-324", 5e-324),
+    ("x", "4.9e-324", 5e-324),
+    ("x", "2.2250738585072009e-308", 2.2250738585072009e-308),  # largest subnormal
+])
+def test_read_parses_cells_as_python_does(tmp_path, column, cell, value):
+    path = tmp_path / "cell.csv"
+    _one_cell_csv(path, column, cell)
+    got = read_trajectory_csv(path)[column]
+    assert got.dtype == (np.int64 if column in ("t", "n_trades") else np.float64)
+    assert np.array_equal(got, [value], equal_nan=got.dtype.kind == "f")
+
+
+@pytest.mark.parametrize("column, cell, error, text", [
+    ("t", str(2**63), OverflowError, "Python int too large to convert to C long"),
+    ("t", "1" * 20, OverflowError, "Python int too large to convert to C long"),
+    ("t", "x", ValueError, "invalid literal for int() with base 10: 'x'"),
+    ("t", "", ValueError, "invalid literal for int() with base 10: ''"),
+    ("t", "1.0", ValueError, "invalid literal for int() with base 10: '1.0'"),
+    ("t", "1e3", ValueError, "invalid literal for int() with base 10: '1e3'"),
+    ("t", "0x10", ValueError, "invalid literal for int() with base 10: '0x10'"),
+    ("x", "0x1p3", ValueError, "could not convert string to float: '0x1p3'"),
+    ("x", "", ValueError, "could not convert string to float: ''"),
+])
+def test_read_rejects_cells_as_python_does(tmp_path, column, cell, error, text):
+    path = tmp_path / "cell.csv"
+    _one_cell_csv(path, column, cell)
+    with pytest.raises(error) as info:
+        read_trajectory_csv(path)
+    assert str(info.value) == text
+
+
 def test_write_error_carries_the_path(tmp_path):
     target = tmp_path / "not-a-dir" / "x.csv"
     with pytest.raises(OSError, match="x.csv"):

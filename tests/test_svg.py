@@ -1,6 +1,8 @@
 """Structural checks on the emitted SVG documents."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
+from xml.sax.saxutils import quoteattr as sax_quoteattr
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bubblesim import ModelParams, SweepSpec, plot_sweep, plot_trajectory, run_sweep, simulate
-from bubblesim.svgplot import _points, _Scale
+from bubblesim import svgplot
+from bubblesim.svgplot import _points, _Scale, escape, quoteattr
 from oracles import polyline_points
 from synthetic import flat_trajectory
 
@@ -74,6 +77,7 @@ def test_plot_output_is_deterministic(tmp_path):
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_IDENTITY = _Scale(0.0, 1.0, -0.0, 1.0)  # -0.0 + v is v, for v = -0.0 too
 _PIXEL = st.one_of(st.integers(-2000, 2000), st.floats(-2000.0, 2000.0))
 
 
@@ -90,6 +94,24 @@ def _scales(draw):
     sx=_Scale(0.0, 5000.0, 72, 876),
     sy=_Scale(-1.7e308, 1.7e308, 170, 40),
 )
+# _IDENTITY maps every coordinate to itself, -0.0 included, so these reach
+# the formatting as written.  Ties and near-ties that rint alone gets wrong
+# (0.005, 0.015, 72.035, the exact tie 0.125), the sign of a zero result,
+# the 2**30 hundredths limit and non-finite values, each placed first, in
+# the middle and last, where the Python-formatted text is spliced in.
+@example(xy=[(0.005, 1.0), (0.015, 72.035), (2.0, 0.125)], sx=_IDENTITY, sy=_IDENTITY)
+@example(xy=[(1.0, 0.005), (72.035, 0.015), (0.125, 3.0)], sx=_IDENTITY, sy=_IDENTITY)
+@example(xy=[(-0.0, -0.001), (-0.004, 0.0), (-0.006, -0.0)], sx=_IDENTITY, sy=_IDENTITY)
+@example(
+    xy=[(2**30 / 100, 1.0), (2**30 / 100 - 0.01, 1e15), (-1e308, 10737418.235)],
+    sx=_IDENTITY,
+    sy=_IDENTITY,
+)
+@example(
+    xy=[(float("inf"), 1.0), (float("nan"), float("-inf")), (2.0, float("nan"))],
+    sx=_IDENTITY,
+    sy=_IDENTITY,
+)
 def test_points_equal_the_per_point_oracle(xy, sx, sy):
     xs = np.array([x for x, _ in xy], dtype=float)
     ys = np.array([y for _, y in xy], dtype=float)
@@ -99,6 +121,34 @@ def test_points_equal_the_per_point_oracle(xy, sx, sy):
     with np.errstate(over="ignore", invalid="ignore"):
         assert _points(xs, ys, sx, sy) == polyline_points(xs, ys, sx, sy)
         assert _points(t, ys, sx, sy) == polyline_points(t, ys, sx, sy)
+
+
+def test_every_trajectory_panel_equals_the_oracle(monkeypatch):
+    # each panel of seeds 0..9 at the stock T, with the scales plot_trajectory picks
+    checked = []
+
+    def checked_points(xs, ys, sx, sy):
+        text = _points(xs, ys, sx, sy)
+        checked.append(text == polyline_points(xs, ys, sx, sy))
+        return text
+
+    monkeypatch.setattr(svgplot, "_points", checked_points)
+    for seed in range(10):
+        svgplot._trajectory_svg(simulate(ModelParams(), seed))
+    assert checked == [True] * 40
+
+
+_XML_TEXT = st.text(st.one_of(st.sampled_from("&<>\"'\n\r\t;#a "), st.characters()))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(s=_XML_TEXT)
+@example(s="&amp; <a b=\"c\" d='e'>\n\r\t</a>")
+@example(s="\"only double\"")
+@example(s="'only single'")
+def test_escape_and_quoteattr_equal_the_stdlib(s):
+    assert escape(s) == sax_escape(s)
+    assert quoteattr(s) == sax_quoteattr(s)
 
 
 # ---------------------------------------------------------------- sweep plot
