@@ -10,13 +10,25 @@ IEEE-754 double exactly: reading a file back reproduces the in-memory values
 bit for bit.  Every JSON summary embeds the complete effective configuration
 (parameters plus detector), the seed or seed list, and the artifact version,
 so any output file is sufficient to re-run its simulation identically.
+JSON has no non-finite numbers; inf, -inf and nan are written as the strings
+"Infinity", "-Infinity" and "NaN".
+
+The CSV text is the bytes of Python's '%.17g' and '%d', produced by a numpy
+kernel a block of rows at a time.  Each block is laid out as a zero-padded
+uint8 matrix; a real's 17 digits come from exact integer arithmetic on its
+significand, and the few cells the kernel does not cover (|v| outside
+[1e-11, 1e15) but zeros, and values next to a power of ten whose log10
+misleads it) hold a marker byte that _join_cells replaces by Python's text.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
+import math
 import os
+from collections.abc import Iterable
 from dataclasses import asdict
 from os import PathLike
 from pathlib import Path
@@ -50,13 +62,183 @@ _COLUMN_ATTRS = {
 def write_trajectory_csv(traj: Trajectory, path: str | PathLike[str]) -> None:
     """Write one row per period, t ascending, under the fixed header.
 
-    Rows are formatted from whole columns through one row template:
-    ``%.17g`` for reals and ``%d`` for integers.
+    Each cell reads as ``'%.17g' % v`` for reals and ``'%d' % v`` for
+    integers.  Rows are formatted and written _BLOCK_ROWS at a time, so the
+    memory a write takes does not grow with T.
     """
     names = CSV_HEADER.split(",")
-    row = ",".join("%d" if name in _INT_COLUMNS else "%.17g" for name in names) + "\n"
-    columns = [traj_column(traj, name).tolist() for name in names]
-    _write_text(path, CSV_HEADER + "\n" + "".join(map(row.__mod__, zip(*columns))))
+    columns = [traj_column(traj, name) for name in names]
+    blocks = (
+        _csv_block(names, [col[start:start + _BLOCK_ROWS] for col in columns])
+        for start in range(0, len(traj), _BLOCK_ROWS)
+    )
+    _write_text(path, itertools.chain([CSV_HEADER + "\n"], blocks))
+
+
+_BLOCK_ROWS = 8192
+
+_ZERO = ord("0")
+_MARK = 1  # the byte that stands for a cell formatted by Python (see _join_cells)
+_ONE, _TEN, _S32 = np.uint64(1), np.uint64(10), np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
+
+# '%.17g' cells from integer digits cover 1e-11 <= |v| < 1e15: there the
+# decimal exponent k lies in [-11, 14], so 10**(16 - k) = 5**P * 2**P with
+# 5**P < 2**63.  The tables below are indexed by k + 11.
+_K_LO, _K_HI = -11, 14
+_KS = range(_K_LO, _K_HI + 1)
+_FIVE_LO = np.array([5 ** (16 - k) & 0xFFFFFFFF for k in _KS], dtype=np.uint64)
+_FIVE_HI = np.array([5 ** (16 - k) >> 32 for k in _KS], dtype=np.uint64)
+# |v| = M * 2**(e - 1075) with e the biased exponent, so |v| * 10**(16 - k)
+# = M * 5**(16 - k) / 2**s with s = 1059 + k - e, between 1 and 61 for the
+# right k
+_SHIFT_BASE = np.array([1059 + k for k in _KS], dtype=np.uint64)
+# digits before the '.': k + 1 in fixed form, 1 in exponent form (k < -4),
+# none for -4 <= k < 0, which is written "0." plus -k - 1 zeros first
+_INT_DIGITS = np.array([k + 1 if k >= 0 else 1 if k < -4 else 0 for k in _KS], np.uint8)
+# the "0.000" prefix (first 5 bytes) and "e-XX" suffix (bytes 8 to 11) of
+# each k, 16 bytes a k so that one gather fetches both
+_AFFIXES = np.frombuffer(
+    b"".join(
+        (b"0.000"[: 1 - k] if -4 <= k < 0 else b"").ljust(8, b"\0")
+        + (b"e-%02d" % -k if k < -4 else b"").ljust(8, b"\0")
+        for k in _KS
+    ),
+    dtype="V16",
+)
+_SLOTS = np.arange(18, dtype=np.uint8)  # 17 digits and a '.'
+
+
+def _digits(u: np.ndarray, width: int) -> np.ndarray:
+    """The last ``width`` decimal digits of each uint64 as ASCII bytes, one
+    column per element, most significant first, leading zeros included."""
+    out = np.empty((width, len(u)), np.uint8)
+    for slot in range(width - 1, -1, -1):
+        rest = u // _TEN
+        out[slot] = u - rest * _TEN
+        u = rest
+    out += _ZERO
+    return out
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """The '%d' text of each int64 as a column of ASCII bytes: a sign slot
+    and as many digit slots as the largest magnitude needs, 0 in unused
+    slots."""
+    v = np.asarray(v, dtype=np.int64)
+    u = v.view(np.uint64)
+    u = np.where(v < 0, -u, u)  # the magnitude, modulo 2**64 exact for -2**63
+    width = len(str(int(u.max(initial=0))))
+    cells = np.empty((width + 1, len(v)), np.uint8)
+    cells[0] = np.where(v < 0, ord("-"), 0)
+    cells[1:] = _digits(u, width)
+    cells[1:-1] *= u >= _POW10[width - 1:0:-1, None]  # leading zeros; the units digit stays
+    return cells
+
+
+def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The '%.17g' text of each float64 as a column of ASCII bytes, and a
+    mask of the elements left to Python.
+
+    A column holds the sign, the "0.000" prefix of -4 <= k < 0, 17 digit
+    slots and a '.', and the "e-XX" suffix of exponent form, 0 in unused
+    slots.  The 17 digits are q = round-half-even(|v| * 10**(16 - k)),
+    computed exactly: the 53-bit significand times 5**(16 - k) as a 128-bit
+    product of 32-bit limbs, shifted right with the remainder deciding the
+    rounding.  k = floor(log10|v|) comes from floating point and may be off
+    by one near a power of ten; |v| * 10**(16 - k) >= 10**16 and q < 10**17
+    both hold only when it is right (and q did not round up to the next
+    decade).  Signed zeros are written here too.  Other elements outside
+    1e-11 <= |v| < 1e15 (non-finite and subnormal ones among them) and those
+    failing the decade check get a column holding only _MARK.
+    """
+    n = len(v)
+    a = np.abs(np.asarray(v, dtype=np.float64))
+    zero = a == 0
+    ok = (a >= 1e-11) & (a < 1e15)
+    a = np.where(ok, a, 1.0)  # a zero is laid out as 1, then its digit lowered to '0'
+    ok |= zero
+    ki = np.clip(np.floor(np.log10(a)), _K_LO, _K_HI).astype(np.intp) - _K_LO
+    bits = a.view(np.uint64)
+    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    s = _SHIFT_BASE[ki] - (bits >> np.uint64(52))
+    f_lo, f_hi = _FIVE_LO[ki], _FIVE_HI[ki]
+    m_lo, m_hi = m & _LOW32, m >> _S32
+    ll = m_lo * f_lo
+    mid = m_lo * f_hi + m_hi * f_lo + (ll >> _S32)  # < 2**63 + 2**53 + 2**32
+    lo = (mid << _S32) | (ll & _LOW32)
+    hi = m_hi * f_hi + (mid >> _S32)
+    q = (hi << (np.uint64(64) - s)) | (lo >> s)
+    ok &= q >= _POW10[16]  # before rounding: 1e-7 is 9.99...95e-08 and rounds up to 10**16
+    half = _ONE << (s - _ONE)
+    rem = lo & ((half << _ONE) - _ONE)
+    q += (rem > half) | ((rem == half) & (q & _ONE).astype(bool))
+    ok &= q < _POW10[17]
+
+    digits = _digits(q, 17)
+    kept = ((digits != _ZERO) * _SLOTS[1:, None]).max(axis=0)  # digits left after trailing zeros
+    int_digits = _INT_DIGITS[ki]
+    # the digits with a '.' after the integer ones; without any, the '.' goes
+    # to slot 17, which is always cleared below
+    dot = np.where(int_digits > 0, int_digits, 17)
+    body = np.zeros((18, n), np.uint8)
+    body[:17] = digits
+    np.copyto(body[1:], digits, where=_SLOTS[1:, None] > dot)
+    body[dot, np.arange(n)] = ord(".")
+    shown = np.maximum(kept, int_digits) + (kept > dot)  # the '.' only before a kept digit
+    body *= _SLOTS[:, None] < shown
+
+    affixes = _AFFIXES[ki].view(np.uint8).reshape(n, 16)
+    cells = np.empty((28, n), np.uint8)
+    cells[0] = np.where(np.signbit(v), ord("-"), 0)
+    cells[1:6] = affixes[:, :5].T
+    cells[6:24] = body
+    cells[24:] = affixes[:, 8:12].T
+    cells[6] -= zero
+    fallback = ~ok
+    cells[:, fallback] = 0
+    cells[0, fallback] = _MARK
+    return cells, fallback
+
+
+def _csv_block(names: list[str], columns: list[np.ndarray]) -> str:
+    """The CSV text of one block of rows.
+
+    The cells of each column are stacked slot by slot, separators included,
+    so the block matrix holds one row per character position; its transpose
+    reads row after row.
+    """
+    n = len(columns[0])
+    parts, reals, fallbacks = [], [], []
+    for name, col in zip(names, columns):
+        if name in _INT_COLUMNS:
+            parts.append(_int_cells(col))
+        else:
+            cells, fallback = _g17_cells(col)
+            parts.append(cells)
+            reals.append(col)
+            fallbacks.append(fallback)
+        parts.append(np.full((1, n), ord(","), np.uint8))
+    parts[-1][:] = ord("\n")
+    fallback = np.column_stack(fallbacks)  # row-major: the order of the marks in the text
+    spliced = list(map("%.17g".__mod__, np.column_stack(reals)[fallback].tolist()))
+    block = np.concatenate(parts)
+    block = block[block.any(axis=1)]  # slots no row uses, so fewer bytes to transpose and drop
+    return _join_cells(block.T, spliced)
+
+
+def _join_cells(cells: np.ndarray, spliced: list[str]) -> str:
+    """The bytes of a cell matrix as text, in row-major order without the 0
+    padding, with ``spliced[i]`` in place of the i-th _MARK byte."""
+    text = cells.tobytes().translate(None, b"\0").decode("ascii")
+    if not spliced:
+        return text
+    pieces = text.split(chr(_MARK))
+    joined = [""] * (2 * len(pieces) - 1)
+    joined[0::2] = pieces
+    joined[1::2] = spliced  # raises unless there is one text per mark
+    return "".join(joined)
 
 
 def traj_column(traj: Trajectory, name: str) -> np.ndarray:
@@ -157,12 +339,29 @@ def sweep_payload(result: SweepResult, cfg: CrashConfig | None = None) -> dict:
 
 
 def write_summary_json(payload: dict, path: str | PathLike[str]) -> None:
-    """Write a summary payload with sorted keys and a trailing newline."""
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write a summary payload with sorted keys and a trailing newline.
+
+    JSON has no non-finite numbers, so inf, -inf and nan are written as the
+    strings "Infinity", "-Infinity" and "NaN", which float() reads back.
+    """
+    text = json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
-def _write_text(path: str | PathLike[str], text: str) -> None:
-    """Write all of ``text`` or nothing: a failed write leaves ``path`` as it was.
+def _finite_json(obj):
+    """``obj`` with every non-finite float replaced by its string name."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, dict):
+        return {key: _finite_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(value) for value in obj]
+    return obj
+
+
+def _write_text(path: str | PathLike[str], text: str | Iterable[str]) -> None:
+    """Write all of ``text``, one string or its pieces in order, or nothing:
+    a failed write leaves ``path`` as it was.
 
     The text goes to a temp file next to the target, which then replaces the
     target in one rename; the temp file is removed if anything fails.
@@ -171,7 +370,8 @@ def _write_text(path: str | PathLike[str], text: str) -> None:
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for piece in [text] if isinstance(text, str) else text:
+                fh.write(piece)
         os.replace(tmp, target)
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc

@@ -20,7 +20,7 @@ from os import PathLike
 
 import numpy as np
 
-from .io import _write_text
+from .io import _MARK, _ZERO, _join_cells, _write_text
 from .model import Trajectory, simulate
 from .sweep import SweepResult
 
@@ -60,9 +60,6 @@ class _Scale:
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
 
-_ZERO = ord("0")
-
-
 def _fixed2_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The '%.2f' text of each element as a row of ASCII bytes, and a mask
     of the elements left to Python.
@@ -72,7 +69,7 @@ def _fixed2_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = rint(|v| * 100) equals the correctly rounded hundredths unless the
     product sits within its rounding error of a tie: below 2**30 that error
     is at most 2**-24, so elements within 2**-20 of a tie, at or above
-    2**30, or not finite are masked and their rows left all zero.
+    2**30, or not finite are masked and their rows hold only _MARK.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.abs(v) * 100.0
@@ -90,6 +87,7 @@ def _fixed2_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cells[:, -2] = tens + _ZERO
     cells[:, -1] = units + _ZERO
     cells[guard] = 0
+    cells[guard, 0] = _MARK
     return cells, guard
 
 
@@ -99,9 +97,8 @@ def _points(xs: np.ndarray, ys: np.ndarray, sx: _Scale, sy: _Scale) -> str:
     Scaling runs on whole float64 columns, the same IEEE operations per
     element as scaling each point on its own.  The text of all coordinates
     is laid out at once in a byte matrix, one row per coordinate followed by
-    its separator; the zero padding is dropped, and the few coordinates
-    masked by _fixed2_cells are formatted in Python and spliced in where
-    their row starts.
+    its separator, and joined by _join_cells with the few coordinates masked
+    by _fixed2_cells formatted in Python.
     """
     px = sx(np.asarray(xs, dtype=float))
     py = sy(np.asarray(ys, dtype=float))
@@ -113,19 +110,8 @@ def _points(xs: np.ndarray, ys: np.ndarray, sx: _Scale, sy: _Scale) -> str:
     rows[:, :-1] = cells
     rows[0::2, -1] = ord(",")
     rows[1::2, -1] = ord(" ")
-    flat = rows.ravel()[:-1]  # no separator after the last point
-    text = flat[flat != 0].tobytes().decode("ascii")
-    if not guard.any():
-        return text
-    lengths = np.count_nonzero(rows, axis=1)
-    starts = np.cumsum(lengths) - lengths
-    pieces, done = [], 0
-    for i in np.flatnonzero(guard).tolist():
-        at = int(starts[i])
-        pieces += [text[done:at], "%.2f" % v[i]]
-        done = at
-    pieces.append(text[done:])
-    return "".join(pieces)
+    spliced = list(map("%.2f".__mod__, v[guard].tolist()))
+    return _join_cells(rows.ravel()[:-1], spliced)  # no separator after the last point
 
 
 def escape(s: str) -> str:

@@ -157,8 +157,9 @@ def _aggregate(value: float, cells: list[SweepCell]) -> ValueSummary:
         ]
         if vals:
             arr = np.asarray(vals, dtype=float)
-            median[name] = float(np.median(arr))
-            iqr[name] = float(np.percentile(arr, 75) - np.percentile(arr, 25))
+            with np.errstate(invalid="ignore"):  # inf stats: the IQR is nan by design
+                median[name] = float(np.median(arr))
+                iqr[name] = float(np.percentile(arr, 75) - np.percentile(arr, 25))
         else:
             median[name] = None
             iqr[name] = None

@@ -3,12 +3,26 @@
 import json
 import subprocess
 import sys
+import warnings
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bubblesim import CSV_HEADER, ModelParams, read_trajectory_csv, simulate
-from bubblesim.cli import ConfigError, main, parse_seed_range, parse_value_list
+from bubblesim import CSV_HEADER, CrashConfig, ModelParams, read_trajectory_csv, simulate
+from bubblesim.cli import (
+    _CONFIG_KEYS,
+    ConfigError,
+    build_parser,
+    main,
+    parse_config,
+    parse_seed_range,
+    parse_value_list,
+)
+from bubblesim.params import PARAM_FIELDS
 
 
 def _run(*argv):
@@ -101,6 +115,76 @@ def test_flags_override_the_config_file(tmp_path):
     assert summary["config"]["params"]["b"] == 0.03  # flag wins
     assert summary["config"]["params"]["T"] == 200  # file fills the rest
     assert summary["seed"] == 3
+
+
+_REALS = st.floats(-1e3, 1e3)
+_SCALES = st.floats(1e-9, 1e3)
+# values each config key may take with every other key at its default
+_CONFIG_VALUES = {
+    "T": st.integers(2, 10**6), "d": _SCALES, "r": _SCALES, "k": _SCALES, "h": _SCALES,
+    "Lambda": _REALS, "log_p0": _REALS, "x0": _REALS,
+    "a": st.floats(-1e3, 0.0), "b": st.floats(-0.99, 0.99), "c": st.floats(0.03, 1e3),
+    "threshold": _REALS, "peak_window": st.integers(1, 10**4), "min_drawdown": _SCALES,
+    "seed": st.integers(0, 2**64 - 1),
+    "seeds": st.tuples(st.integers(0, 99), st.integers(0, 9)).map(lambda ab: f"{ab[0]}..{sum(ab)}"),
+    "axis": st.sampled_from(PARAM_FIELDS),
+    "values": st.lists(_REALS, min_size=1, max_size=4),
+    "out": st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
+    "plot": st.booleans(),
+}
+_DETECTOR_FLAGS = {"threshold": "--threshold", "peak_window": "--peak-window",
+                   "min_drawdown": "--min-drawdown"}
+_PARSER = build_parser()
+
+
+def _config_flag(key, value):
+    if key == "plot":
+        return ["--plot" if value else "--no-plot"]
+    if key == "values":
+        value = ",".join(map(repr, value))
+    return [f"{_DETECTOR_FLAGS.get(key, '--' + key)}={value}"]
+
+
+def _config_value(key, raw):
+    """What a config file or flag entry ``raw`` for ``key`` resolves to."""
+    return {"seeds": parse_seed_range, "values": tuple, "out": Path}.get(key, lambda v: v)(raw)
+
+
+def _resolved(cfg, key):
+    if key in PARAM_FIELDS:
+        return getattr(cfg.params, key)
+    if key in _DETECTOR_FLAGS:
+        return getattr(cfg.crash or CrashConfig.for_params(cfg.params), key)
+    return getattr(cfg, key)
+
+
+def _default(key):
+    if key in PARAM_FIELDS:
+        return getattr(ModelParams(), key)
+    if key in _DETECTOR_FLAGS:
+        return getattr(CrashConfig.for_params(ModelParams()), key)
+    return {"seed": 0, "seeds": tuple(range(50)), "axis": None, "values": None,
+            "out": Path("out"), "plot": True}[key]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(key=st.sampled_from(sorted(_CONFIG_VALUES)), data=st.data())
+def test_a_flag_beats_the_file_and_the_file_beats_the_default(tmp_path_factory, key, data):
+    assert set(_CONFIG_VALUES) == _CONFIG_KEYS
+    filed = data.draw(_CONFIG_VALUES[key].filter(lambda v: _config_value(key, v) != _default(key)))
+    flagged = data.draw(
+        _CONFIG_VALUES[key].filter(lambda v: _config_value(key, v) != _config_value(key, filed))
+    )
+    path = tmp_path_factory.getbasetemp() / "precedence.json"
+    path.write_text(json.dumps({key: filed}))
+    command = "simulate" if key == "seed" else "sweep"  # --seed and --seeds live on one each
+
+    def resolve(*argv):
+        return _resolved(parse_config(_PARSER.parse_args([command, *argv])), key)
+
+    assert resolve() == _default(key)
+    assert resolve("--config", str(path)) == _config_value(key, filed)
+    assert resolve("--config", str(path), *_config_flag(key, flagged)) == _config_value(key, flagged)
 
 
 def test_unknown_config_key_exits_1_and_names_it(tmp_path, capsys):
@@ -261,10 +345,32 @@ _UNPLOTTABLE = ("--log_p0", "1.79e308", "--d", "1e307", "--Lambda", "30", "--T",
 ])
 def test_a_failed_plot_writes_no_artifact(tmp_path, capsys, argv):
     out = tmp_path / "o"
-    with np.errstate(invalid="ignore"):  # the sweep's IQR of inf peaks
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert _run(*argv, "--out", str(out)) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "cannot scale non-finite data range" in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def _no_bare_constants(token):
+    raise ValueError(f"bare {token} is not JSON")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("simulate", "--seed", "0", *_UNPLOTTABLE), "summary.json"),
+    (("sweep", "--axis", "Lambda", "--values", "30,31", "--seeds", "0..3", *_UNPLOTTABLE), "sweep.json"),
+])
+def test_non_finite_stats_are_strict_json(tmp_path, argv, name):
+    out = tmp_path / "o"
+    assert _run(*argv, "--out", str(out), "--no-plot") == 0
+    data = json.loads((out / name).read_text(), parse_constant=_no_bare_constants)
+    if name == "summary.json":
+        assert float(data["stats"]["peak_log_price"]) == np.inf
+    else:
+        summary = data["sweep"]["summaries"][0]
+        assert float(summary["median"]["peak_log_price"]) == np.inf
+        assert np.isnan(float(summary["iqr"]["peak_log_price"]))
 
 
 # ---------------------------------------------------------------- baseline

@@ -92,13 +92,92 @@ def _trajectories(draw, reals=st.floats(allow_nan=False, allow_infinity=False)):
 _EDGE_TRAJECTORY = _columns_trajectory([_EDGE_REALS] * 4, [_EDGE_INTS * 2, [0] * 8, [1] * 8, [-1] * 8])
 
 
+def _ulps(x: float, steps: int) -> list[float]:
+    """x and the doubles up to ``steps`` ulps either side of it."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(steps):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+# the edges of the integer '%.17g' kernel: where floor(log10|v|) may be off
+# by one, the ends of 1e-11 <= |v| < 1e15, the switch to exponent form below
+# 1e-4, exact ties at the 17th digit (odd/2**(17-j) in [10**j, 10**(j+1)),
+# 100000 + 1/4096 rounding down to even and + 3/4096 up), the 0.01 lattice
+# and a geometric decay like the momentum's
+_KERNEL_EDGE_TRAJECTORY = _columns_trajectory(
+    [
+        _ulps(1e15, 1) + _ulps(1e-11, 1) + _ulps(1e-4, 1) + [1e-7, -1e-6],  # log10 gives -7, -6
+        [100000.000244140625, 100000.000732421875, -5e-05, 0.5 / 2**17, 0.0, 0.00012345,
+         9.999999999999999e14, 1e-05, 123456789012345.67, 3e-05, -7.5e-08],
+        [0.07, -0.29, 0.57, 1.1, 10.01, -0.01, 0.1, 0.3, 2.675, 0.0, -0.0],
+        [0.999**k for k in (1, 10, 100, 1000, 10_000, 25_000)] + [0.5**40, -(0.5**37), 0.9**240, 1.0, -1.0],
+    ],
+    [list(range(11)), [0] * 11, [1, -1] * 5 + [0], [10**k for k in range(11)]],
+)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(traj=_trajectories(reals=st.floats()))
 @example(traj=_EDGE_TRAJECTORY)
+@example(traj=_KERNEL_EDGE_TRAJECTORY)
 def test_csv_text_equals_the_per_cell_oracle(tmp_path_factory, traj):
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
     write_trajectory_csv(traj, path)
     assert path.read_text(encoding="utf-8") == trajectory_csv_text(traj)
+
+
+@pytest.mark.parametrize("error", [-1.0, 1.0])
+def test_csv_kernel_falls_back_when_log10_is_off_by_one(tmp_path, monkeypatch, error):
+    # the decade check must catch a floor(log10|v|) one too small or too large
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+    path = tmp_path / "traj.csv"
+    for traj in (_KERNEL_EDGE_TRAJECTORY, simulate(P, 3)):
+        write_trajectory_csv(traj, path)
+        assert path.read_text(encoding="utf-8") == trajectory_csv_text(traj)
+
+
+def _kernel_test_doubles() -> np.ndarray:
+    """120k deterministic doubles that stress the '%.17g' kernel."""
+    rng = np.random.default_rng(1990)
+    n = 20_000
+    random_bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    in_range = 10.0 ** rng.uniform(-11, 15, n) * rng.choice([-1.0, 1.0], n)
+    near_powers = [y for j in range(-13, 18) for x in (10.0**j, -(10.0**j)) for y in _ulps(x, 3)]
+    ties = []  # exact halves at the 17th digit: odd m / 2**(17 - j) in [10**j, 10**(j + 1))
+    for j in range(-8, 15):
+        scale = 2.0 ** (17 - j)
+        lo, hi = max(1, int(10.0**j * scale)), int(10.0 ** (j + 1) * scale)
+        ties.append((rng.integers(lo, hi, 2 * n // 23) | 1) / scale)
+    lattice = np.arange(-n // 2, n // 2) * 0.01
+    decay = np.concatenate([np.cumprod(np.full(n // 2, 0.999)), -np.cumprod(np.full(n // 2, 0.995))])
+    return np.concatenate([random_bits, in_range, near_powers, *ties, lattice, decay])
+
+
+def test_csv_kernel_equals_the_oracle_on_120k_edge_doubles(tmp_path):
+    reals = _kernel_test_doubles()
+    rows = -(-len(reals) // 4)  # several _BLOCK_ROWS blocks
+    reals = np.resize(reals, 4 * rows).reshape(4, rows)
+    ints = np.random.default_rng(8).integers(-(2**63), 2**63 - 1, (4, rows), endpoint=True)
+    traj = _columns_trajectory(list(reals), list(ints))
+    path = tmp_path / "edges.csv"
+    write_trajectory_csv(traj, path)
+    got, want = path.read_text(encoding="utf-8").split("\n"), trajectory_csv_text(traj).split("\n")
+    wrong = [(g, w) for g, w in zip(got, want) if g != w]  # a short report, not a 3 MB diff
+    assert not wrong and len(got) == len(want), (len(wrong), wrong[:3])
+    # the integer kernel, not the Python fallback, wrote every covered cell
+    # but those a few ulps from a power of ten
+    a = np.abs(reals.ravel())
+    covered = (a >= 1e-11) & (a < 1e15)
+    _, fallback = bubblesim.io._g17_cells(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near_power = np.abs(a / 10.0 ** np.round(np.log10(a)) - 1) < 1e-15
+    assert covered.sum() > 90_000
+    assert not (fallback & covered & ~near_power).any()
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
