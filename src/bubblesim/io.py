@@ -253,25 +253,60 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
     """Read a trajectory CSV back into {column name: array}.
 
     Integer columns come back as int64, reals as float64; values equal the
-    originally written ones exactly.
+    originally written ones exactly.  Blank lines are skipped.  The file is
+    read _BLOCK_ROWS lines at a time, so at most one block of its text is
+    held at once.
+
+    A malformed file raises the error a whole-file parse would: a file that
+    is not UTF-8 raises that before anything else, then a bad header, then
+    the first row with the wrong number of fields, then the first bad cell of
+    the leftmost column that has one.  Rows are numbered from 1 after the
+    header, blank lines not counted.
     """
+    names = CSV_HEADER.split(",")
+    dtypes = [np.int64 if name in _INT_COLUMNS else np.float64 for name in names]
+    parts = [[np.empty(0, dtype)] for dtype in dtypes]  # each column's blocks
+    error: Exception | None = None  # raised once the whole file has decoded
+    final = False  # error outranks every error a later line could give
+    parsed = len(names)  # columns left of the leftmost bad cell so far
+    n_rows = 0
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with Path(path).open(encoding="utf-8") as fh:
+            header = next(filter(None, (ln.rstrip("\n") for ln in fh)), None)
+            if header != CSV_HEADER:
+                got = "<empty file>" if header is None else header
+                error = ValueError(f"bad trajectory CSV header in {path}: {got!r}")
+                final = True
+            while block := list(itertools.islice(fh, _BLOCK_ROWS)):
+                if final:
+                    continue  # read on: a later undecodable byte still wins
+                rows = [ln.split(",") for ln in "".join(block).split("\n") if ln]
+                for i, row in enumerate(rows):
+                    if len(row) != len(names):
+                        error = ValueError(
+                            f"row {n_rows + i + 1} of {path} has {len(row)} fields, "
+                            f"expected {len(names)}"
+                        )
+                        final = True
+                        break
+                n_rows += len(rows)
+                for j, col in enumerate(list(zip(*rows))[: 0 if final else parsed]):
+                    try:
+                        parts[j].append(np.array(col, dtype=dtypes[j]))
+                    except (ValueError, OverflowError) as exc:
+                        error, parsed = exc, j
+                        break
+    except UnicodeDecodeError:
+        Path(path).read_text(encoding="utf-8")  # raises it again, placed in the whole file
+        raise
     except OSError as exc:
         raise OSError(f"failed to read trajectory CSV {path}: {exc}") from exc
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        got = lines[0] if lines else "<empty file>"
-        raise ValueError(f"bad trajectory CSV header in {path}: {got!r}")
-    names = CSV_HEADER.split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    for i, row in enumerate(rows):
-        if len(row) != len(names):
-            raise ValueError(f"row {i + 1} of {path} has {len(row)} fields, expected {len(names)}")
-    columns = list(zip(*rows)) or [()] * len(names)
+    if error is not None:
+        raise error
     out: dict[str, np.ndarray] = {}
-    for name, col in zip(names, columns):
-        out[name] = np.array(col, dtype=np.int64 if name in _INT_COLUMNS else float)
+    for name, part in zip(names, parts):
+        out[name] = np.concatenate(part)
+        part.clear()  # so the blocks of one column at a time outlive their copy
     return out
 
 

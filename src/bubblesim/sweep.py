@@ -19,14 +19,21 @@ deviation rather than hiding it.
 
 Cells are independent pure function evaluations, so run_sweep can fan them
 out to worker processes; results are collected by cell index and the output
-is bit-identical whether run serially or in parallel.  A cell whose derived
+is bit-identical whether run serially or in parallel.  The worker processes
+are kept between parallel sweeps: the first one in a process pays their
+start-up, later ones with the same n_jobs reuse the warm workers.  The pool
+is replaced when n_jobs changes or when it breaks, and is shut down when the
+interpreter exits.  Workers see the package as it was when they were started,
+not changes made to its modules afterwards.  A cell whose derived
 parameters are invalid (say a swept b landing above c) records an error
 string and the sweep continues; only a sweep with no surviving cell raises.
 """
 
 from __future__ import annotations
 
+import atexit
 import numbers
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -172,6 +179,52 @@ def _aggregate(value: float, cells: list[SweepCell]) -> ValueSummary:
     )
 
 
+# The worker pool kept between parallel sweeps, as (n_jobs, executor), or
+# None; the lock serializes the sweeps of threads that share it.
+_pool = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool_map(tasks: list, n_jobs: int) -> list[SweepCell]:
+    """The cells of ``tasks``, in order, from the kept pool of n_jobs workers.
+
+    A pool of another size is shut down and joined before the new one forks,
+    so no executor thread is alive at the fork.  Any exception drops the pool
+    before it propagates, except that a kept pool found broken (its idle
+    workers were killed, say) is replaced and the tasks run once more: cells
+    are pure, so the rerun gives the same cells.  A new pool that breaks
+    raises.
+    """
+    # imported here: a serial run never needs them
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    global _pool
+    reused = _pool is not None and _pool[0] == n_jobs
+    if not reused:
+        _drop_pool()
+        _pool = (n_jobs, ProcessPoolExecutor(max_workers=n_jobs))
+    chunk = max(1, len(tasks) // (4 * n_jobs))
+    try:
+        return list(_pool[1].map(_run_cell, tasks, chunksize=chunk))
+    except BrokenProcessPool:
+        _drop_pool()
+        if not reused:
+            raise
+        return _pool_map(tasks, n_jobs)  # on a new pool, which raises if it breaks
+    except BaseException:
+        _drop_pool()
+        raise
+
+
+@atexit.register
+def _drop_pool() -> None:
+    """Shut the kept pool down, if there is one, and wait for its workers."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_sweep(
     spec: SweepSpec,
     cfg: CrashConfig | None = None,
@@ -183,6 +236,11 @@ def run_sweep(
     the crossing threshold tracks a swept b.  n_jobs > 1 fans cells out to
     that many worker processes; the grid ordering (values-major, seeds-minor)
     and every number in the result are independent of the execution mode.
+
+    The workers are kept for later parallel sweeps, so only the first one in
+    a process pays their start-up.  They are replaced when n_jobs changes or
+    the pool breaks, shut down at interpreter exit, and see the package as it
+    was when they were started.
 
     A cell that fails (invalid derived parameters, say) is recorded with its
     error and excluded from the aggregates.  If every cell fails, raises
@@ -198,11 +256,8 @@ def run_sweep(
     if n_jobs == 1:
         cells = [_run_cell(t) for t in tasks]
     else:
-        from concurrent.futures import ProcessPoolExecutor  # imported here: a serial run never needs it
-
-        chunk = max(1, len(tasks) // (4 * n_jobs))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            cells = list(pool.map(_run_cell, tasks, chunksize=chunk))
+        with _POOL_LOCK:
+            cells = _pool_map(tasks, n_jobs)
     if all(c.error is not None for c in cells):
         raise RuntimeError(f"every sweep cell failed; first error: {cells[0].error}")
     n_seeds = len(spec.seeds)

@@ -18,7 +18,9 @@ checks on their own.
 The formatter oracles are the per-cell forms of the artifact writers: the
 trajectory CSV built one cell at a time with ``str``/``format``, and SVG
 polyline points scaled and formatted one point at a time.  The columnar
-writers must produce the same text, character for character.
+writers must produce the same text, character for character.  The CSV
+reader's oracle parses the whole file as one string; the block reader must
+return the same arrays and raise the same errors.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -229,6 +232,26 @@ def trajectory_csv_text(traj: Trajectory) -> str:
                 parts.append(format(float(col[i]), ".17g"))
         lines.append(",".join(parts))
     return "\n".join(lines) + "\n"
+
+
+def read_trajectory_csv_whole(path) -> dict[str, np.ndarray]:
+    """The trajectory CSV read as one string: blank lines dropped, every
+    row's field count checked before any cell is parsed, then each column
+    parsed whole, left to right."""
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").split("\n") if ln]
+    if not lines or lines[0] != CSV_HEADER:
+        got = lines[0] if lines else "<empty file>"
+        raise ValueError(f"bad trajectory CSV header in {path}: {got!r}")
+    names = CSV_HEADER.split(",")
+    rows = [ln.split(",") for ln in lines[1:]]
+    for i, row in enumerate(rows):
+        if len(row) != len(names):
+            raise ValueError(f"row {i + 1} of {path} has {len(row)} fields, expected {len(names)}")
+    columns = list(zip(*rows)) or [()] * len(names)
+    return {
+        name: np.array(col, dtype=np.int64 if name in _INT_COLUMNS else float)
+        for name, col in zip(names, columns)
+    }
 
 
 def polyline_points(xs, ys, sx, sy) -> str:

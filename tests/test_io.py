@@ -24,7 +24,7 @@ from bubblesim import (
     write_summary_json,
     write_trajectory_csv,
 )
-from oracles import trajectory_csv_text
+from oracles import read_trajectory_csv_whole, trajectory_csv_text
 from synthetic import flat_trajectory
 
 P = ModelParams(T=300)
@@ -287,6 +287,58 @@ def test_read_rejects_cells_as_python_does(tmp_path, column, cell, error, text):
     with pytest.raises(error) as info:
         read_trajectory_csv(path)
     assert str(info.value) == text
+
+
+def _read_outcome(read, path):
+    """What reading ``path`` gives: the columns as (name, dtype, bytes), or
+    the error's type and text."""
+    try:
+        cols = read(path)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [(name, col.dtype, col.tobytes()) for name, col in cols.items()]
+
+
+_GOOD_ROW = b"7,0.5,-0.25,-2,1e-05,1,-1,3"
+# lines of every kind the reader tells apart, bad cells in several columns
+_CSV_LINES = st.sampled_from([
+    _GOOD_ROW, _GOOD_ROW, _GOOD_ROW, b"", b"1,2,3", _GOOD_ROW + b",9",
+    b"1.5,0,0,-2,0,0,0,0", b"0,abc,0,-2,0,0,0,0", b"0,0,0,-2,nan,x,0,0",
+    b"0,0,0,-2,0,0,0," + str(2**63).encode(), b"0,0,\xff,-2,0,0,0,0", CSV_HEADER.encode(),
+])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    header=st.sampled_from([CSV_HEADER.encode(), b"", b"a,b,c"]),
+    lines=st.lists(_CSV_LINES, max_size=14),
+    ends=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=15, max_size=15),
+    block_rows=st.sampled_from([1, 2, 3, 8192]),
+)
+def test_block_reader_equals_the_whole_file_oracle(tmp_path_factory, header, lines, ends, block_rows):
+    # same arrays or the same error, whichever block each defect falls in
+    path = tmp_path_factory.mktemp("csv") / "read.csv"
+    path.write_bytes(b"".join(ln + end for ln, end in zip([header, *lines], ends)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bubblesim.io, "_BLOCK_ROWS", block_rows)
+        got = _read_outcome(read_trajectory_csv, path)
+    assert got == _read_outcome(read_trajectory_csv_whole, path)
+
+
+def test_block_reader_numbers_rows_and_places_bad_bytes_in_the_whole_file(tmp_path):
+    # three blocks of the real size, blank lines not counted as rows
+    rows = [_GOOD_ROW] * (2 * 8192 + 4) + [b""] * 5
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"\n".join([CSV_HEADER.encode(), *rows, b"1,2,3", _GOOD_ROW]) + b"\n")
+    with pytest.raises(ValueError, match=r"^row 16389 of .* has 3 fields, expected 8$"):
+        read_trajectory_csv(path)
+    # a bad byte outranks a bad header before it, and is placed by its
+    # offset in the file, not in the block that held it
+    for header in (CSV_HEADER.encode(), b"a,b,c"):
+        path.write_bytes(b"\n".join([header, *rows, b"0,\xff"]) + b"\n")
+        with pytest.raises(UnicodeDecodeError) as info:
+            read_trajectory_csv(path)
+        assert f"in position {path.stat().st_size - 2}:" in str(info.value)
 
 
 def test_write_error_carries_the_path(tmp_path):

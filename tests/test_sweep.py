@@ -1,7 +1,19 @@
-"""Sweep grids: ordering, determinism, error isolation, aggregation."""
+"""Sweep grids: ordering, determinism, error isolation, aggregation, and
+the worker pool kept between parallel sweeps."""
+
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import bubblesim
 
 from bubblesim import (
     CrashConfig,
@@ -197,6 +209,96 @@ def test_compare_medians_rejects_unknown_fields():
     result = run_sweep(spec)
     with pytest.raises(ValueError, match="unknown summary field"):
         compare_medians(result, "nope")
+
+
+# ---------------------------------------------------------------- worker pool
+
+POOL_SPEC = SweepSpec(base=ModelParams(T=300), axis="b", values=(0.01, 0.02), seeds=tuple(range(4)))
+
+
+def _workers() -> dict[int, multiprocessing.Process]:
+    """The live worker processes, by pid; the tests start no other children."""
+    return {p.pid: p for p in multiprocessing.active_children()}
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(bubblesim.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_parallel_sweeps_reuse_the_workers():
+    serial = run_sweep(POOL_SPEC)
+    first = run_sweep(POOL_SPEC, n_jobs=2)
+    workers = _workers()
+    second = run_sweep(POOL_SPEC, n_jobs=2)
+    assert len(workers) == 2 and _workers().keys() == workers.keys()
+    assert first == serial and second == serial
+
+
+def test_a_new_n_jobs_replaces_the_pool_after_joining_the_old_one():
+    serial = run_sweep(POOL_SPEC)
+    with warnings.catch_warnings():
+        # from Python 3.12 a fork while another thread is alive warns, so an
+        # executor thread of the old pool still running at the fork fails here
+        warnings.simplefilter("error", DeprecationWarning)
+        assert run_sweep(POOL_SPEC, n_jobs=2) == serial
+        old = _workers()
+        assert run_sweep(POOL_SPEC, n_jobs=3) == serial
+    assert len(old) == 2 and all(p.exitcode is not None for p in old.values())
+    assert len(_workers()) == 3 and not _workers().keys() & old.keys()
+
+
+def test_a_sweep_after_the_idle_workers_were_killed_equals_the_serial_one():
+    serial = run_sweep(POOL_SPEC)
+    run_sweep(POOL_SPEC, n_jobs=2)
+    killed = _workers()
+    for pid in killed:
+        os.kill(pid, signal.SIGKILL)
+    # the pool may not know yet that its workers are gone
+    assert run_sweep(POOL_SPEC, n_jobs=2) == serial
+    assert all(p.exitcode == -signal.SIGKILL for p in killed.values())
+    assert len(_workers()) == 2 and not _workers().keys() & killed.keys()
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_threads_sharing_the_pool_get_their_own_cells():
+    # a pool of 2 and one of 3 take turns: without the pool lock one thread
+    # would shut the other's pool down under it
+    serial = run_sweep(POOL_SPEC)
+    results: list = []
+
+    def sweeps(n_jobs: int) -> None:
+        results.extend(run_sweep(POOL_SPEC, n_jobs=n_jobs) for _ in range(6))
+
+    threads = [threading.Thread(target=sweeps, args=(n,)) for n in (2, 3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 12 and all(r == serial for r in results)
+
+
+def test_a_serial_sweep_starts_no_process():
+    proc = _run_python(
+        "import multiprocessing, sys; from bubblesim import ModelParams, SweepSpec, run_sweep; "
+        "run_sweep(SweepSpec(ModelParams(T=50), 'b', (0.01, 0.02), (0, 1))); "
+        "print(len(multiprocessing.active_children()), 'concurrent.futures.process' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
+def test_a_process_that_ran_a_parallel_sweep_exits_cleanly():
+    # the pool is shut down at exit, before module teardown could trip it
+    proc = _run_python(
+        "from bubblesim import ModelParams, SweepSpec, run_sweep; "
+        "run_sweep(SweepSpec(ModelParams(T=50), 'b', (0.01, 0.02), (0, 1)), n_jobs=2)"
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------- regression
