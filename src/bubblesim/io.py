@@ -13,12 +13,13 @@ so any output file is sufficient to re-run its simulation identically.
 JSON has no non-finite numbers; inf, -inf and nan are written as the strings
 "Infinity", "-Infinity" and "NaN".
 
-The CSV text is the bytes of Python's '%.17g' and '%d', produced by a numpy
-kernel a block of rows at a time.  Each block is laid out as a zero-padded
-uint8 matrix; a real's 17 digits come from exact integer arithmetic on its
-significand, and the few cells the kernel does not cover (|v| outside
-[1e-11, 1e15) but zeros, and values next to a power of ten whose log10
-misleads it) hold a marker byte that _join_cells replaces by Python's text.
+The CSV rows (Python's '%.17g' and '%d') and the SVG polyline points
+('%.2f') are both written by _rows_text, with one numpy cell kernel per
+column: _int_cells, _g17_cells or _f2_cells.  A real's 17 digits come from
+exact integer arithmetic on its significand.  The few cells a kernel does
+not cover (for '%.17g', |v| outside [1e-11, 1e15) but zeros, and values
+next to a power of ten whose log10 misleads it; for '%.2f', near-ties,
+large and non-finite values) get Python's text spliced in.
 """
 
 from __future__ import annotations
@@ -68,8 +69,10 @@ def write_trajectory_csv(traj: Trajectory, path: str | PathLike[str]) -> None:
     """
     names = CSV_HEADER.split(",")
     columns = [traj_column(traj, name) for name in names]
+    kernels = [_int_cells if name in _INT_COLUMNS else _g17_cells for name in names]
+    seps = "," * (len(names) - 1) + "\n"
     blocks = (
-        _csv_block(names, [col[start:start + _BLOCK_ROWS] for col in columns])
+        _rows_text([col[start:start + _BLOCK_ROWS] for col in columns], kernels, "%.17g", seps)
         for start in range(0, len(traj), _BLOCK_ROWS)
     )
     _write_text(path, itertools.chain([CSV_HEADER + "\n"], blocks))
@@ -78,7 +81,8 @@ def write_trajectory_csv(traj: Trajectory, path: str | PathLike[str]) -> None:
 _BLOCK_ROWS = 8192
 
 _ZERO = ord("0")
-_MARK = 1  # the byte that stands for a cell formatted by Python (see _join_cells)
+_MINUS = np.uint8(ord("-"))  # a bool mask times this is a sign slot, as uint8
+_MARK = 1  # the byte that stands for a cell formatted by Python (see _rows_text)
 _ONE, _TEN, _S32 = np.uint64(1), np.uint64(10), np.uint64(32)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
@@ -110,6 +114,41 @@ _AFFIXES = np.frombuffer(
 _SLOTS = np.arange(18, dtype=np.uint8)  # 17 digits and a '.'
 
 
+def _rows_text(columns: list[np.ndarray], kernels: list, fmt: str, seps: str) -> str:
+    """The rows of a table given by its columns, each cell as its column's
+    kernel writes it and followed by the column's character of ``seps``.
+
+    A kernel returns its cells slot-major, one uint8 row per character
+    position with 0 in unused slots, and a mask of the cells it leaves to
+    Python; those are cleared and marked with _MARK.  All cells and
+    separators are stacked into one matrix whose transpose reads row after
+    row, minus the slots no row uses.  The marks, in row-major order, are
+    then replaced by ``fmt % v``.
+    """
+    n = len(columns[0])
+    parts, marked = [], []
+    for col, kernel, sep in zip(columns, kernels, seps):
+        cells, fallback = kernel(col)
+        if fallback.any():
+            cells[:, fallback] = 0
+            cells[0, fallback] = _MARK
+            marked.append((col, fallback))
+        parts += [cells, np.full((1, n), ord(sep), np.uint8)]
+    block = np.concatenate(parts)
+    parts.clear()  # frees the cells before the copies below, for a lower peak
+    block = block[block.any(axis=1)]
+    text = block.T.tobytes().translate(None, b"\0").decode("ascii")
+    if not marked:
+        return text
+    cols, masks = zip(*marked)
+    spliced = list(map(fmt.__mod__, np.column_stack(cols)[np.column_stack(masks)].tolist()))
+    pieces = text.split(chr(_MARK))
+    joined = [""] * (2 * len(pieces) - 1)
+    joined[0::2] = pieces
+    joined[1::2] = spliced  # raises unless there is one text per mark
+    return "".join(joined)
+
+
 def _digits(u: np.ndarray, width: int) -> np.ndarray:
     """The last ``width`` decimal digits of each uint64 as ASCII bytes, one
     column per element, most significant first, leading zeros included."""
@@ -122,19 +161,39 @@ def _digits(u: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _int_cells(v: np.ndarray) -> np.ndarray:
-    """The '%d' text of each int64 as a column of ASCII bytes: a sign slot
+def _int_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The '%d' text of each int64 as a column of ASCII bytes (a sign slot
     and as many digit slots as the largest magnitude needs, 0 in unused
-    slots."""
+    slots), and an empty mask: no element is left to Python."""
     v = np.asarray(v, dtype=np.int64)
-    u = v.view(np.uint64)
-    u = np.where(v < 0, -u, u)  # the magnitude, modulo 2**64 exact for -2**63
+    u = np.abs(v).view(np.uint64)  # the magnitude: abs(-2**63) wraps to -2**63, read as 2**63
     width = len(str(int(u.max(initial=0))))
     cells = np.empty((width + 1, len(v)), np.uint8)
-    cells[0] = np.where(v < 0, ord("-"), 0)
+    cells[0] = (v < 0) * _MINUS
     cells[1:] = _digits(u, width)
     cells[1:-1] *= u >= _POW10[width - 1:0:-1, None]  # leading zeros; the units digit stays
-    return cells
+    return cells, np.zeros(len(v), bool)
+
+
+def _f2_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The '%.2f' text of each float64 as a column of ASCII bytes, and a mask
+    of the elements left to Python.
+
+    A column holds the '%d' cells of the whole part with the sign taken from
+    the sign bit (so -0.001 gives "-0.00"), '.', and two decimals.
+    n = rint(|v| * 100) equals the correctly rounded hundredths unless the
+    product sits within its rounding error of a tie: below 2**30 that error
+    is at most 2**-24, so elements within 2**-20 of a tie, at or above
+    2**30, or not finite are masked.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.abs(v) * 100.0
+        fallback = ~(y < 2.0**30) | (np.abs(y - np.floor(y) - 0.5) <= 2.0**-20)
+    whole, cents = np.divmod(np.rint(np.where(fallback, 0.0, y)).astype(np.uint64), np.uint64(100))
+    point = np.full((1, len(v)), ord("."), np.uint8)
+    cells = np.concatenate([_int_cells(whole)[0], point, _digits(cents, 2)])
+    cells[0] = np.signbit(v) * _MINUS
+    return cells, fallback
 
 
 def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +210,7 @@ def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     both hold only when it is right (and q did not round up to the next
     decade).  Signed zeros are written here too.  Other elements outside
     1e-11 <= |v| < 1e15 (non-finite and subnormal ones among them) and those
-    failing the decade check get a column holding only _MARK.
+    failing the decade check are masked.
     """
     n = len(v)
     a = np.abs(np.asarray(v, dtype=np.float64))
@@ -191,54 +250,12 @@ def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     affixes = _AFFIXES[ki].view(np.uint8).reshape(n, 16)
     cells = np.empty((28, n), np.uint8)
-    cells[0] = np.where(np.signbit(v), ord("-"), 0)
+    cells[0] = np.signbit(v) * _MINUS
     cells[1:6] = affixes[:, :5].T
     cells[6:24] = body
     cells[24:] = affixes[:, 8:12].T
     cells[6] -= zero
-    fallback = ~ok
-    cells[:, fallback] = 0
-    cells[0, fallback] = _MARK
-    return cells, fallback
-
-
-def _csv_block(names: list[str], columns: list[np.ndarray]) -> str:
-    """The CSV text of one block of rows.
-
-    The cells of each column are stacked slot by slot, separators included,
-    so the block matrix holds one row per character position; its transpose
-    reads row after row.
-    """
-    n = len(columns[0])
-    parts, reals, fallbacks = [], [], []
-    for name, col in zip(names, columns):
-        if name in _INT_COLUMNS:
-            parts.append(_int_cells(col))
-        else:
-            cells, fallback = _g17_cells(col)
-            parts.append(cells)
-            reals.append(col)
-            fallbacks.append(fallback)
-        parts.append(np.full((1, n), ord(","), np.uint8))
-    parts[-1][:] = ord("\n")
-    fallback = np.column_stack(fallbacks)  # row-major: the order of the marks in the text
-    spliced = list(map("%.17g".__mod__, np.column_stack(reals)[fallback].tolist()))
-    block = np.concatenate(parts)
-    block = block[block.any(axis=1)]  # slots no row uses, so fewer bytes to transpose and drop
-    return _join_cells(block.T, spliced)
-
-
-def _join_cells(cells: np.ndarray, spliced: list[str]) -> str:
-    """The bytes of a cell matrix as text, in row-major order without the 0
-    padding, with ``spliced[i]`` in place of the i-th _MARK byte."""
-    text = cells.tobytes().translate(None, b"\0").decode("ascii")
-    if not spliced:
-        return text
-    pieces = text.split(chr(_MARK))
-    joined = [""] * (2 * len(pieces) - 1)
-    joined[0::2] = pieces
-    joined[1::2] = spliced  # raises unless there is one text per mark
-    return "".join(joined)
+    return cells, ~ok
 
 
 def traj_column(traj: Trajectory, name: str) -> np.ndarray:

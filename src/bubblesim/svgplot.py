@@ -11,7 +11,8 @@ sharing the time axis: log-price, momentum (with a dashed horizontal line at
 the crossing threshold), trade intensity, and direction pressure.
 plot_sweep overlays one representative log-price path per swept value, adds
 a small inset of median peak log-price against the value index, and a legend
-mapping colors to values.
+mapping colors to values.  Polyline coordinates are written by io's table
+kernel, the one that writes the CSV rows, with its '%.2f' cell kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from os import PathLike
 
 import numpy as np
 
-from .io import _MARK, _ZERO, _join_cells, _write_text
+from .io import _f2_cells, _rows_text, _write_text
 from .model import Trajectory, simulate
 from .sweep import SweepResult
 
@@ -60,58 +61,16 @@ class _Scale:
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
 
-def _fixed2_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The '%.2f' text of each element as a row of ASCII bytes, and a mask
-    of the elements left to Python.
-
-    A row holds the sign, as many integer-digit slots as the largest element
-    needs, '.', and two decimals; unused sign and leading-digit slots hold 0.
-    n = rint(|v| * 100) equals the correctly rounded hundredths unless the
-    product sits within its rounding error of a tie: below 2**30 that error
-    is at most 2**-24, so elements within 2**-20 of a tie, at or above
-    2**30, or not finite are masked and their rows hold only _MARK.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = np.abs(v) * 100.0
-        guard = ~(y < 2.0**30) | (np.abs(y - np.floor(y) - 0.5) <= 2.0**-20)
-    whole, cents = np.divmod(np.rint(np.where(guard, 0.0, y)).astype(np.int64), 100)
-    width = len(str(int(whole.max(initial=0))))
-    cells = np.zeros((len(v), width + 4), np.uint8)
-    cells[:, 0] = np.where(np.signbit(v), ord("-"), 0)
-    for col in range(width, 0, -1):  # units digit first; it is kept even when 0
-        shown = whole > 0 if col < width else True
-        whole, digit = np.divmod(whole, 10)
-        cells[:, col] = np.where(shown, digit + _ZERO, 0)
-    tens, units = np.divmod(cents, 10)
-    cells[:, -3] = ord(".")
-    cells[:, -2] = tens + _ZERO
-    cells[:, -1] = units + _ZERO
-    cells[guard] = 0
-    cells[guard, 0] = _MARK
-    return cells, guard
-
-
 def _points(xs: np.ndarray, ys: np.ndarray, sx: _Scale, sy: _Scale) -> str:
     """Polyline points "x,y x,y ...", each coordinate as '%.2f' would write it.
 
     Scaling runs on whole float64 columns, the same IEEE operations per
-    element as scaling each point on its own.  The text of all coordinates
-    is laid out at once in a byte matrix, one row per coordinate followed by
-    its separator, and joined by _join_cells with the few coordinates masked
-    by _fixed2_cells formatted in Python.
+    element as scaling each point on its own; the x and y columns are then
+    written as a two-column table by io's '%.2f' kernel.
     """
     px = sx(np.asarray(xs, dtype=float))
     py = sy(np.asarray(ys, dtype=float))
-    v = np.empty(2 * len(px))
-    v[0::2] = px
-    v[1::2] = py
-    cells, guard = _fixed2_cells(v)
-    rows = np.empty((len(v), cells.shape[1] + 1), np.uint8)
-    rows[:, :-1] = cells
-    rows[0::2, -1] = ord(",")
-    rows[1::2, -1] = ord(" ")
-    spliced = list(map("%.2f".__mod__, v[guard].tolist()))
-    return _join_cells(rows.ravel()[:-1], spliced)  # no separator after the last point
+    return _rows_text([px, py], [_f2_cells, _f2_cells], "%.2f", ", ")[:-1]  # no space after the last point
 
 
 def escape(s: str) -> str:

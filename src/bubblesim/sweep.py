@@ -23,16 +23,20 @@ is bit-identical whether run serially or in parallel.  The worker processes
 are kept between parallel sweeps: the first one in a process pays their
 start-up, later ones with the same n_jobs reuse the warm workers.  The pool
 is replaced when n_jobs changes or when it breaks, and is shut down when the
-interpreter exits.  Workers see the package as it was when they were started,
-not changes made to its modules afterwards.  A cell whose derived
-parameters are invalid (say a swept b landing above c) records an error
-string and the sweep continues; only a sweep with no surviving cell raises.
+interpreter exits.  A forked child starts workers of its own, and in a
+multiprocessing child, which runs no exit hook, each parallel sweep shuts
+them down before it returns.  Workers see the package as it was when they
+were started, not changes made to its modules afterwards.  A cell whose
+derived parameters are invalid (say a swept b landing above c) records an
+error string and the sweep continues; only a sweep with no surviving cell
+raises.
 """
 
 from __future__ import annotations
 
 import atexit
 import numbers
+import os
 import threading
 from dataclasses import dataclass, fields
 
@@ -197,6 +201,7 @@ def _pool_map(tasks: list, n_jobs: int) -> list[SweepCell]:
     """
     # imported here: a serial run never needs them
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing import parent_process
 
     global _pool
     reused = _pool is not None and _pool[0] == n_jobs
@@ -205,7 +210,7 @@ def _pool_map(tasks: list, n_jobs: int) -> list[SweepCell]:
         _pool = (n_jobs, ProcessPoolExecutor(max_workers=n_jobs))
     chunk = max(1, len(tasks) // (4 * n_jobs))
     try:
-        return list(_pool[1].map(_run_cell, tasks, chunksize=chunk))
+        cells = list(_pool[1].map(_run_cell, tasks, chunksize=chunk))
     except BrokenProcessPool:
         _drop_pool()
         if not reused:
@@ -214,6 +219,11 @@ def _pool_map(tasks: list, n_jobs: int) -> list[SweepCell]:
     except BaseException:
         _drop_pool()
         raise
+    if parent_process() is not None:
+        # a multiprocessing child joins its non-daemon children when its
+        # target returns and runs no atexit hook: these workers would hang it
+        _drop_pool()
+    return cells
 
 
 @atexit.register
@@ -223,6 +233,16 @@ def _drop_pool() -> None:
     if _pool is not None:
         pool, _pool = _pool[1], None
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _forget_pool() -> None:
+    """In a forked child: the kept pool's workers and executor thread belong
+    to the parent, and the lock may have been held by another of its threads."""
+    global _pool, _POOL_LOCK
+    _pool, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def run_sweep(
@@ -240,7 +260,8 @@ def run_sweep(
     The workers are kept for later parallel sweeps, so only the first one in
     a process pays their start-up.  They are replaced when n_jobs changes or
     the pool breaks, shut down at interpreter exit, and see the package as it
-    was when they were started.
+    was when they were started.  A forked child starts its own workers, and
+    in a multiprocessing child they are shut down before the sweep returns.
 
     A cell that fails (invalid derived parameters, say) is recorded with its
     error and excluded from the aggregates.  If every cell fails, raises

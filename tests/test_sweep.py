@@ -301,6 +301,65 @@ def test_a_process_that_ran_a_parallel_sweep_exits_cleanly():
     assert proc.stderr == ""
 
 
+def test_a_test_run_with_a_parallel_sweep_ends_without_an_ignored_exception(tmp_path):
+    # without the exit hook, module teardown after a hypothesis test trips the
+    # kept pool's executor thread: "Exception ignored in: ... weakref_cb"
+    (tmp_path / "test_exit.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "from bubblesim import ModelParams, SweepSpec, run_sweep\n"
+        "def test_sweep():\n"
+        "    run_sweep(SweepSpec(ModelParams(T=50), 'b', (0.01, 0.02), (0, 1)), n_jobs=2)\n"
+        "@given(st.integers())\n"
+        "def test_given(i):\n"
+        "    assert i == i\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bubblesim.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_exit.py"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "Exception ignored" not in proc.stdout + proc.stderr
+
+
+def _sweep_in_child(conn, spec: SweepSpec) -> None:
+    os.setpgid(0, 0)  # so the test can kill the child and its workers together
+    conn.send(run_sweep(spec, n_jobs=2))
+
+
+def _run_in_forked_child(spec: SweepSpec):
+    """The exit code of a forked child that ran an n_jobs=2 sweep, and its result."""
+    ctx = multiprocessing.get_context("fork")
+    parent, child = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_sweep_in_child, args=(child, spec))
+    proc.start()
+    child.close()
+    try:
+        result = parent.recv() if parent.poll(30) else None
+        proc.join(timeout=30)
+    finally:
+        if proc.is_alive():
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.join()
+        parent.close()
+    return proc.exitcode, result
+
+
+def test_a_forked_child_that_ran_a_parallel_sweep_exits():
+    bubblesim.sweep._drop_pool()  # the child then starts a pool of its own
+    assert _run_in_forked_child(POOL_SPEC) == (0, run_sweep(POOL_SPEC))
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_does_not_use_the_parents_pool():
+    serial = run_sweep(POOL_SPEC)
+    assert run_sweep(POOL_SPEC, n_jobs=2) == serial
+    workers = _workers()
+    assert _run_in_forked_child(POOL_SPEC) == (0, serial)
+    assert run_sweep(POOL_SPEC, n_jobs=2) == serial  # the parent's pool is still its own
+    assert _workers().keys() == workers.keys()
+
+
 # ---------------------------------------------------------------- regression
 
 
