@@ -3,10 +3,11 @@
 Backed by numpy's PCG64 bit generator (period 2^128, published reference
 implementation), so a 64-bit seed pins the entire uniform sequence bit-exactly
 across runs and platforms.  ``uniform()`` hands out one draw at a time from
-buffered blocks; ``take(n)`` hands out the next n draws in one list, which is
-how the simulation kernel takes its whole budget up front.  numpy produces the
-same values whether the stream is read in blocks, in one list, or one draw at
-a time, so neither buffering nor ``take`` ever changes the stream.
+buffered blocks; ``take(n)`` hands out the next n draws as one float64 array,
+which is how the simulation kernel takes its whole budget up front.  numpy
+produces the same values whether the stream is read in blocks, in one array,
+or one draw at a time, so neither buffering nor ``take`` ever changes the
+stream.
 
 The consumed-draw counter exists so simulations can prove they use a fixed,
 path-independent number of draws.
@@ -45,16 +46,18 @@ class RngStream:
         self.n_draws += 1
         return u
 
-    def take(self, n: int) -> list[float]:
-        """The next n draws, equal to n calls of ``uniform()``; advances by n."""
+    def take(self, n: int) -> np.ndarray:
+        """The next n draws as a float64 array, equal to n calls of
+        ``uniform()``; advances by n."""
         if n < 0:
             raise ValueError(f"take requires n >= 0 (got n={n})")
         buffered = self._buf[self._pos:self._pos + n]
         self._pos += len(buffered)
-        if len(buffered) < n:
-            buffered += self._gen.random(n - len(buffered)).tolist()
+        draws = self._gen.random(n - len(buffered))
+        if buffered:  # the rest of a block that uniform() opened comes first
+            draws = np.concatenate((buffered, draws))
         self.n_draws += n
-        return buffered
+        return draws
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, n_draws={self.n_draws})"

@@ -9,9 +9,10 @@ present) and stable enough to diff across runs.
 plot_trajectory writes one document with four vertically stacked panels
 sharing the time axis: log-price, momentum (with a dashed horizontal line at
 the crossing threshold), trade intensity, and direction pressure.
-plot_sweep overlays one representative log-price path per swept value, adds
-a small inset of median peak log-price against the value index, and a legend
-mapping colors to values.  Polyline coordinates are written by io's table
+plot_sweep overlays the representative log-price path that run_sweep kept
+for each swept value (it simulates nothing itself), adds a small inset of
+median peak log-price against the value index, and a legend mapping colors
+to values.  Polyline coordinates are written by io's table
 kernel, the one that writes the CSV rows, with its '%.2f' cell kernel.
 """
 
@@ -22,7 +23,7 @@ from os import PathLike
 import numpy as np
 
 from .io import _f2_cells, _rows_text, _write_text
-from .model import Trajectory, simulate
+from .model import Trajectory
 from .sweep import SweepResult
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -180,8 +181,9 @@ def _trajectory_svg(traj: Trajectory) -> str:
 def plot_sweep(result: SweepResult, path: str | PathLike[str]) -> None:
     """Overlaid representative log-price paths, median-peak inset, legend.
 
-    The representative path for each value is the first seed of the sweep's
-    (matched) seed list, re-simulated here; failed values are skipped.
+    The representative path for each value is that of the first seed of the
+    sweep's (matched) seed list, as run_sweep kept it in ``result.paths``;
+    values whose first-seed cell failed are skipped.
     """
     _write_text(path, _sweep_svg(result))
 
@@ -191,15 +193,7 @@ def _sweep_svg(result: SweepResult) -> str:
     when the drawn paths have no finite range to scale."""
     spec = result.spec
     rep_seed = spec.seeds[0]
-    paths: list[tuple[float, Trajectory | None]] = []
-    for value in spec.values:
-        try:
-            traj = simulate(spec.base.with_value(spec.axis, value), rep_seed)
-        except ValueError:
-            traj = None
-        paths.append((value, traj))
-
-    drawn = [(v, tr) for v, tr in paths if tr is not None]
+    drawn = [(v, path) for v, path in zip(spec.values, result.paths) if path is not None]
     x0 = _MARGIN_LEFT
     x1 = _W - _MARGIN_RIGHT
     main_h = 330
@@ -211,18 +205,18 @@ def _sweep_svg(result: SweepResult) -> str:
     title = f"log price, one path per {spec.axis} (seed {rep_seed})"
     body.append(_text(x0, _TOP - 7, title, "title", size=13))
     if drawn:
-        lo = min(float(np.min(tr.log_price)) for _, tr in drawn)
-        hi = max(float(np.max(tr.log_price)) for _, tr in drawn)
+        lo = min(float(np.min(path)) for _, path in drawn)
+        hi = max(float(np.max(path)) for _, path in drawn)
         lo, hi = _span(lo, hi)
-        t_hi = max(float(tr.t[-1]) for _, tr in drawn)
+        t_hi = max(float(len(path) - 1) for _, path in drawn)
         sx = _Scale(0.0, t_hi, x0, x1)
         sy = _Scale(lo, hi, _TOP + main_h, _TOP)
         body.append(_text(x0 - 6, sy(hi) + 4, f"{hi:.4g}", "ytick", anchor="end"))
         body.append(_text(x0 - 6, sy(lo) + 4, f"{lo:.4g}", "ytick", anchor="end"))
-        for i, (value, tr) in enumerate(drawn):
+        for i, (value, path) in enumerate(drawn):
             color = _PALETTE[i % len(_PALETTE)]
             extra = f" data-value={quoteattr(repr(value))}"
-            body.append(_polyline(_points(tr.t, tr.log_price, sx, sy), color, extra=extra))
+            body.append(_polyline(_points(np.arange(len(path)), path, sx, sy), color, extra=extra))
     body.append("</g>")
 
     # legend: one swatch per drawn value

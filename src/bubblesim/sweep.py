@@ -30,6 +30,12 @@ were started, not changes made to its modules afterwards.  A cell whose
 derived parameters are invalid (say a swept b landing above c) records an
 error string and the sweep continues; only a sweep with no surviving cell
 raises.
+
+The first seed's cell of each value also hands back its log-price path, the
+representative path plot_sweep draws, so a sweep and its plot simulate every
+(value, seed) pair once.  The result then holds |values| x (T+1) floats of
+paths besides the cell statistics; in a parallel sweep only those cells send
+a path back from the workers.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import atexit
 import numbers
 import os
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -136,25 +142,37 @@ class ValueSummary:
 @dataclass(frozen=True)
 class SweepResult:
     """Full sweep output: the |values| x |seeds| cell grid plus per-value
-    aggregates, cells ordered values-major then seeds-minor."""
+    aggregates, cells ordered values-major then seeds-minor.
+
+    ``paths`` holds one representative path per value, the log-price column
+    of its first seed's cell (None where that cell failed), which is what
+    plot_sweep draws: |values| x (T+1) floats.  It takes no part in equality.
+    """
 
     spec: SweepSpec
     cells: tuple[SweepCell, ...]
     summaries: tuple[ValueSummary, ...]
+    paths: tuple[np.ndarray | None, ...] = field(compare=False, repr=False)
 
     def cell(self, value_index: int, seed_index: int) -> SweepCell:
         return self.cells[value_index * len(self.spec.seeds) + seed_index]
 
 
-def _run_cell(task: tuple[ModelParams, str, float, int, CrashConfig | None]) -> SweepCell:
-    """Evaluate one grid cell; module-level so worker processes can pickle it."""
-    base, axis, value, seed, cfg = task
+def _run_cell(
+    task: tuple[ModelParams, str, float, int, CrashConfig | None, bool],
+) -> tuple[SweepCell, np.ndarray | None]:
+    """Evaluate one grid cell, with its log-price path if the task keeps it
+    and the cell succeeds; module-level so worker processes can pickle it."""
+    base, axis, value, seed, cfg, keep_path = task
     try:
         params = base.with_value(axis, value)
-        stats = summarize(simulate(params, seed), cfg)
-        return SweepCell(value=value, seed=seed, stats=stats, error=None)
+        traj = simulate(params, seed)
+        stats = summarize(traj, cfg)
     except Exception as exc:
-        return SweepCell(value=value, seed=seed, stats=None, error=f"{type(exc).__name__}: {exc}")
+        error = f"{type(exc).__name__}: {exc}"
+        return SweepCell(value=value, seed=seed, stats=None, error=error), None
+    path = traj.log_price if keep_path else None
+    return SweepCell(value=value, seed=seed, stats=stats, error=None), path
 
 
 def _aggregate(value: float, cells: list[SweepCell]) -> ValueSummary:
@@ -189,8 +207,8 @@ _pool = None
 _POOL_LOCK = threading.Lock()
 
 
-def _pool_map(tasks: list, n_jobs: int) -> list[SweepCell]:
-    """The cells of ``tasks``, in order, from the kept pool of n_jobs workers.
+def _pool_map(tasks: list, n_jobs: int) -> list[tuple[SweepCell, np.ndarray | None]]:
+    """The outcomes of ``tasks``, in order, from the kept pool of n_jobs workers.
 
     A pool of another size is shut down and joined before the new one forks,
     so no executor thread is alive at the fork.  Any exception drops the pool
@@ -210,7 +228,7 @@ def _pool_map(tasks: list, n_jobs: int) -> list[SweepCell]:
         _pool = (n_jobs, ProcessPoolExecutor(max_workers=n_jobs))
     chunk = max(1, len(tasks) // (4 * n_jobs))
     try:
-        cells = list(_pool[1].map(_run_cell, tasks, chunksize=chunk))
+        outcomes = list(_pool[1].map(_run_cell, tasks, chunksize=chunk))
     except BrokenProcessPool:
         _drop_pool()
         if not reused:
@@ -223,7 +241,7 @@ def _pool_map(tasks: list, n_jobs: int) -> list[SweepCell]:
         # a multiprocessing child joins its non-daemon children when its
         # target returns and runs no atexit hook: these workers would hang it
         _drop_pool()
-    return cells
+    return outcomes
 
 
 @atexit.register
@@ -266,19 +284,23 @@ def run_sweep(
     A cell that fails (invalid derived parameters, say) is recorded with its
     error and excluded from the aggregates.  If every cell fails, raises
     RuntimeError carrying the first error.
+
+    Each value's first-seed cell also keeps its log-price path in
+    ``paths``, so plotting the sweep simulates nothing again.
     """
     if not isinstance(n_jobs, int) or isinstance(n_jobs, bool) or n_jobs < 1:
         raise ValueError(f"run_sweep requires integer n_jobs >= 1 (got {n_jobs!r})")
     tasks = [
-        (spec.base, spec.axis, value, seed, cfg)
+        (spec.base, spec.axis, value, seed, cfg, j == 0)
         for value in spec.values
-        for seed in spec.seeds
+        for j, seed in enumerate(spec.seeds)
     ]
     if n_jobs == 1:
-        cells = [_run_cell(t) for t in tasks]
+        outcomes = [_run_cell(t) for t in tasks]
     else:
         with _POOL_LOCK:
-            cells = _pool_map(tasks, n_jobs)
+            outcomes = _pool_map(tasks, n_jobs)
+    cells = [cell for cell, _ in outcomes]
     if all(c.error is not None for c in cells):
         raise RuntimeError(f"every sweep cell failed; first error: {cells[0].error}")
     n_seeds = len(spec.seeds)
@@ -286,7 +308,8 @@ def run_sweep(
         _aggregate(value, cells[i * n_seeds : (i + 1) * n_seeds])
         for i, value in enumerate(spec.values)
     )
-    return SweepResult(spec=spec, cells=tuple(cells), summaries=summaries)
+    paths = tuple(path for _, path in outcomes[::n_seeds])
+    return SweepResult(spec=spec, cells=tuple(cells), summaries=summaries, paths=paths)
 
 
 def compare_medians(result: SweepResult, field: str) -> list[tuple[float, float | None]]:

@@ -72,9 +72,16 @@ def test_seed_bounds_are_inclusive_exclusive():
     assert RngStream(2**64 - 1).seed == 2**64 - 1
 
 
+def test_take_returns_a_float64_array_of_n_draws():
+    for n in (0, 1, 4096, 5000):
+        taken = RngStream(3).take(n)
+        assert isinstance(taken, np.ndarray)
+        assert taken.dtype == np.float64 and taken.shape == (n,)
+
+
 def test_take_equals_repeated_uniform_calls_across_a_block_boundary():
     n = 4096 + 1000  # crosses the first internal block boundary
-    taken = RngStream(123).take(n)
+    taken = RngStream(123).take(n).tolist()
     single = RngStream(123)
     assert taken == [single.uniform() for _ in range(n)]
 
@@ -83,6 +90,8 @@ def test_take_after_uniform_calls_continues_the_same_stream():
     mixed = RngStream(42)
     head = [mixed.uniform() for _ in range(4000)]
     tail = mixed.take(200)  # 96 from the open block, 104 past it
+    assert tail.dtype == np.float64
+    tail = tail.tolist()
     after = mixed.uniform()
     assert head[:10] == list(SEED42_FIRST_TEN)
     single = RngStream(42)
@@ -92,7 +101,7 @@ def test_take_after_uniform_calls_continues_the_same_stream():
 
 def test_take_zero_draws_nothing():
     rng = RngStream(7)
-    assert rng.take(0) == []
+    assert rng.take(0).tolist() == []
     assert rng.n_draws == 0
     assert rng.uniform() == RngStream(7).uniform()
     with pytest.raises(ValueError):

@@ -186,6 +186,31 @@ def test_sweep_plot_inset_shows_median_peaks(tmp_path, small_sweep):
     assert insets[0].find("svg:polyline[@class='inset-series']", NS) is not None
 
 
+def test_sweep_plot_skips_a_value_whose_first_seed_failed(tmp_path):
+    # b=1.5 lands above c, so its cells fail and it has no path to draw
+    result = run_sweep(SweepSpec(base=P, axis="b", values=(0.01, 0.02, 1.5), seeds=(0, 1)))
+    path = tmp_path / "sweep.svg"
+    plot_sweep(result, path)
+    root = _root(path)
+    series = root.findall(".//svg:polyline[@class='series']", NS)
+    assert [float(s.get("data-value")) for s in series] == [0.01, 0.02]
+    entries = root.findall(".//svg:g[@class='legend-entry']", NS)
+    assert [float(e.get("data-value")) for e in entries] == [0.01, 0.02]
+
+
+def test_sweep_plot_runs_no_simulation(tmp_path, small_sweep, monkeypatch):
+    assert not hasattr(svgplot, "simulate")
+
+    def no_simulation(*args):
+        raise AssertionError("plot_sweep simulated a path")
+
+    monkeypatch.setattr("bubblesim.model.simulate", no_simulation)
+    monkeypatch.setattr("bubblesim.sweep.simulate", no_simulation)
+    path = tmp_path / "sweep.svg"
+    plot_sweep(small_sweep, path)
+    assert len(_root(path).findall(".//svg:polyline[@class='series']", NS)) == 3
+
+
 def test_single_value_sweep_plots_one_curve(tmp_path):
     result = run_sweep(SweepSpec(base=P, axis="b", values=(0.02,), seeds=(0,)))
     path = tmp_path / "one.svg"

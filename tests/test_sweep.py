@@ -137,6 +137,17 @@ def test_serial_and_parallel_agree_exactly():
     parallel = run_sweep(spec, n_jobs=2)
     assert serial.cells == parallel.cells
     assert serial.summaries == parallel.summaries
+    assert [p.tobytes() for p in serial.paths] == [p.tobytes() for p in parallel.paths]
+
+
+def test_each_value_keeps_the_log_price_path_of_its_first_seed():
+    # 1.5 lands above c: its first-seed cell fails and keeps no path
+    spec = SweepSpec(base=SMALL, axis="b", values=(0.01, 0.02, 1.5), seeds=(7, 3))
+    result = run_sweep(spec)
+    assert len(result.paths) == 3 and result.paths[2] is None
+    for value, path in zip(spec.values[:2], result.paths):
+        direct = simulate(SMALL.with_value("b", value), 7).log_price
+        assert path.dtype == direct.dtype and path.tobytes() == direct.tobytes()
 
 
 def test_invalid_cells_are_isolated_not_fatal():
