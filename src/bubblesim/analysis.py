@@ -105,6 +105,8 @@ def detect_crashes(traj: Trajectory, cfg: CrashConfig | None = None) -> list[Cra
     Every crossing at or before the resolved trough is consumed whether or not
     the episode passes the floor, so each period belongs to at most one
     episode and reported events never overlap: t_trough[i] < t_cross[i+1].
+    Consuming them needs no code of its own: they are the crossings up to
+    the peak, because the trough search stops before the next crossing.
     """
     if cfg is None:
         cfg = CrashConfig.for_params(traj.params)
@@ -136,9 +138,7 @@ def detect_crashes(traj: Trajectory, cfg: CrashConfig | None = None) -> list[Cra
                     drawdown=drawdown,
                 )
             )
-        i = j
-        while i < len(cross) and cross[i] <= t_trough:
-            i += 1
+        i = j  # cross[j] > t_trough: the trough search stopped before it
     return events
 
 

@@ -7,9 +7,11 @@ Three subcommands, mutually exclusive by construction:
   baseline   simulate with the stock parameters and every output, no overrides
 
 Configuration is resolved in three layers: built-in defaults, then a flat
-JSON config file (--config), then command-line flags; later layers win.  The
-effective configuration is echoed into every JSON summary, so outputs are
-self-describing.
+JSON config file (--config), then command-line flags.  One rule holds for
+every key: a given flag wins over the file, whatever the file holds for it,
+and the file over the default.  An empty --out or --axis counts as not
+given.  The effective configuration is echoed into every JSON summary, so
+outputs are self-describing.
 
 Exit codes: 0 success; 1 for anything wrong with the inputs (bad flag, bad
 config file, parameter constraint violations, a sweep with no valid cell);
@@ -102,17 +104,15 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _resolve_seeds(flag: str | None, filed) -> tuple[int, ...]:
-    if flag is not None:
-        return parse_seed_range(flag)
-    if filed is None:
+def _resolve_seeds(given) -> tuple[int, ...]:
+    if given is None:
         return parse_seed_range(_DEFAULT_SEEDS)
-    if isinstance(filed, str):
-        return parse_seed_range(filed)
-    if isinstance(filed, list) and all(_is_seed(s) for s in filed):
-        return tuple(filed)
+    if isinstance(given, str):
+        return parse_seed_range(given)
+    if isinstance(given, list) and all(_is_seed(s) for s in given):
+        return tuple(given)
     raise ConfigError(
-        f"config seeds must be \"A..B\" or a list of integers in [0, 2**64) (got {filed!r})"
+        f"config seeds must be \"A..B\" or a list of integers in [0, 2**64) (got {given!r})"
     )
 
 
@@ -131,30 +131,25 @@ def _real(name: str, value) -> float:
 def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags into one RunConfig.
 
-    Flags always win over the file; omitted settings take the stock values.
+    One rule for every key: a given flag wins over the file, and the file
+    over the stock value.  An empty --out or --axis counts as not given.
     Parameter constraint violations surface with the violated constraint in
     the message.
     """
     filed = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    flags = {
+        k: v for k, v in vars(args).items()
+        if k in _CONFIG_KEYS and v is not None and not (k in ("out", "axis") and v == "")
+    }
+    given = {**filed, **flags}
 
-    overrides = {}
-    for name in PARAM_FIELDS:
-        flag_val = getattr(args, name, None)
-        if flag_val is not None:
-            overrides[name] = flag_val
-        elif name in filed:
-            overrides[name] = filed[name]
     try:
-        params = ModelParams(**overrides)
+        params = ModelParams(**{k: given[k] for k in PARAM_FIELDS if k in given})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     crash: CrashConfig | None = None
-    det = {k: filed[k] for k in _DETECTOR_KEYS if k in filed}
-    for k in _DETECTOR_KEYS:
-        flag_val = getattr(args, k, None)
-        if flag_val is not None:
-            det[k] = flag_val
+    det = {k: given[k] for k in _DETECTOR_KEYS if k in given}
     if det:
         window = det.get("peak_window")
         if isinstance(window, float) and window.is_integer():
@@ -167,39 +162,32 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    seed_val = args.seed if getattr(args, "seed", None) is not None else filed.get("seed", _DEFAULT_SEED)
+    seed_val = given.get("seed", _DEFAULT_SEED)
     if not isinstance(seed_val, int) or isinstance(seed_val, bool):
         raise ConfigError(f"seed must be an integer (got {seed_val!r})")
 
-    axis = getattr(args, "axis", None) or filed.get("axis")
-    values_flag = getattr(args, "values", None)
-    if values_flag is not None:
-        values: tuple[float, ...] | None = parse_value_list(values_flag)
-    elif "values" in filed:
-        v = filed["values"]
-        if not isinstance(v, list):
-            raise ConfigError(f"config values must be a list of reals (got {v!r})")
-        values = tuple(_real("values entry", x) for x in v)
-    else:
-        values = None
+    values = given.get("values")
+    if "values" in flags:  # the flag's text, parsed here so errors keep their order
+        values = parse_value_list(values)
+    elif values is not None:
+        if not isinstance(values, list):
+            raise ConfigError(f"config values must be a list of reals (got {values!r})")
+        values = tuple(_real("values entry", x) for x in values)
 
-    if not isinstance(filed.get("out", ""), str):
-        raise ConfigError(f"config out must be a path string (got {filed['out']!r})")
-    if not isinstance(filed.get("plot", True), bool):
-        raise ConfigError(f"config plot must be true or false (got {filed['plot']!r})")
-    out_val = getattr(args, "out", None) or filed.get("out") or _DEFAULT_OUT
-    plot_flag = getattr(args, "plot", None)
-    plot = plot_flag if plot_flag is not None else filed.get("plot", True)
+    if not isinstance(given.get("out", ""), str):
+        raise ConfigError(f"config out must be a path string (got {given['out']!r})")
+    if not isinstance(given.get("plot", True), bool):
+        raise ConfigError(f"config plot must be true or false (got {given['plot']!r})")
 
     return RunConfig(
         mode=args.mode,
         params=params,
         seed=seed_val,
-        seeds=_resolve_seeds(getattr(args, "seeds", None), filed.get("seeds")),
+        seeds=_resolve_seeds(given.get("seeds")),
         crash=crash,
-        out=Path(out_val),
-        plot=plot,
-        axis=axis,
+        out=Path(given.get("out") or _DEFAULT_OUT),
+        plot=given.get("plot", True),
+        axis=given.get("axis"),
         values=values,
     )
 

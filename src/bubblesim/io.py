@@ -47,18 +47,6 @@ CSV_HEADER = "t,log_price,momentum,lambda,x,trade,direction,n_trades"
 
 _INT_COLUMNS = frozenset({"t", "trade", "direction", "n_trades"})
 
-# Trajectory attribute behind each CSV column ("lambda" is a Python keyword)
-_COLUMN_ATTRS = {
-    "t": "t",
-    "log_price": "log_price",
-    "momentum": "momentum",
-    "lambda": "lam",
-    "x": "x",
-    "trade": "trade",
-    "direction": "direction",
-    "n_trades": "n_trades",
-}
-
 
 def write_trajectory_csv(traj: Trajectory, path: str | PathLike[str]) -> None:
     """Write one row per period, t ascending, under the fixed header.
@@ -260,10 +248,9 @@ def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def traj_column(traj: Trajectory, name: str) -> np.ndarray:
     """The trajectory column behind a CSV column name."""
-    try:
-        return getattr(traj, _COLUMN_ATTRS[name])
-    except KeyError:
-        raise ValueError(f"unknown trajectory column {name!r}") from None
+    if name not in CSV_HEADER.split(","):
+        raise ValueError(f"unknown trajectory column {name!r}")
+    return getattr(traj, "lam" if name == "lambda" else name)  # lambda is a keyword
 
 
 def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:

@@ -54,23 +54,18 @@ from .params import PARAM_FIELDS, ModelParams, finite_real
 
 STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SummaryStats))
 
-# accepted spellings for CLI-facing axis names
-_AXIS_ALIASES = {"lambda": "Lambda"}
-
 
 def canonical_axis(axis: str) -> str:
-    """Map an axis name to the matching parameter field, case-tolerantly."""
+    """Map an axis name to the matching parameter field, case-tolerantly
+    ("lambda" and "LAMBDA" name Lambda)."""
     if not isinstance(axis, str):
         raise ValueError(f"sweep axis must be a string (got {axis!r})")
-    name = _AXIS_ALIASES.get(axis.lower(), axis)
-    if name in PARAM_FIELDS:
-        return name
-    lowered = {f.lower(): f for f in PARAM_FIELDS}
-    if name.lower() in lowered:
-        return lowered[name.lower()]
-    raise ValueError(
-        f"unknown sweep axis {axis!r}; expected one of {', '.join(PARAM_FIELDS)}"
-    )
+    name = {f.lower(): f for f in PARAM_FIELDS}.get(axis.lower())
+    if name is None:
+        raise ValueError(
+            f"unknown sweep axis {axis!r}; expected one of {', '.join(PARAM_FIELDS)}"
+        )
+    return name
 
 
 def _is_integral(x) -> bool:

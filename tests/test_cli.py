@@ -292,6 +292,47 @@ def test_config_out_and_plot_types_are_checked(tmp_path, monkeypatch, capsys, en
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("data, argv, error", [
+    ([1, 2], (), "config file cfg.json must hold a JSON object"),
+    ({"seed": "x"}, (), "seed must be an integer (got 'x')"),
+    ({"seed": 1.0}, (), "seed must be an integer (got 1.0)"),
+    ({"values": 3}, (), "config values must be a list of reals (got 3)"),
+    ({"values": "0.01,0.02"}, (), "config values must be a list of reals (got '0.01,0.02')"),
+    ({}, ("--values", "0.02,0.01"), "SweepSpec requires strictly increasing values"),
+    # several bad entries: parameters, detector, seed, values, out/plot, seeds
+    ({"T": 1, "seed": "x", "values": 3, "out": 5}, (), "ModelParams requires T >= 2"),
+    ({"b": 5, "plot": 0}, (), "ModelParams requires a < b < c"),
+    ({"threshold": "x", "seed": "x"}, (), "config threshold must be a real number"),
+    ({"seed": "x", "values": 3}, (), "seed must be an integer"),
+    ({"values": 3, "out": 5}, (), "config values must be"),
+    ({"plot": 0, "seeds": 5}, (), "config plot must be"),
+])
+def test_the_first_bad_config_entry_exits_1(tmp_path, monkeypatch, capsys, data, argv, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    assert _run("sweep", "--config", "cfg.json", "--axis", "b", "--seeds", "0..1", *argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("data, argv, key, want", [
+    ({"out": "filed"}, ("--out", ""), "out", Path("filed")),
+    ({"axis": "r"}, ("--axis", ""), "axis", "r"),
+    ({}, ("--out", "", "--axis", ""), "out", Path("out")),
+    ({}, ("--out", "", "--axis", ""), "axis", None),
+    # a flag wins over the file whatever the file holds
+    ({"out": 5}, ("--out", "d"), "out", Path("d")),
+    ({"plot": 0}, ("--no-plot",), "plot", False),
+    ({"values": "0.01,0.02"}, ("--values", "0.1"), "values", (0.1,)),
+    ({"seeds": 5}, ("--seeds", "3..4"), "seeds", (3, 4)),
+])
+def test_precedence_at_the_edges(tmp_path, data, argv, key, want):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    cfg = parse_config(_PARSER.parse_args(["sweep", "--config", str(path), *argv]))
+    assert getattr(cfg, key) == want
+
+
 def test_config_whole_number_peak_window_is_accepted(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"peak_window": 300.0, "threshold": 0, "min_drawdown": 1}))

@@ -34,6 +34,15 @@ def test_header_is_the_fixed_schema():
     assert CSV_HEADER == "t,log_price,momentum,lambda,x,trade,direction,n_trades"
 
 
+def test_traj_column_reads_the_csv_columns_only():
+    traj = simulate(ModelParams(T=3), 0)
+    assert bubblesim.io.traj_column(traj, "lambda") is traj.lam
+    assert bubblesim.io.traj_column(traj, "n_trades") is traj.n_trades
+    for name in ("bogus", "lam", "params"):
+        with pytest.raises(ValueError, match=f"unknown trajectory column '{name}'"):
+            bubblesim.io.traj_column(traj, name)
+
+
 def test_csv_structure(tmp_path):
     traj = simulate(P, 3)
     path = tmp_path / "traj.csv"

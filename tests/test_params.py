@@ -65,6 +65,12 @@ def test_non_finite_reals_are_rejected(bad):
         ModelParams(log_p0=bad)
 
 
+@pytest.mark.parametrize("bad", ["x", None, True])
+def test_non_real_values_are_rejected(bad):
+    with pytest.raises(ValueError, match=rf"requires a real number for d \(got {bad!r}\)"):
+        ModelParams(d=bad)
+
+
 @pytest.mark.parametrize("field", ["r", "Lambda", "log_p0"])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_ints_beyond_the_float_range_are_rejected_as_non_finite(field, sign):

@@ -38,9 +38,9 @@ def test_different_seeds_differ():
     assert a != b
 
 
-def test_buffered_draws_match_the_underlying_generator_exactly():
-    # the stream refills in blocks; blocks must not change the values
-    n = 10_000  # spans multiple internal blocks
+def test_single_draws_match_the_underlying_generator_exactly():
+    # one generator call per draw must give the values of one array call
+    n = 10_000
     rng = RngStream(123)
     ours = np.array([rng.uniform() for _ in range(n)])
     ref = np.random.Generator(np.random.PCG64(123)).random(n)
@@ -79,8 +79,8 @@ def test_take_returns_a_float64_array_of_n_draws():
         assert taken.dtype == np.float64 and taken.shape == (n,)
 
 
-def test_take_equals_repeated_uniform_calls_across_a_block_boundary():
-    n = 4096 + 1000  # crosses the first internal block boundary
+def test_take_equals_repeated_uniform_calls():
+    n = 5096
     taken = RngStream(123).take(n).tolist()
     single = RngStream(123)
     assert taken == [single.uniform() for _ in range(n)]
@@ -89,7 +89,7 @@ def test_take_equals_repeated_uniform_calls_across_a_block_boundary():
 def test_take_after_uniform_calls_continues_the_same_stream():
     mixed = RngStream(42)
     head = [mixed.uniform() for _ in range(4000)]
-    tail = mixed.take(200)  # 96 from the open block, 104 past it
+    tail = mixed.take(200)  # draws 4000..4199
     assert tail.dtype == np.float64
     tail = tail.tolist()
     after = mixed.uniform()

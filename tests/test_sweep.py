@@ -57,6 +57,17 @@ def test_axis_names_are_canonicalized():
     assert spec.axis == "Lambda"
 
 
+@pytest.mark.parametrize("axis, want", [("LOG_P0", "log_p0"), ("x0", "x0"), ("t", "T")])
+def test_any_case_of_a_field_name_is_that_field(axis, want):
+    assert canonical_axis(axis) == want
+
+
+@pytest.mark.parametrize("axis, error", [(3, "must be a string"), ("", "unknown sweep axis ''")])
+def test_a_non_field_axis_is_rejected(axis, error):
+    with pytest.raises(ValueError, match=error):
+        canonical_axis(axis)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(base=SMALL, axis="b", values=(), seeds=(0,))
