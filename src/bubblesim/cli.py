@@ -220,15 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bubblesim",
         description="Simulate momentum-driven bubble/crash market dynamics.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run one trajectory and write CSV/JSON/SVG")
+    p_sim = sub.add_parser("simulate", help="run one trajectory and write CSV/JSON/SVG", allow_abbrev=False)
     p_sim.add_argument("--seed", type=int, default=None, metavar="N", help="RNG seed (default 0)")
     _add_common_flags(p_sim)
     p_sim.set_defaults(mode="simulate")
 
-    p_sweep = sub.add_parser("sweep", help="run a one-parameter matched-seed ensemble")
+    p_sweep = sub.add_parser("sweep", help="run a one-parameter matched-seed ensemble", allow_abbrev=False)
     p_sweep.add_argument("--axis", metavar="NAME", default=None,
                          help="parameter to vary: b, r, lambda (any parameter name works)")
     p_sweep.add_argument("--values", metavar="LIST", default=None,
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_sweep)
     p_sweep.set_defaults(mode="sweep")
 
-    p_base = sub.add_parser("baseline", help="simulate with stock parameters, all outputs")
+    p_base = sub.add_parser("baseline", help="simulate with stock parameters, all outputs", allow_abbrev=False)
     p_base.add_argument("--seed", type=int, default=None, metavar="N", help="RNG seed (default 0)")
     p_base.add_argument("--out", metavar="DIR", default=None, help=f"output directory (default {_DEFAULT_OUT!r})")
     p_base.set_defaults(mode="simulate")

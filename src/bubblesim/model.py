@@ -43,11 +43,18 @@ x_t and the tick count.  Each period it stores M_t and tests the trade draw;
 it tests the direction draw only when a trade fires.  The other columns
 (lambda, x, direction, trade, n_trades, log P) are rebuilt afterwards as
 whole numpy columns, with the loop's IEEE operations in the loop's order, so
-every bit is the same as a period-by-period evaluation.  The direction column
-tests its draws against a vectorised approximation of Phi and decides the
-draws that fall within a guard of it with ``math.erfc`` again, so each outcome
-is the one the scalar form gives.  The step-by-step reference form of the
-update lives with the tests, which check the kernel against it bit for bit.
+every bit is the same as a period-by-period evaluation.
+
+Both Bernoulli(Phi) decisions use one exact bracket table.  A draw's bin
+gives two points of a fixed z grid: at or below the lower one the scalar
+form 0.5*erfc(-z/sqrt 2) is at most the draw, at or above the upper one it
+is above the draw.  Before the loop, each trade draw's bracket becomes
+momentum bounds, fixed up under the loop's own rounding, so the loop
+compares M_t with them and calls ``math.erfc`` only when M_t falls between.
+The direction column compares x with the brackets whole and decides its few
+in-bracket draws with ``math.erfc``.  So each outcome is the one the scalar
+form gives.  The step-by-step reference form of the update lives with the
+tests, which check the kernel against it bit for bit.
 """
 
 from __future__ import annotations
@@ -70,36 +77,75 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-# Abramowitz & Stegun 7.1.26: erfc(w) = t*P(t)*exp(-w*w) + e, t = 1/(1 + p w),
-# for w >= 0, with |e| <= 1.5e-7.  Half of it, Phi's error, is at most
-# 7.5e-8 (7e-8 measured on 20,001 points of x in [-9, 9]), far inside the
-# guard, so any draw farther than the guard from the approximation is decided
-# as the exact scalar form would decide it.
-_AS_P = 0.3275911
-_AS_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
-_TIE_GUARD = 2.0**-20
+# Exact brackets for the Bernoulli(Phi) decisions.  A draw u lies in bin
+# j = floor(u * 1024), clipped to 0..1023, so j/1024 <= u < (j+1)/1024 for
+# u in [0, 1).  _ZLO[j] is the last point of a fixed z grid (step 1/64) whose
+# Phi, from normal_cdf's own expression, times 1 + 2**-40 is at most j/1024;
+# _ZHI[j] is the first whose Phi times 1 - 2**-40 is at least (j+1)/1024.
+# The margin covers erfc's error and the rounding of -s/sqrt 2 (together at
+# most 41 * 2**-52 for |s| <= 9) at the grid point and at s, and Phi rises,
+# so every s <= _ZLO[j] gives 0.5*erfc(-s/sqrt 2) <= u and every s >= _ZHI[j]
+# gives it > u; beyond +-9 the computed Phi is below 1e-18 or exactly 1.0.
+# Phi of the inner edges 1/1024 .. 1023/1024 lies within +-3.1, so a grid on
+# [-4, 4] holds every end.  No Phi is <= 0 or > 1, so bin 0 has no lower end
+# (-inf) and bin 1023 no upper one (+inf), which also decides the draws that
+# the clip puts there (below 0, or 1 and above) as the scalar form does.
+_BINS = 1024
+_MARGIN = 2.0**-40
+
+
+def _bracket_table() -> tuple[np.ndarray, np.ndarray]:
+    z = np.arange(-256, 257) / 64.0
+    phi = 0.5 * np.fromiter(map(math.erfc, (-z / _SQRT2).tolist()), float, len(z))
+    edges = np.arange(_BINS + 1) / _BINS
+    padded = np.concatenate(([-np.inf], z, [np.inf]))
+    # indices into padded: the last point at or below each lower edge, the
+    # first at or above each upper one
+    lo = np.searchsorted(phi * (1.0 + _MARGIN), edges[:-1], side="right")
+    hi = np.searchsorted(phi * (1.0 - _MARGIN), edges[1:], side="left") + 1
+    return padded[lo], padded[hi]
+
+
+_ZLO, _ZHI = _bracket_table()
+
+
+def _bins(u: np.ndarray) -> np.ndarray:
+    return np.clip(u * float(_BINS), 0.0, _BINS - 1.0).astype(np.intp)
 
 
 def _below_normal_cdf(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Elementwise ``u < 0.5 * math.erfc(-x / sqrt 2)`` (the Bernoulli(Phi(x))
     outcome of each draw u) for finite float64 x, bit for bit.
 
-    Phi comes from the vectorised A&S 7.1.26 form; the few draws within the
-    guard of it are decided again with ``math.erfc``.  Overflows in ``w*w``
-    for |x| near 1e308 are harmless (exp(-inf) is 0); callers silence them.
+    x at or beyond a bracket end of its draw's bin decides the draw; the few
+    x inside the bracket are decided with ``math.erfc``.
     """
-    w = -x / _SQRT2
-    aw = np.abs(w)
-    t = 1.0 / (1.0 + _AS_P * aw)
-    poly = _AS_A[0]
-    for coef in _AS_A[1:]:
-        poly = poly * t + coef
-    tail = 0.5 * (poly * t) * np.exp(-(aw * aw))
-    phi = np.where(w < 0.0, 1.0 - tail, tail)
-    below = u < phi
-    for i in np.flatnonzero(np.abs(u - phi) <= _TIE_GUARD).tolist():
-        below[i] = u[i] < 0.5 * math.erfc(w[i])
+    j = _bins(u)
+    below = x >= _ZHI[j]
+    for i in np.flatnonzero(~below & (x > _ZLO[j])).tolist():
+        below[i] = u[i] < 0.5 * math.erfc(-x[i] / _SQRT2)
     return below
+
+
+def _momentum_brackets(u: np.ndarray, Lambda: float, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Momentum bounds (lo, hi) for trade draws u, for k > 0.
+
+    The loop's intensity ``Lambda + k * m``, rounded as the loop rounds it,
+    is at most the draw's ``_ZLO`` for every m <= lo (no trade) and at least
+    its ``_ZHI`` for every m > hi (a trade): the rounded intensity never
+    falls as m rises.  Each bound is the quotient (z - Lambda) / k moved two
+    ulps outwards (hi one ulp, plus one from the loop's strict ``>``), then
+    checked with the loop's own operations; a bound that fails the check is
+    dropped (-inf or +inf), which leaves its draws to ``math.erfc``.  The
+    bounds are worked out once per bin and gathered for the draws.
+    """
+    with np.errstate(over="ignore"):
+        lo = np.nextafter(np.nextafter((_ZLO - Lambda) / k, -np.inf), -np.inf)
+        hi = np.nextafter((_ZHI - Lambda) / k, np.inf)
+        lo[Lambda + k * lo > _ZLO] = -np.inf
+        hi[Lambda + k * np.nextafter(hi, np.inf) < _ZHI] = np.inf
+    j = _bins(u)
+    return lo[j], hi[j]
 
 
 def cubic_increment(params: ModelParams, m: float) -> float:
@@ -147,7 +193,7 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     """
     rng = RngStream(seed)
     u = rng.take(2 * (params.T - 1))
-    u_dir = u[1::2]
+    u_trade, u_dir = u[0::2], u[1::2]
 
     log_p0, d, x0 = params.log_p0, params.d, params.x0
     Lambda, k = params.Lambda, params.k
@@ -158,19 +204,21 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     n = params.T + 1
 
     # Only momentum and x feed back into the path, and x only at a trade.
-    # The loop never raises: a non-finite value makes erfc nan and its test
-    # false, and the check after the loop raises for the first one.
+    # A trade draw is decided by its momentum bounds, and by erfc only when
+    # m lies between them.  The loop never raises: erfc takes nan and +-inf,
+    # and the check after the loop raises for the first non-finite value.
+    lo, hi = _momentum_brackets(u_trade, float(Lambda), float(k))
     momentum = [0.0] * n
     traded_at: list[int] = []
     lp = log_p0
     m = ret = 0.0
     xt = x0
     ticks = 0
-    for t, u_trade in enumerate(u[0::2].tolist(), 2):
+    for t, low in enumerate(lo.tolist(), 2):
         m = decay * (m + ret)
         momentum[t] = m
         xt = xt + h * (m - a) * (m - b) * (m - c)
-        if u_trade < 0.5 * erfc(-(Lambda + k * m) / sqrt2):
+        if m > low and (m > hi[t - 2] or u_trade[t - 2] < 0.5 * erfc(-(Lambda + k * m) / sqrt2)):
             ticks += 1 if float(u_dir[t - 2]) < 0.5 * erfc(-xt / sqrt2) else -1
             new_lp = log_p0 + d * ticks
             ret = new_lp - lp

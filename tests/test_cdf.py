@@ -1,7 +1,8 @@
 """Standard normal CDF against the independent quadrature oracle, and the
-vectorised Bernoulli(Phi(x)) decision against the scalar form."""
+bracketed Bernoulli(Phi) decisions against the scalar form."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bubblesim import normal_cdf
-from bubblesim.model import _TIE_GUARD, _below_normal_cdf
+from bubblesim.model import _ZHI, _ZLO, _below_normal_cdf, _momentum_brackets
 from oracles import normal_cdf_reference, normal_tail
 
 
@@ -104,11 +105,108 @@ def test_direction_draws_are_decided_like_the_scalar_form(cases):
     assert _decide(u, x) == [_scalar_below(ui, xi) for ui, xi in zip(u, x)]
 
 
-def test_the_approximation_decides_draws_just_outside_the_guard():
-    # A&S 7.1.26 is within 7.5e-8 of Phi, so draws half a guard beyond the
-    # guard are decided by the approximation alone, and decided right
-    x = np.linspace(-9.0, 9.0, 20_001).tolist()
-    ties = [0.5 * math.erfc(-xi / math.sqrt(2.0)) for xi in x]
-    for offset in (-1.5 * _TIE_GUARD, 1.5 * _TIE_GUARD):
-        u = [t + offset for t in ties]
-        assert _decide(u, x) == [_scalar_below(ui, xi) for ui, xi in zip(u, x)]
+def _phi(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+# draws at every bin edge j/1024 and next to it
+_EDGE_U = sorted({v for j in range(1025)
+                  for v in (j / 1024, math.nextafter(j / 1024, -1.0), math.nextafter(j / 1024, 2.0))})
+
+
+def test_the_bracket_table_holds_on_every_bin():
+    margin = 2.0**-40
+    grid = np.arange(-576, 577) / 64.0
+    phis = [_phi(z) for z in grid.tolist()]
+    assert all(p <= q for p, q in zip(phis, phis[1:]))  # Phi rises on the grid
+    assert len(_ZLO) == len(_ZHI) == 1024
+    assert _ZLO[0] == -math.inf and _ZHI[1023] == math.inf
+    for j, (zlo, zhi) in enumerate(zip(_ZLO.tolist(), _ZHI.tolist())):
+        assert zlo < zhi
+        if j > 0:
+            assert zlo in grid
+            assert _phi(zlo) * (1.0 + margin) <= j / 1024
+            assert _phi(zlo + 1 / 64) * (1.0 + margin) > j / 1024  # the last such point
+        if j < 1023:
+            assert zhi in grid
+            assert _phi(zhi) * (1.0 - margin) >= (j + 1) / 1024
+            assert _phi(zhi - 1 / 64) * (1.0 - margin) < (j + 1) / 1024  # the first
+
+
+def test_draws_at_every_bin_edge_are_decided_like_the_scalar_form():
+    ends = np.concatenate((_ZLO[1:], _ZHI[:-1]))
+    x = np.unique(np.concatenate((
+        np.linspace(-9.5, 9.5, 1901), ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+    )))
+    phis = np.array([_phi(xi) for xi in x.tolist()])
+    for ui in _EDGE_U:
+        u = np.full(len(x), ui)
+        assert np.array_equal(_below_normal_cdf(u, x), ui < phis), ui
+
+
+def _loop_trades(m: float, low: float, high: float, u: float, Lambda: float, k: float) -> bool:
+    """The trade test of simulate's loop, with its bounds for the draw u."""
+    return m > low and (m > high or u < 0.5 * math.erfc(-(Lambda + k * m) / math.sqrt(2.0)))
+
+
+def _scalar_trades(m: float, u: float, Lambda: float, k: float) -> bool:
+    return u < 0.5 * math.erfc(-(Lambda + k * m) / math.sqrt(2.0))
+
+
+_MAX = sys.float_info.max
+
+
+def _scalar_flip(u: float, Lambda: float, k: float) -> float:
+    """The largest m (bisected over the doubles) at which the scalar form
+    still gives no trade, between the smallest and largest finite m."""
+    def key(v):  # doubles in order as integers
+        i = int(np.float64(v).view(np.int64))
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+    def value(i):
+        return float(np.int64(i if i >= 0 else (-i) | -0x8000000000000000).view(np.float64))
+
+    below, above = key(-_MAX), key(_MAX)
+    if _scalar_trades(value(below), u, Lambda, k) or not _scalar_trades(value(above), u, Lambda, k):
+        return value(below)
+    while above - below > 1:
+        mid = (below + above) // 2
+        if _scalar_trades(value(mid), u, Lambda, k):
+            above = mid
+        else:
+            below = mid
+    return value(below)
+
+
+_EXTREME_LAMBDA = [0.0, -2.0, math.nextafter(-2.0, 0.0), 1e6, -1e6, 1e300, -1e300, _MAX, -_MAX]
+_EXTREME_K = [1e-300, 1e300, 5e-324, _MAX, 10.0, 1.0]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    Lambda=st.one_of(st.sampled_from(_EXTREME_LAMBDA), st.floats(-10.0, 10.0),
+                     st.floats(-1e300, 1e300)),
+    k=st.one_of(st.sampled_from(_EXTREME_K), st.floats(1e-3, 1e3), st.floats(1e-300, 1e300)),
+    u=st.one_of(st.sampled_from(_EDGE_U[1:-2]), st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+)
+@example(Lambda=1e300, k=1e-300, u=0.5)
+@example(Lambda=-1e300, k=1e-300, u=0.5)
+@example(Lambda=-2.0, k=10.0, u=0.0)
+@example(Lambda=-2.0, k=10.0, u=math.nextafter(1.0, 0.0))
+def test_momentum_bounds_decide_trades_like_the_scalar_form(Lambda, k, u):
+    lo, hi = (float(v[0]) for v in _momentum_brackets(np.array([u]), Lambda, k))
+    flip = _scalar_flip(u, Lambda, k)
+    ms = [-math.inf, math.inf, 0.0, -0.0]
+    for m in (lo, hi, flip):
+        ms += [m, math.nextafter(m, -math.inf), math.nextafter(m, math.inf)]
+    for m in ms:
+        assert _loop_trades(m, lo, hi, u, Lambda, k) == _scalar_trades(m, u, Lambda, k), (m, lo, hi)
+
+
+@pytest.mark.parametrize("Lambda, k", [(-2.0, 10.0), (0.0, 1.0), (1e6, 1e-3), (-1e300, 1e300), (3.0, 1e-300)])
+def test_momentum_bounds_are_finite_wherever_the_table_is(Lambda, k):
+    # erfc decides a draw only between its bounds, so a bound dropped to
+    # -inf or +inf where the quotient is finite sends its bin to erfc
+    lo, hi = _momentum_brackets((np.arange(1024) + 0.5) / 1024, Lambda, k)
+    assert np.isfinite(lo[1:]).all() and np.isfinite(hi[:-1]).all()
+    assert lo[0] == -math.inf and hi[-1] == math.inf

@@ -87,6 +87,18 @@ def test_unknown_flag_exits_1(capsys):
     assert _run("simulate", "--bogus", "1") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "b", "--values", "0.01", "--seed", "3"],  # not --seeds
+    ["simulate", "--th", "0.1"],  # not --threshold
+    ["sweep", "--axis", "b", "--val", "1"],  # not --values
+])
+def test_abbreviated_flags_exit_1_and_write_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert _run(*argv, "--T", "50", "--out", str(out)) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_0(capsys):
     assert _run("--help") == 0
     assert _run("simulate", "--help") == 0

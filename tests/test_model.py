@@ -322,6 +322,18 @@ _OVERFLOW = dict(d=1e308, r=700.0, Lambda=30.0, h=1e-12, x0=1000.0,
 # the trades overflow log P at t=3 (T=3 ends there) and M at t=4
 @example(**{**_BASE, **_OVERFLOW, "T": 3})
 @example(**{**_BASE, **_OVERFLOW, "T": 6})
+# intensities far beyond the bracket grid, and momentum bounds that overflow
+# or vanish: (z - Lambda) / k at extreme Lambda and k
+@example(**{**_BASE, "T": 400, "Lambda": 1e6})
+@example(**{**_BASE, "T": 400, "Lambda": -1e6})
+@example(**{**_BASE, "T": 400, "Lambda": 1e300})
+@example(**{**_BASE, "T": 400, "Lambda": -1e300})
+@example(**{**_BASE, "T": 400, "k": 1e-300})
+@example(**{**_BASE, "T": 400, "k": 1e300})
+@example(**{**_BASE, "T": 400, "Lambda": 1e300, "k": 1e-300})
+@example(**{**_BASE, "T": 400, "Lambda": -1e300, "k": 1e-300})
+@example(**{**_BASE, "T": 400, "Lambda": -1e6, "k": 1e300})
+@example(**{**_BASE, "T": 400, "Lambda": math.nextafter(-2.0, 0.0)})
 def test_simulate_equals_the_stepwise_oracle_property(T, seed, d, r, Lambda, k, h, roots, log_p0, x0):
     a, b, c = sorted(roots)
     params = ModelParams(T=T, d=d, r=r, Lambda=Lambda, k=k, h=h, a=a, b=b, c=c,
