@@ -121,9 +121,7 @@ def detect_crashes(traj: Trajectory, cfg: CrashConfig | None = None) -> list[Cra
         t_c = int(cross[i])
         peak_end = min(t_c + cfg.peak_window, n - 1)
         t_peak = t_c + int(np.argmax(lp[t_c : peak_end + 1]))
-        j = i + 1
-        while j < len(cross) and cross[j] <= t_peak:
-            j += 1
+        j = int(np.searchsorted(cross, t_peak, side="right"))  # > i: cross[i] <= t_peak
         t_end = int(cross[j]) if j < len(cross) else n
         t_trough = t_peak + int(np.argmin(lp[t_peak:t_end]))
         drawdown = float(lp[t_peak] - lp[t_trough])

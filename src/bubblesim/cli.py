@@ -258,7 +258,7 @@ def _run_simulate(cfg: RunConfig) -> None:
     traj = simulate(cfg.params, cfg.seed)
     crash = cfg.crash if cfg.crash is not None else CrashConfig.for_params(cfg.params)
     stats = summarize(traj, crash)
-    svg = _trajectory_svg(traj) if cfg.plot else None  # a plot that fails writes nothing
+    svg = _trajectory_svg(traj, crash.threshold) if cfg.plot else None  # a plot that fails writes nothing
     _ensure_out(cfg)
     csv_path = cfg.out / "trajectory.csv"
     json_path = cfg.out / "summary.json"

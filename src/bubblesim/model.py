@@ -45,16 +45,15 @@ it tests the direction draw only when a trade fires.  The other columns
 whole numpy columns, with the loop's IEEE operations in the loop's order, so
 every bit is the same as a period-by-period evaluation.
 
-Both Bernoulli(Phi) decisions use one exact bracket table.  A draw's bin
-gives two points of a fixed z grid: at or below the lower one the scalar
-form 0.5*erfc(-z/sqrt 2) is at most the draw, at or above the upper one it
-is above the draw.  Before the loop, each trade draw's bracket becomes
-momentum bounds, fixed up under the loop's own rounding, so the loop
-compares M_t with them and calls ``math.erfc`` only when M_t falls between.
-The direction column compares x with the brackets whole and decides its few
-in-bracket draws with ``math.erfc``.  So each outcome is the one the scalar
-form gives.  The step-by-step reference form of the update lives with the
-tests, which check the kernel against it bit for bit.
+Both Bernoulli(Phi) decisions use one exact bracket table and one rule.  A
+draw's bin gives two points of a fixed z grid: at or below the lower one the
+scalar form 0.5*erfc(-z/sqrt 2) is at most the draw, at or above the upper
+one it is above the draw, and only in between is ``math.erfc`` called.  The
+loop first tests M_t against a per-bin floor that stands for the lower point
+under its own rounding, then the intensity against the upper point.  So each
+outcome is the one the scalar form gives.  The step-by-step reference form
+of the update lives with the tests, which check the kernel against it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ _MARGIN = 2.0**-40
 
 def _bracket_table() -> tuple[np.ndarray, np.ndarray]:
     z = np.arange(-256, 257) / 64.0
-    phi = 0.5 * np.fromiter(map(math.erfc, (-z / _SQRT2).tolist()), float, len(z))
+    phi = np.fromiter(map(normal_cdf, z.tolist()), float, len(z))
     edges = np.arange(_BINS + 1) / _BINS
     padded = np.concatenate(([-np.inf], z, [np.inf]))
     # indices into padded: the last point at or below each lower edge, the
@@ -118,34 +117,29 @@ def _below_normal_cdf(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     outcome of each draw u) for finite float64 x, bit for bit.
 
     x at or beyond a bracket end of its draw's bin decides the draw; the few
-    x inside the bracket are decided with ``math.erfc``.
+    x inside the bracket are decided with ``normal_cdf``.
     """
     j = _bins(u)
     below = x >= _ZHI[j]
     for i in np.flatnonzero(~below & (x > _ZLO[j])).tolist():
-        below[i] = u[i] < 0.5 * math.erfc(-x[i] / _SQRT2)
+        below[i] = u[i] < normal_cdf(x[i])
     return below
 
 
-def _momentum_brackets(u: np.ndarray, Lambda: float, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum bounds (lo, hi) for trade draws u, for k > 0.
+def _momentum_floor(Lambda: float, k: float) -> np.ndarray:
+    """Per-bin momentum floors for k > 0.
 
     The loop's intensity ``Lambda + k * m``, rounded as the loop rounds it,
-    is at most the draw's ``_ZLO`` for every m <= lo (no trade) and at least
-    its ``_ZHI`` for every m > hi (a trade): the rounded intensity never
-    falls as m rises.  Each bound is the quotient (z - Lambda) / k moved two
-    ulps outwards (hi one ulp, plus one from the loop's strict ``>``), then
-    checked with the loop's own operations; a bound that fails the check is
-    dropped (-inf or +inf), which leaves its draws to ``math.erfc``.  The
-    bounds are worked out once per bin and gathered for the draws.
+    never falls as m rises, and it is at most the bin's ``_ZLO`` for every
+    m <= the bin's floor, so a draw in that bin gives no trade there.  Each
+    floor is the quotient (_ZLO - Lambda) / k moved two ulps down, then
+    checked with the loop's own operations; a floor that fails the check is
+    dropped to -inf, which leaves its draws to the ``_ZHI`` test and erfc.
     """
     with np.errstate(over="ignore"):
         lo = np.nextafter(np.nextafter((_ZLO - Lambda) / k, -np.inf), -np.inf)
-        hi = np.nextafter((_ZHI - Lambda) / k, np.inf)
         lo[Lambda + k * lo > _ZLO] = -np.inf
-        hi[Lambda + k * np.nextafter(hi, np.inf) < _ZHI] = np.inf
-    j = _bins(u)
-    return lo[j], hi[j]
+    return lo
 
 
 def cubic_increment(params: ModelParams, m: float) -> float:
@@ -204,21 +198,24 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     n = params.T + 1
 
     # Only momentum and x feed back into the path, and x only at a trade.
-    # A trade draw is decided by its momentum bounds, and by erfc only when
-    # m lies between them.  The loop never raises: erfc takes nan and +-inf,
-    # and the check after the loop raises for the first non-finite value.
-    lo, hi = _momentum_brackets(u_trade, float(Lambda), float(k))
+    # A trade draw is decided by its bin's floor and _ZHI, and by erfc only
+    # in between.  Phi is written inline, not via normal_cdf, as the loop
+    # must never raise: erfc takes nan and +-inf, and the check after the
+    # loop raises for the first non-finite value, intensity first.
+    j = _bins(u_trade)
+    floor = _momentum_floor(float(Lambda), float(k))[j]
+    zhi = _ZHI[j]
     momentum = [0.0] * n
     traded_at: list[int] = []
     lp = log_p0
     m = ret = 0.0
     xt = x0
     ticks = 0
-    for t, low in enumerate(lo.tolist(), 2):
+    for t, low in enumerate(floor.tolist(), 2):
         m = decay * (m + ret)
         momentum[t] = m
         xt = xt + h * (m - a) * (m - b) * (m - c)
-        if m > low and (m > hi[t - 2] or u_trade[t - 2] < 0.5 * erfc(-(Lambda + k * m) / sqrt2)):
+        if m > low and ((z := Lambda + k * m) >= zhi[t - 2] or u_trade[t - 2] < 0.5 * erfc(-z / sqrt2)):
             ticks += 1 if float(u_dir[t - 2]) < 0.5 * erfc(-xt / sqrt2) else -1
             new_lp = log_p0 + d * ticks
             ret = new_lp - lp
@@ -248,7 +245,7 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
 
     return Trajectory(
         params=params,
-        seed=seed,
+        seed=rng.seed,
         t=np.arange(n, dtype=np.int64),
         log_price=log_price,
         momentum=mom,

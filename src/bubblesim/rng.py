@@ -14,6 +14,8 @@ path-independent number of draws.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -23,13 +25,17 @@ class RngStream:
     __slots__ = ("seed", "n_draws", "_gen")
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        try:  # any integer type, numpy's too, but not bool; kept as an int
+            index = operator.index(seed)
+        except TypeError:
+            index = None
+        if index is None or isinstance(seed, bool):
             raise ValueError(f"seed must be an integer (got {seed!r})")
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits (got {seed})")
-        self.seed = seed
+        if not 0 <= index < 2**64:
+            raise ValueError(f"seed must fit in 64 unsigned bits (got {index})")
+        self.seed = index
         self.n_draws = 0
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+        self._gen = np.random.Generator(np.random.PCG64(index))
 
     def uniform(self) -> float:
         """Next uniform draw in [0, 1); advances the stream by exactly one."""

@@ -154,16 +154,17 @@ def _document(height: float, body: list[str]) -> str:
 
 
 def plot_trajectory(traj: Trajectory, path: str | PathLike[str]) -> None:
-    """Four stacked panels over a shared time axis, threshold line in panel 2."""
-    _write_text(path, _trajectory_svg(traj))
+    """Four stacked panels over a shared time axis, with the default
+    detector's crossing threshold (the parameter b) dashed in panel 2."""
+    _write_text(path, _trajectory_svg(traj, traj.params.b))
 
 
-def _trajectory_svg(traj: Trajectory) -> str:
-    """The document plot_trajectory writes; raises ValueError before any
-    write when a series has no finite range to scale."""
+def _trajectory_svg(traj: Trajectory, threshold: float) -> str:
+    """The trajectory document with the given crossing threshold; raises
+    ValueError before any write when a series has no finite range to scale."""
     panels = [
         ("log_price", "log price", traj.log_price, None),
-        ("momentum", "momentum (dashed: crossing threshold)", traj.momentum, traj.params.b),
+        ("momentum", "momentum (dashed: crossing threshold)", traj.momentum, threshold),
         ("intensity", "trade intensity", traj.lam, None),
         ("direction", "direction pressure", traj.x, None),
     ]

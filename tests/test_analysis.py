@@ -81,6 +81,16 @@ def test_starting_above_the_threshold_is_not_a_crossing():
     assert len(up_crossings(m, 0.02)) == 0
 
 
+@pytest.mark.parametrize("momentum", [np.zeros((3, 4)), np.zeros(0), np.array([0.5])])
+def test_up_crossings_guards(momentum):
+    if momentum.ndim != 1:
+        with pytest.raises(ValueError, match="1-d array"):
+            up_crossings(momentum, 0.02)
+    else:
+        hits = up_crossings(momentum, 0.02)
+        assert hits.dtype == np.int64 and hits.shape == (0,)
+
+
 # ---------------------------------------------------------------- detection
 
 

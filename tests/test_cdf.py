@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bubblesim import normal_cdf
-from bubblesim.model import _ZHI, _ZLO, _below_normal_cdf, _momentum_brackets
+from bubblesim import ModelParams, RngStream, normal_cdf, simulate
+from bubblesim.model import _ZHI, _ZLO, _below_normal_cdf, _bins, _momentum_floor
 from oracles import normal_cdf_reference, normal_tail
 
 
@@ -144,9 +144,9 @@ def test_draws_at_every_bin_edge_are_decided_like_the_scalar_form():
         assert np.array_equal(_below_normal_cdf(u, x), ui < phis), ui
 
 
-def _loop_trades(m: float, low: float, high: float, u: float, Lambda: float, k: float) -> bool:
-    """The trade test of simulate's loop, with its bounds for the draw u."""
-    return m > low and (m > high or u < 0.5 * math.erfc(-(Lambda + k * m) / math.sqrt(2.0)))
+def _loop_trades(m: float, low: float, zhi: float, u: float, Lambda: float, k: float) -> bool:
+    """The trade test of simulate's loop, with the floor and _ZHI of u's bin."""
+    return m > low and ((z := Lambda + k * m) >= zhi or u < 0.5 * math.erfc(-z / math.sqrt(2.0)))
 
 
 def _scalar_trades(m: float, u: float, Lambda: float, k: float) -> bool:
@@ -194,19 +194,60 @@ _EXTREME_K = [1e-300, 1e300, 5e-324, _MAX, 10.0, 1.0]
 @example(Lambda=-2.0, k=10.0, u=0.0)
 @example(Lambda=-2.0, k=10.0, u=math.nextafter(1.0, 0.0))
 def test_momentum_bounds_decide_trades_like_the_scalar_form(Lambda, k, u):
-    lo, hi = (float(v[0]) for v in _momentum_brackets(np.array([u]), Lambda, k))
+    j = int(_bins(np.array([u]))[0])
+    low, zhi = float(_momentum_floor(Lambda, k)[j]), float(_ZHI[j])
+    with np.errstate(over="ignore"):  # the m at which the intensity reaches zhi
+        reach = float(np.float64(zhi - Lambda) / k)
     flip = _scalar_flip(u, Lambda, k)
     ms = [-math.inf, math.inf, 0.0, -0.0]
-    for m in (lo, hi, flip):
+    for m in (low, reach, flip):
         ms += [m, math.nextafter(m, -math.inf), math.nextafter(m, math.inf)]
     for m in ms:
-        assert _loop_trades(m, lo, hi, u, Lambda, k) == _scalar_trades(m, u, Lambda, k), (m, lo, hi)
+        assert _loop_trades(m, low, zhi, u, Lambda, k) == _scalar_trades(m, u, Lambda, k), (m, low, zhi)
 
 
-@pytest.mark.parametrize("Lambda, k", [(-2.0, 10.0), (0.0, 1.0), (1e6, 1e-3), (-1e300, 1e300), (3.0, 1e-300)])
+@pytest.mark.parametrize("Lambda, k", [(-2.0, 10.0), (math.nextafter(-2.0, 0.0), 10.0), (0.0, 1.0),
+                                       (1e6, 1e-3), (-1e300, 1e300), (3.0, 1e-300)])
 def test_momentum_bounds_are_finite_wherever_the_table_is(Lambda, k):
-    # erfc decides a draw only between its bounds, so a bound dropped to
-    # -inf or +inf where the quotient is finite sends its bin to erfc
-    lo, hi = _momentum_brackets((np.arange(1024) + 0.5) / 1024, Lambda, k)
-    assert np.isfinite(lo[1:]).all() and np.isfinite(hi[:-1]).all()
-    assert lo[0] == -math.inf and hi[-1] == math.inf
+    # a floor dropped to -inf where the quotient is finite sends every draw
+    # of its bin past the cheap reject; each floor holds under the loop's
+    # own rounding
+    floor = _momentum_floor(Lambda, k)
+    assert np.isfinite(floor[1:]).all() and floor[0] == -math.inf
+    assert all(Lambda + k * m <= z for m, z in zip(floor[1:].tolist(), _ZLO[1:].tolist()))
+
+
+def _counting_erfc(monkeypatch) -> list[float]:
+    calls: list[float] = []
+    erfc = math.erfc
+
+    def spy(v):
+        calls.append(v)
+        return erfc(v)
+
+    monkeypatch.setattr(math, "erfc", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_erfc_decides_only_the_draws_inside_their_bracket(monkeypatch, seed):
+    params = ModelParams(T=3000)
+    u = RngStream(seed).take(2 * (params.T - 1))
+    calls = _counting_erfc(monkeypatch)
+    traj = simulate(params, seed)
+    j_trade, j_dir = _bins(u[0::2]), _bins(u[1::2])
+    m, lam, x = traj.momentum[2:], traj.lam[2:], traj.x[2:]
+    trade_draws = (m > _momentum_floor(params.Lambda, params.k)[j_trade]) & (lam < _ZHI[j_trade])
+    direction_draws = (x > _ZLO[j_dir]) & (x < _ZHI[j_dir])
+    assert len(calls) == trade_draws.sum() + traj.n_trades[-1] + direction_draws.sum()
+    assert trade_draws.sum() < 0.1 * (params.T - 1)  # the floor rejects most periods
+
+
+def test_an_intensity_at_its_upper_bracket_end_trades_without_erfc(monkeypatch):
+    for seed in range(5):
+        j = int(_bins(RngStream(seed).take(1))[0])
+        Lambda = float(_ZHI[j])  # the first period's intensity, as M_2 = 0
+        calls = _counting_erfc(monkeypatch)
+        traj = simulate(ModelParams(T=2, Lambda=Lambda), seed)
+        assert traj.lam[2] == Lambda and traj.trade[2] == 1
+        assert -Lambda / math.sqrt(2.0) not in calls

@@ -259,6 +259,14 @@ def test_detector_overrides_reach_the_summary(tmp_path):
     assert det["threshold"] == 0.02  # unset pieces keep their defaults
 
 
+def test_the_plot_draws_the_detector_threshold_of_the_run(tmp_path):
+    out = tmp_path / "run"
+    assert _run("simulate", "--T", "300", "--threshold", "0.05", "--out", str(out)) == 0
+    threshold = json.loads((out / "summary.json").read_text())["config"]["detector"]["threshold"]
+    assert threshold == 0.05
+    assert f'data-level="{threshold!r}"' in (out / "trajectory.svg").read_text()
+
+
 def test_a_given_min_drawdown_replaces_a_default_that_would_fail(tmp_path, capsys):
     # 5*d overflows to inf, so the default floor fails; a given floor is used
     # without computing or checking the default

@@ -26,6 +26,13 @@ def test_first_ten_uniforms_for_seed_42_are_pinned():
     assert tuple(rng.uniform() for _ in range(10)) == SEED42_FIRST_TEN
 
 
+@pytest.mark.parametrize("seed", [np.int64(42), np.uint64(42)])
+def test_numpy_integer_seeds_give_the_same_stream(seed):
+    rng = RngStream(seed)
+    assert type(rng.seed) is int and rng.seed == 42
+    assert tuple(rng.uniform() for _ in range(10)) == SEED42_FIRST_TEN
+
+
 def test_same_seed_same_stream():
     a = RngStream(7)
     b = RngStream(7)

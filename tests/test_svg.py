@@ -134,7 +134,7 @@ def test_every_trajectory_panel_equals_the_oracle(monkeypatch):
 
     monkeypatch.setattr(svgplot, "_points", checked_points)
     for seed in range(10):
-        svgplot._trajectory_svg(simulate(ModelParams(), seed))
+        svgplot._trajectory_svg(simulate(ModelParams(), seed), ModelParams().b)
     assert checked == [True] * 40
 
 
