@@ -21,6 +21,10 @@ polyline points scaled and formatted one point at a time.  The columnar
 writers must produce the same text, character for character.  The CSV
 reader's oracle parses the whole file as one string; the block reader must
 return the same arrays and raise the same errors.
+
+The sweep aggregation oracle reduces one value's seeds at a time with 1-D
+``np.median``/``np.percentile`` calls; the batched reduction over the whole
+grid must give the same bits.
 """
 
 from __future__ import annotations
@@ -36,8 +40,11 @@ import numpy as np
 from bubblesim import (
     CSV_HEADER,
     ModelParams,
+    STAT_FIELDS,
     RngStream,
+    SweepCell,
     Trajectory,
+    ValueSummary,
     cubic_increment,
     normal_cdf,
 )
@@ -258,3 +265,31 @@ def polyline_points(xs, ys, sx, sy) -> str:
     """SVG polyline points, one point at a time: each coordinate scaled as a
     Python float and formatted with two decimals."""
     return " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys))
+
+
+def value_summary(value: float, cells: Sequence[SweepCell]) -> ValueSummary:
+    """The median and IQR of every field over one value's cells, one field
+    at a time, over the stats present for it."""
+    median: dict[str, float | None] = {}
+    iqr: dict[str, float | None] = {}
+    for name in STAT_FIELDS:
+        vals = [
+            getattr(c.stats, name)
+            for c in cells
+            if c.stats is not None and getattr(c.stats, name) is not None
+        ]
+        if vals:
+            arr = np.asarray(vals, dtype=float)
+            with np.errstate(invalid="ignore"):  # inf stats: the IQR is nan by design
+                median[name] = float(np.median(arr))
+                iqr[name] = float(np.percentile(arr, 75) - np.percentile(arr, 25))
+        else:
+            median[name] = None
+            iqr[name] = None
+    return ValueSummary(
+        value=value,
+        n_seeds=len(cells),
+        n_failed=sum(1 for c in cells if c.error is not None),
+        median=median,
+        iqr=iqr,
+    )

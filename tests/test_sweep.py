@@ -1,6 +1,7 @@
 """Sweep grids: ordering, determinism, error isolation, aggregation, and
 the worker pool kept between parallel sweeps."""
 
+import math
 import multiprocessing
 import os
 import signal
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bubblesim
 
@@ -28,6 +31,7 @@ from bubblesim import (
     summarize,
 )
 from bubblesim.sweep import _aggregate
+from oracles import value_summary
 
 SMALL = ModelParams(T=400)
 
@@ -142,13 +146,25 @@ def test_matched_seeds_give_paired_cells():
     assert [c.seed for c in result.cells[:2]] == [c.seed for c in result.cells[2:]]
 
 
-def test_serial_and_parallel_agree_exactly():
-    spec = SweepSpec(base=ModelParams(T=800), axis="b", values=(0.01, 0.02), seeds=tuple(range(6)))
+@pytest.mark.parametrize(
+    "values, seeds, n_jobs",
+    [
+        ((0.01, 0.02), tuple(range(6)), 2),
+        ((0.01,), tuple(range(7)), 3),  # chunks of 3, 3 and 1 cells
+        ((0.02,), (5,), 2),  # one chunk, one idle worker
+        ((0.01, 0.02, 1.5), (0, 1, 2), 2),  # 1.5 lands above c: its cells fail
+    ],
+    ids=["12-cells-2-jobs", "7-cells-3-jobs", "1-cell-2-jobs", "failed-cells-2-jobs"],
+)
+def test_serial_and_parallel_agree_exactly(values, seeds, n_jobs):
+    spec = SweepSpec(base=ModelParams(T=800), axis="b", values=values, seeds=seeds)
     serial = run_sweep(spec, n_jobs=1)
-    parallel = run_sweep(spec, n_jobs=2)
+    parallel = run_sweep(spec, n_jobs=n_jobs)
     assert serial.cells == parallel.cells
     assert serial.summaries == parallel.summaries
-    assert [p.tobytes() for p in serial.paths] == [p.tobytes() for p in parallel.paths]
+    assert [None if p is None else p.tobytes() for p in serial.paths] == [
+        None if p is None else p.tobytes() for p in parallel.paths
+    ]
 
 
 def test_each_value_keeps_the_log_price_path_of_its_first_seed():
@@ -207,7 +223,7 @@ def test_default_detector_follows_the_swept_parameter():
 def test_median_of_three_seeds_yielding_1_2_3_is_2():
     cells = [SweepCell(value=0.5, seed=s, stats=_stats(float(v)), error=None)
              for s, v in enumerate((1, 2, 3))]
-    agg = _aggregate(0.5, cells)
+    (agg,) = _aggregate((0.5,), cells)
     assert agg.median["peak_log_price"] == 2.0
     assert agg.iqr["peak_log_price"] == 1.0
     assert agg.n_seeds == 3
@@ -220,10 +236,65 @@ def test_absent_intervals_aggregate_over_the_seeds_that_have_them():
         SweepCell(value=0.5, seed=1, stats=_stats(1.0, crashes=0, interval=None), error=None),
         SweepCell(value=0.5, seed=2, stats=_stats(1.0, crashes=2, interval=20.0), error=None),
     ]
-    agg = _aggregate(0.5, cells)
+    (agg,) = _aggregate((0.5,), cells)
     assert agg.median["mean_inter_crash_interval"] == 15.0
     none_cells = [SweepCell(value=0.5, seed=0, stats=_stats(1.0), error=None)]
-    assert _aggregate(0.5, none_cells).median["mean_inter_crash_interval"] is None
+    assert _aggregate((0.5,), none_cells)[0].median["mean_inter_crash_interval"] is None
+
+
+_EDGE_STATS = st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf, math.nan])
+_STAT_FLOATS = _EDGE_STATS | st.floats()
+_CELL_STATS = st.builds(
+    SummaryStats,
+    peak_log_price=_STAT_FLOATS,
+    total_trades=st.integers(0, 2**62),
+    n_crashes=st.integers(0, 3),
+    mean_inter_crash_interval=st.none() | _STAT_FLOATS,
+    max_momentum=_STAT_FLOATS,
+    time_above_threshold=st.integers(0, 5000),
+)
+
+
+@st.composite
+def _grids(draw):
+    """(values, cells) of a 1-4 value by 1-8 seed grid; a None stats is a failed cell."""
+    values = tuple(float(v) for v in range(draw(st.integers(1, 4))))
+    n_seeds = draw(st.integers(1, 8))
+    cells = [
+        SweepCell(value=v, seed=s, stats=stats, error=None if stats else "ValueError: bad cell")
+        for v in values
+        for s, stats in enumerate(
+            draw(st.lists(_CELL_STATS | st.none(), min_size=n_seeds, max_size=n_seeds))
+        )
+    ]
+    return values, cells
+
+
+def _summary_bits(summary) -> tuple:
+    """A ValueSummary with each float as its type and float64 bits, any NaN as one key."""
+
+    def bits(x):
+        return None if x is None else (type(x), "nan" if math.isnan(x) else x.hex())
+
+    return (
+        summary.value,
+        summary.n_seeds,
+        summary.n_failed,
+        [(name, bits(x)) for name, x in summary.median.items()],
+        [(name, bits(x)) for name, x in summary.iqr.items()],
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_grids())
+def test_grid_aggregation_equals_the_per_value_oracle_bit_for_bit(grid):
+    values, cells = grid
+    n_seeds = len(cells) // len(values)
+    want = [
+        value_summary(value, cells[i * n_seeds : (i + 1) * n_seeds])
+        for i, value in enumerate(values)
+    ]
+    assert [_summary_bits(s) for s in _aggregate(values, cells)] == [_summary_bits(s) for s in want]
 
 
 def test_compare_medians_rejects_unknown_fields():
