@@ -20,7 +20,7 @@ from .analysis import (
     up_crossings,
 )
 from .io import (
-    ARTIFACT_VERSION,
+    ARTIFACT_VERSION as __version__,
     CSV_HEADER,
     read_trajectory_csv,
     summary_payload,
@@ -28,47 +28,33 @@ from .io import (
     write_summary_json,
     write_trajectory_csv,
 )
-from .model import (
-    Trajectory,
-    cubic_increment,
-    normal_cdf,
-    simulate,
-)
-from .params import BASELINE, PARAM_FIELDS, ModelParams
+from .model import Trajectory, normal_cdf, simulate
+from .params import PARAM_FIELDS, ModelParams
 from .rng import RngStream
 from .svgplot import plot_sweep, plot_trajectory
 from .sweep import (
-    STAT_FIELDS,
     SweepCell,
     SweepResult,
     SweepSpec,
     ValueSummary,
-    canonical_axis,
     compare_medians,
     run_sweep,
 )
 
-__version__ = ARTIFACT_VERSION
-
 __all__ = [
-    "ARTIFACT_VERSION",
-    "BASELINE",
     "CSV_HEADER",
     "CrashConfig",
     "CrashEvent",
     "ModelParams",
     "PARAM_FIELDS",
     "RngStream",
-    "STAT_FIELDS",
     "SummaryStats",
     "SweepCell",
     "SweepResult",
     "SweepSpec",
     "Trajectory",
     "ValueSummary",
-    "canonical_axis",
     "compare_medians",
-    "cubic_increment",
     "detect_crashes",
     "normal_cdf",
     "plot_sweep",

@@ -13,9 +13,12 @@ and the file over the default.  An empty --out or --axis counts as not
 given.  The effective configuration is echoed into every JSON summary, so
 outputs are self-describing.
 
+--seeds A..B is an inclusive range and needs 0 <= A <= B < 2**64.
+
 Exit codes: 0 success; 1 for anything wrong with the inputs (bad flag, bad
 config file, parameter constraint violations, a sweep with no valid cell);
-2 when an output file cannot be written.  Diagnostics go to stderr.
+2 when an output file cannot be written.  Diagnostics go to stderr: bad
+input exits 1 with one "error:" line and no traceback.
 """
 
 from __future__ import annotations
@@ -77,7 +80,12 @@ def parse_seed_range(text: str) -> tuple[int, ...]:
     a, b = int(m.group(1)), int(m.group(2))
     if a > b:
         raise ConfigError(f"seed range must have A <= B (got {text!r})")
-    return tuple(range(a, b + 1))
+    if b >= 2**64:
+        raise ConfigError(f"seed range must have B < 2**64 (got {text!r})")
+    try:
+        return tuple(range(a, b + 1))
+    except (OverflowError, MemoryError):
+        raise ConfigError(f"seed range {text!r} is too long to run") from None
 
 
 def parse_value_list(text: str) -> tuple[float, ...]:
@@ -96,6 +104,8 @@ def _load_config_file(path: str) -> dict:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config file {path} is nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - _CONFIG_KEYS)
@@ -316,16 +326,11 @@ def main(argv: list[str] | None = None) -> int:
             _run_sweep_cmd(cfg)
         else:
             _run_simulate(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, MemoryError) as exc:
-        # MemoryError: numpy refuses the columns of a T too large to allocate
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ConfigError, ValueError, MemoryError, OSError) as exc:
+        # MemoryError: numpy refuses the columns of a T too large to allocate,
+        # and Python's own MemoryError has no text
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2 if isinstance(exc, OSError) else 1
     return 0
 
 

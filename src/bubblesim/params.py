@@ -96,5 +96,3 @@ class ModelParams:
 
 
 PARAM_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(ModelParams))
-
-BASELINE = ModelParams()

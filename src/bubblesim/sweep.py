@@ -61,19 +61,6 @@ from .params import PARAM_FIELDS, ModelParams, finite_real
 STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SummaryStats))
 
 
-def canonical_axis(axis: str) -> str:
-    """Map an axis name to the matching parameter field, case-tolerantly
-    ("lambda" and "LAMBDA" name Lambda)."""
-    if not isinstance(axis, str):
-        raise ValueError(f"sweep axis must be a string (got {axis!r})")
-    name = {f.lower(): f for f in PARAM_FIELDS}.get(axis.lower())
-    if name is None:
-        raise ValueError(
-            f"unknown sweep axis {axis!r}; expected one of {', '.join(PARAM_FIELDS)}"
-        )
-    return name
-
-
 def _is_integral(x) -> bool:
     """True for integers and for finite reals with no fractional part."""
     if isinstance(x, numbers.Integral):
@@ -91,7 +78,15 @@ class SweepSpec:
     seeds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axis", canonical_axis(self.axis))
+        if not isinstance(self.axis, str):
+            raise ValueError(f"sweep axis must be a string (got {self.axis!r})")
+        # any case of a field name is that field: "lambda" and "LAMBDA" name Lambda
+        axis = {f.lower(): f for f in PARAM_FIELDS}.get(self.axis.lower())
+        if axis is None:
+            raise ValueError(
+                f"unknown sweep axis {self.axis!r}; expected one of {', '.join(PARAM_FIELDS)}"
+            )
+        object.__setattr__(self, "axis", axis)
         values, seeds = tuple(self.values), tuple(self.seeds)
         for v in values:
             if isinstance(v, bool) or not isinstance(v, numbers.Real):

@@ -40,15 +40,15 @@ import numpy as np
 from bubblesim import (
     CSV_HEADER,
     ModelParams,
-    STAT_FIELDS,
     RngStream,
     SweepCell,
     Trajectory,
     ValueSummary,
-    cubic_increment,
     normal_cdf,
 )
 from bubblesim.io import traj_column
+from bubblesim.model import cubic_increment
+from bubblesim.sweep import STAT_FIELDS
 
 _LONG_SQRT_2PI = np.sqrt(2 * np.longdouble(np.pi))
 

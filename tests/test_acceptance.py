@@ -36,7 +36,6 @@ from bubblesim import (
     ModelParams,
     SweepSpec,
     compare_medians,
-    cubic_increment,
     detect_crashes,
     normal_cdf,
     run_sweep,
@@ -44,6 +43,7 @@ from bubblesim import (
     write_trajectory_csv,
 )
 from bubblesim.cli import main
+from bubblesim.model import cubic_increment
 from oracles import momentum_direct, normal_cdf_reference
 from synthetic import flat_trajectory, single_crash_trajectory
 

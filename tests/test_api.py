@@ -2,6 +2,7 @@
 importing it loads."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,24 +10,19 @@ from pathlib import Path
 import bubblesim
 
 PUBLIC_NAMES = [
-    "ARTIFACT_VERSION",
-    "BASELINE",
     "CSV_HEADER",
     "CrashConfig",
     "CrashEvent",
     "ModelParams",
     "PARAM_FIELDS",
     "RngStream",
-    "STAT_FIELDS",
     "SummaryStats",
     "SweepCell",
     "SweepResult",
     "SweepSpec",
     "Trajectory",
     "ValueSummary",
-    "canonical_axis",
     "compare_medians",
-    "cubic_increment",
     "detect_crashes",
     "normal_cdf",
     "plot_sweep",
@@ -46,9 +42,27 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned_and_resolve():
     # a name added to or dropped from the API shows up as a diff of this list
     assert sorted(bubblesim.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 26
     missing = [name for name in PUBLIC_NAMES if not hasattr(bubblesim, name)]
     assert missing == []
+
+
+def test_names_only_the_tests_used_are_not_exported():
+    # BASELINE and canonical_axis are deleted; the other three stay in
+    # bubblesim.io, bubblesim.sweep and bubblesim.model
+    gone = ["ARTIFACT_VERSION", "BASELINE", "STAT_FIELDS", "canonical_axis", "cubic_increment"]
+    assert [name for name in gone if hasattr(bubblesim, name)] == []
+    assert bubblesim.__version__ == "0.1.0"
+
+
+def test_readme_python_examples_run():
+    # the blocks build on each other, so they run in order in one interpreter
+    readme = Path(bubblesim.__file__).parents[2] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    env = {**os.environ, "PYTHONPATH": str(Path(bubblesim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", "\n".join(blocks)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_leaves_out_modules_only_some_runs_need():

@@ -41,6 +41,21 @@ def test_seed_range_parsing():
         parse_seed_range("1-3")
     with pytest.raises(ConfigError):
         parse_seed_range("a..b")
+    # refused before a tuple is built: B >= 2**64, and 2**64 seeds in 0..2**64-1
+    with pytest.raises(ConfigError, match="B < 2\\*\\*64"):
+        parse_seed_range("0..99999999999999999999")
+    with pytest.raises(ConfigError, match="too long"):
+        parse_seed_range("0..18446744073709551615")
+
+
+def test_a_huge_seed_bound_exits_1_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ("sweep", "--axis", "b", "--values", "0.01", "--seeds", "0..99999999999999999999")
+    assert _run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_value_list_parsing():
@@ -81,6 +96,15 @@ def test_simulate_output_matches_the_library(tmp_path):
 def test_constraint_violation_exits_1(tmp_path, capsys):
     assert _run("simulate", "--b", "-5", "--a", "-1", "--out", str(tmp_path)) == 1
     assert "requires a < b < c" in capsys.readouterr().err
+
+
+def test_a_memory_error_without_text_still_prints_a_message(tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("bubblesim.cli.simulate", out_of_memory)
+    assert _run("simulate", "--T", "10", "--out", str(tmp_path / "run")) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -247,6 +271,10 @@ def test_missing_or_invalid_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert _run("simulate", "--config", str(bad)) == 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert _run("simulate", "--config", str(deep)) == 1
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_detector_overrides_reach_the_summary(tmp_path):

@@ -17,10 +17,10 @@ from bubblesim import (
     ModelParams,
     RngStream,
     Trajectory,
-    cubic_increment,
     normal_cdf,
     simulate,
 )
+from bubblesim.model import cubic_increment
 from oracles import SimState, bernoulli, initial_state, intensity, simulate_stepwise, step
 
 COLUMNS = ("t", "log_price", "momentum", "lam", "x", "trade", "direction", "n_trades")

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from bubblesim import BASELINE, PARAM_FIELDS, ModelParams
+from bubblesim import PARAM_FIELDS, ModelParams
 
 
 def test_defaults_are_the_baseline_configuration():
@@ -21,7 +21,6 @@ def test_defaults_are_the_baseline_configuration():
     assert p.c == 1.0
     assert p.log_p0 == 0.0
     assert p.x0 == 0.0
-    assert BASELINE == p
 
 
 def test_param_fields_lists_every_field_in_order():
