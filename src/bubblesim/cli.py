@@ -19,6 +19,13 @@ Exit codes: 0 success; 1 for anything wrong with the inputs (bad flag, bad
 config file, parameter constraint violations, a sweep with no valid cell);
 2 when an output file cannot be written.  Diagnostics go to stderr: bad
 input exits 1 with one "error:" line and no traceback.
+
+A run's files are written as one set by a single io._write_files call, so
+an exit 2 leaves no file of the failed run in --out: a failure while
+writing keeps the previous set byte for byte, and a failed rename removes
+the files this run had already renamed into place.  No temp file is left
+either.  A run without a plot removes the stale trajectory.svg or
+sweep.svg of an earlier run once its new files are in place.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import contextlib
 import json
 import re
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -35,7 +43,7 @@ from .analysis import CrashConfig, summarize
 from .model import simulate
 from .params import PARAM_FIELDS, ModelParams
 from .sweep import SweepSpec, compare_medians, run_sweep
-from .io import _write_text, summary_payload, sweep_payload, write_summary_json, write_trajectory_csv
+from .io import _csv_text, _json_text, _write_files, summary_payload, sweep_payload
 from .svgplot import _sweep_svg, _trajectory_svg
 
 _DEFAULT_SEED = 0
@@ -257,33 +265,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ensure_out(cfg: RunConfig) -> None:
-    try:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {cfg.out}: {exc}") from exc
-
-
-def _run_simulate(cfg: RunConfig) -> None:
+def _run_simulate(cfg: RunConfig) -> dict[str, str | Iterable[str] | None]:
+    """The run's files by name, None for a plot it drops.  Every text but
+    the streamed CSV rows is built here, before main writes anything, so a
+    plot that fails leaves no artifact."""
     traj = simulate(cfg.params, cfg.seed)
     crash = cfg.crash if cfg.crash is not None else CrashConfig.for_params(cfg.params)
     stats = summarize(traj, crash)
-    svg = _trajectory_svg(traj, crash.threshold) if cfg.plot else None  # a plot that fails writes nothing
-    _ensure_out(cfg)
-    csv_path = cfg.out / "trajectory.csv"
-    json_path = cfg.out / "summary.json"
-    write_trajectory_csv(traj, csv_path)
-    write_summary_json(summary_payload(stats, cfg.params, cfg.seed, crash), json_path)
-    written = [csv_path, json_path]
-    if svg is not None:
-        svg_path = cfg.out / "trajectory.svg"
-        _write_text(svg_path, svg)
-        written.append(svg_path)
-    for p in written:
-        print(f"wrote {p}")
+    return {
+        "trajectory.csv": _csv_text(traj),
+        "summary.json": _json_text(summary_payload(stats, cfg.params, cfg.seed, crash)),
+        "trajectory.svg": _trajectory_svg(traj, crash.threshold) if cfg.plot else None,
+    }
 
 
-def _run_sweep_cmd(cfg: RunConfig) -> None:
+def _run_sweep_cmd(cfg: RunConfig) -> dict[str, str | None]:
+    """The sweep's files by name, as _run_simulate gives a run's, after the
+    median peak of each value is printed."""
     if cfg.axis is None:
         raise ConfigError("sweep requires --axis (or an axis entry in the config file)")
     if cfg.values is None:
@@ -296,19 +294,13 @@ def _run_sweep_cmd(cfg: RunConfig) -> None:
         result = run_sweep(spec, cfg.crash)
     except RuntimeError as exc:
         raise ConfigError(str(exc)) from exc
-    svg = _sweep_svg(result) if cfg.plot else None  # a plot that fails writes nothing
-    _ensure_out(cfg)
-    json_path = cfg.out / "sweep.json"
-    write_summary_json(sweep_payload(result, cfg.crash), json_path)
-    written = [json_path]
-    if svg is not None:
-        svg_path = cfg.out / "sweep.svg"
-        _write_text(svg_path, svg)
-        written.append(svg_path)
+    files = {
+        "sweep.json": _json_text(sweep_payload(result, cfg.crash)),
+        "sweep.svg": _sweep_svg(result) if cfg.plot else None,
+    }
     for axis_value, med in compare_medians(result, "peak_log_price"):
         print(f"{spec.axis}={axis_value:g}: median peak_log_price={med}")
-    for p in written:
-        print(f"wrote {p}")
+    return files
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -322,15 +314,19 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = parse_config(args)
-        if cfg.mode == "sweep":
-            _run_sweep_cmd(cfg)
-        else:
-            _run_simulate(cfg)
+        files = _run_sweep_cmd(cfg) if cfg.mode == "sweep" else _run_simulate(cfg)
+        try:
+            cfg.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OSError(f"cannot create output directory {cfg.out}: {exc}") from exc
+        written = _write_files({cfg.out / name: text for name, text in files.items()})
     except (ConfigError, ValueError, MemoryError, OSError) as exc:
         # MemoryError: numpy refuses the columns of a T too large to allocate,
         # and Python's own MemoryError has no text
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 

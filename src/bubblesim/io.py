@@ -29,7 +29,7 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict
 from os import PathLike
 from pathlib import Path
@@ -55,6 +55,12 @@ def write_trajectory_csv(traj: Trajectory, path: str | PathLike[str]) -> None:
     integers.  Rows are formatted and written _BLOCK_ROWS at a time, so the
     memory a write takes does not grow with T.
     """
+    _write_files({path: _csv_text(traj)})
+
+
+def _csv_text(traj: Trajectory) -> Iterator[str]:
+    """The CSV text write_trajectory_csv writes, as the header and then one
+    piece per _BLOCK_ROWS rows, each formatted only when it is reached."""
     names = CSV_HEADER.split(",")
     columns = [traj_column(traj, name) for name in names]
     kernels = [_int_cells if name in _INT_COLUMNS else _g17_cells for name in names]
@@ -63,7 +69,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | PathLike[str]) -> None:
         _rows_text([col[start:start + _BLOCK_ROWS] for col in columns], kernels, "%.17g", seps)
         for start in range(0, len(traj), _BLOCK_ROWS)
     )
-    _write_text(path, itertools.chain([CSV_HEADER + "\n"], blocks))
+    return itertools.chain([CSV_HEADER + "\n"], blocks)
 
 
 _BLOCK_ROWS = 8192
@@ -383,8 +389,12 @@ def write_summary_json(payload: dict, path: str | PathLike[str]) -> None:
     JSON has no non-finite numbers, so inf, -inf and nan are written as the
     strings "Infinity", "-Infinity" and "NaN", which float() reads back.
     """
-    text = json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False)
-    _write_text(path, text + "\n")
+    _write_files({path: _json_text(payload)})
+
+
+def _json_text(payload: dict) -> str:
+    """The text write_summary_json writes for ``payload``."""
+    return json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _finite_json(obj):
@@ -398,22 +408,43 @@ def _finite_json(obj):
     return obj
 
 
-def _write_text(path: str | PathLike[str], text: str | Iterable[str]) -> None:
-    """Write all of ``text``, one string or its pieces in order, or nothing:
-    a failed write leaves ``path`` as it was.
+def _write_files(
+    files: Mapping[str | PathLike[str], str | Iterable[str] | None],
+) -> list[str | PathLike[str]]:
+    """Commit a set of files, each given as one string or its pieces in
+    order, or as None for a file the set drops; returns the paths written.
 
-    The text goes to a temp file next to the target, which then replaces the
-    target in one rename; the temp file is removed if anything fails.
+    Every text goes to a temp file next to its target first.  Only once all
+    of them are written do they replace their targets, one rename each in
+    the given order, and only then are the dropped files removed.  If
+    anything fails, every temp file is removed, and so is every target this
+    call already replaced, before OSError("failed to write <path>: ...")
+    names the file that failed.  So a failure while writing leaves the
+    previous files as they were, and a failed rename or removal leaves no
+    file of this call behind, only those previous files it had not renamed
+    onto yet.
     """
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    texts = {path: text for path, text in files.items() if text is not None}
+    dropped = [path for path, text in files.items() if text is None]
+    staged, replaced = [], []  # (path, temp file, target) per text; the targets renamed onto
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for piece in [text] if isinstance(text, str) else text:
-                fh.write(piece)
-        os.replace(tmp, target)
-    except OSError as exc:
-        raise OSError(f"failed to write {path}: {exc}") from exc
-    finally:
-        with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)  # already gone after a successful replace
+        for path, text in texts.items():
+            target = Path(path)
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged.append((path, tmp, target))
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                for piece in [text] if isinstance(text, str) else text:
+                    fh.write(piece)
+        for path, tmp, target in staged:
+            os.replace(tmp, target)
+            replaced.append(target)
+        for path in dropped:
+            Path(path).unlink(missing_ok=True)
+    except BaseException as exc:
+        for p in [tmp for _, tmp, _ in staged] + replaced:
+            with contextlib.suppress(OSError):
+                p.unlink(missing_ok=True)  # a temp file is already gone once replaced
+        if isinstance(exc, OSError):
+            raise OSError(f"failed to write {path}: {exc}") from exc
+        raise
+    return list(texts)

@@ -22,7 +22,7 @@ from os import PathLike
 
 import numpy as np
 
-from .io import _f2_cells, _rows_text, _write_text
+from .io import _f2_cells, _rows_text, _write_files
 from .model import Trajectory
 from .sweep import SweepResult
 
@@ -156,7 +156,7 @@ def _document(height: float, body: list[str]) -> str:
 def plot_trajectory(traj: Trajectory, path: str | PathLike[str]) -> None:
     """Four stacked panels over a shared time axis, with the default
     detector's crossing threshold (the parameter b) dashed in panel 2."""
-    _write_text(path, _trajectory_svg(traj, traj.params.b))
+    _write_files({path: _trajectory_svg(traj, traj.params.b)})
 
 
 def _trajectory_svg(traj: Trajectory, threshold: float) -> str:
@@ -186,7 +186,7 @@ def plot_sweep(result: SweepResult, path: str | PathLike[str]) -> None:
     sweep's (matched) seed list, as run_sweep kept it in ``result.paths``;
     values whose first-seed cell failed are skipped.
     """
-    _write_text(path, _sweep_svg(result))
+    _write_files({path: _sweep_svg(result)})
 
 
 def _sweep_svg(result: SweepResult) -> str:

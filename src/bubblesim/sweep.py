@@ -27,9 +27,10 @@ chunk of interleaved cells (cells w, w + n_jobs, ...), which spreads every
 value's seeds evenly over the workers; no worker takes over cells from a
 slow one, so a worker held up by the host holds up the sweep.  The worker
 processes are kept between parallel sweeps: the first one in a process pays
-their start-up, later ones with the same n_jobs reuse the warm workers.  The
-pool is replaced when n_jobs changes or when it breaks, and is shut down when
-the interpreter exits.  A forked child starts workers of its own, and in a
+their start-up, later ones with the same n_jobs reuse the warm workers.  A
+sweep starts at most one worker per cell, and reuses a kept pool of up to
+n_jobs workers.  The pool is replaced when it is too small or too large for
+a sweep, or when it breaks, and is shut down when the interpreter exits.  A forked child starts workers of its own, and in a
 multiprocessing child, which runs no exit hook, each parallel sweep shuts
 them down before it returns.  Workers see the package as it was when they
 were started, not changes made to its modules afterwards.  A cell whose
@@ -211,23 +212,26 @@ def _aggregate(values: tuple[float, ...], cells: list[SweepCell]) -> tuple[Value
     )
 
 
-# The worker pool kept between parallel sweeps, as (n_jobs, executor), or
+# The worker pool kept between parallel sweeps, as (workers, executor), or
 # None; the lock serializes the sweeps of threads that share it.
 _pool = None
 _POOL_LOCK = threading.Lock()
 
 
 def _pool_map(tasks: list, n_jobs: int) -> list[tuple[SweepCell, np.ndarray | None]]:
-    """The outcomes of ``tasks``, in order, from the kept pool of n_jobs workers.
+    """The outcomes of ``tasks``, in order, from the kept pool.
 
-    The tasks go out as at most n_jobs chunks of ceil(len / n_jobs) cells,
-    listed strided (cells w, w + n_jobs, w + 2 n_jobs, ... for w = 0, 1, ...),
-    so each worker gets one chunk and every value's seeds are spread evenly
-    over the chunks; the outcomes are put back in task order.
+    With size = min(n_jobs, len(tasks)), the tasks go out as at most size
+    chunks of ceil(len / size) cells, listed strided (cells w, w + size,
+    w + 2 size, ... for w = 0, 1, ...), so each worker gets at most one
+    chunk and every value's seeds are spread evenly over the chunks; the
+    outcomes are put back in task order.
 
-    A pool of another size is shut down and joined before the new one forks,
-    so no executor thread is alive at the fork.  Any exception drops the pool
-    before it propagates, except that a kept pool found broken (its idle
+    A kept pool of size to n_jobs workers is reused, so a small sweep after
+    a large one with the same n_jobs starts nothing.  Any other pool is shut
+    down and joined before a new one of size workers forks, so no executor
+    thread is alive at the fork.  Any exception drops the pool before it
+    propagates, except that a kept pool found broken (its idle
     workers were killed, say) is replaced and the tasks run once more: cells
     are pure, so the rerun gives the same cells.  A new pool that breaks
     raises.
@@ -237,12 +241,13 @@ def _pool_map(tasks: list, n_jobs: int) -> list[tuple[SweepCell, np.ndarray | No
     from multiprocessing import parent_process
 
     global _pool
-    reused = _pool is not None and _pool[0] == n_jobs
+    size = min(n_jobs, len(tasks))  # a worker started for no cell would only cost its start-up
+    reused = _pool is not None and size <= _pool[0] <= n_jobs
     if not reused:
         _drop_pool()
-        _pool = (n_jobs, ProcessPoolExecutor(max_workers=n_jobs))
-    order = [i for w in range(n_jobs) for i in range(w, len(tasks), n_jobs)]
-    chunk = -(-len(tasks) // n_jobs)
+        _pool = (size, ProcessPoolExecutor(max_workers=size))
+    order = [i for w in range(size) for i in range(w, len(tasks), size)]
+    chunk = -(-len(tasks) // size)
     try:
         done = list(_pool[1].map(_run_cell, [tasks[i] for i in order], chunksize=chunk))
     except BrokenProcessPool:
@@ -291,14 +296,16 @@ def run_sweep(
 
     With cfg=None each cell derives its detector from its own parameters, so
     the crossing threshold tracks a swept b.  n_jobs > 1 fans cells out to
-    that many worker processes; the grid ordering (values-major, seeds-minor)
-    and every number in the result are independent of the execution mode.
+    that many worker processes, and starts at most one worker per cell; the
+    grid ordering (values-major, seeds-minor) and every number in the result
+    are independent of the execution mode.
 
     The workers are kept for later parallel sweeps, so only the first one in
-    a process pays their start-up.  They are replaced when n_jobs changes or
-    the pool breaks, shut down at interpreter exit, and see the package as it
-    was when they were started.  A forked child starts its own workers, and
-    in a multiprocessing child they are shut down before the sweep returns.
+    a process pays their start-up.  They are replaced when there are more
+    than n_jobs of them, or fewer than the sweep can use, or the pool breaks, shut down at interpreter exit, and see the
+    package as it was when they were started.  A forked child starts its own
+    workers, and in a multiprocessing child they are shut down before the
+    sweep returns.
 
     A cell that fails (invalid derived parameters, say) is recorded with its
     error and excluded from the aggregates.  If every cell fails, raises

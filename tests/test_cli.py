@@ -1,6 +1,9 @@
 """CLI behavior: flag/file layering, outputs, exit codes."""
 
+import builtins
+import itertools
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bubblesim.io
 from bubblesim import CSV_HEADER, CrashConfig, ModelParams, read_trajectory_csv, simulate
 from bubblesim.cli import (
     _CONFIG_KEYS,
@@ -481,6 +485,121 @@ def test_io_failure_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert _run("simulate", "--T", "100", "--out", str(blocker / "sub")) == 2
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    """Every file in ``out``, temp files included, by name."""
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _artifacts(out: Path, *argv) -> dict[str, bytes]:
+    """The files a clean run of ``argv`` writes to ``out``."""
+    assert _run(*argv, "--out", str(out)) == 0
+    return _files(out)
+
+
+class _Faults:
+    """Counts the open, write and os.replace calls of bubblesim.io, and makes
+    the k-th of them raise OSError."""
+
+    def __init__(self, k: int):
+        self.k, self.calls, self.replaced = k, 0, 0
+        self.fired: str | None = None
+
+    def tick(self, what: str) -> None:
+        self.calls += 1
+        if self.calls == self.k:
+            self.fired = what
+            raise OSError(5, f"injected failure of {what}")
+
+    def install(self, mp: pytest.MonkeyPatch) -> None:
+        faults, real_replace = self, os.replace
+
+        class CountedFile:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._fh.close()
+
+            def write(self, text):
+                faults.tick("write")
+                return self._fh.write(text)
+
+        def counted_open(*args, **kwargs):
+            faults.tick("open")
+            return CountedFile(builtins.open(*args, **kwargs))
+
+        def counted_replace(src, dst):
+            faults.tick("replace")
+            real_replace(src, dst)
+            faults.replaced += 1
+
+        mp.setattr(bubblesim.io, "open", counted_open, raising=False)
+        mp.setattr(bubblesim.io.os, "replace", counted_replace)
+
+
+_COMMITS = [
+    (("simulate", "--T", "50"), ("--seed", "1"), ("--seed", "2")),
+    (("sweep", "--axis", "b", "--values", "0.01,0.02", "--T", "50"), ("--seeds", "0..1"), ("--seeds", "2..3")),
+]
+
+
+@pytest.mark.parametrize("argv, first, second", _COMMITS, ids=["simulate", "sweep"])
+def test_a_failed_commit_leaves_no_file_of_the_failed_run(tmp_path, capsys, argv, first, second):
+    new = _artifacts(tmp_path / "new", *argv, *second)
+    out = tmp_path / "out"
+    old = _artifacts(out, *argv, *first)
+    assert old.keys() == new.keys() and all(old[name] != new[name] for name in old)
+    capsys.readouterr()
+    failed = set()
+    for k in itertools.count(1):
+        faults = _Faults(k)
+        with pytest.MonkeyPatch.context() as mp:
+            faults.install(mp)
+            code = _run(*argv, *second, "--out", str(out))
+        if faults.fired is None:
+            break
+        failed.add(faults.fired)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: failed to write ")
+        left = _files(out)
+        assert not any(data == new[name] for name, data in left.items())
+        assert {name: old[name] for name in left} == left  # no temp file either
+        if faults.replaced == 0:
+            assert left == old
+        if left != old:
+            old = _artifacts(out, *argv, *first)  # the next k starts from the whole first set
+    assert code == 0 and _files(out) == new
+    assert failed == {"open", "write", "replace"}
+
+
+def test_a_failed_rename_of_the_summary_keeps_only_the_previous_files(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "D"
+    old = _artifacts(out, "simulate", "--seed", "1", "--T", "200")
+    real_replace = os.replace
+
+    def refuse_summary(src, dst):
+        if Path(dst).name == "summary.json":
+            raise OSError(5, "Input/output error")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(bubblesim.io.os, "replace", refuse_summary)
+    assert _run("simulate", "--seed", "2", "--T", "200", "--out", str(out)) == 2
+    assert f"error: failed to write {out / 'summary.json'}" in capsys.readouterr().err
+    assert _files(out) == {name: old[name] for name in ("summary.json", "trajectory.svg")}
+
+
+@pytest.mark.parametrize("argv, first, second", _COMMITS, ids=["simulate", "sweep"])
+def test_a_run_without_a_plot_drops_the_stale_plot(tmp_path, argv, first, second):
+    out = tmp_path / "out"
+    assert any(name.endswith(".svg") for name in _artifacts(out, *argv, *first))
+    assert _artifacts(out, *argv, *second, "--no-plot") == _artifacts(
+        tmp_path / "fresh", *argv, *second, "--no-plot"
+    )
 
 
 def test_horizon_too_large_to_allocate_exits_1(tmp_path, capsys):

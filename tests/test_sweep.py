@@ -333,6 +333,21 @@ def test_parallel_sweeps_reuse_the_workers():
     assert first == serial and second == serial
 
 
+def test_a_sweep_starts_at_most_one_worker_per_cell():
+    spec = SweepSpec(base=ModelParams(T=300), axis="b", values=(0.01, 0.02), seeds=(0,))
+    bubblesim.sweep._drop_pool()  # so every live worker is one this sweep started
+    assert run_sweep(spec, n_jobs=4) == run_sweep(spec)
+    assert 1 <= len(_workers()) <= 2
+
+
+def test_a_sweep_with_fewer_cells_than_kept_workers_reuses_them():
+    small = SweepSpec(base=ModelParams(T=300), axis="b", values=(0.01, 0.02), seeds=(0,))
+    assert run_sweep(POOL_SPEC, n_jobs=3) == run_sweep(POOL_SPEC)
+    workers = _workers()
+    assert run_sweep(small, n_jobs=3) == run_sweep(small)
+    assert len(workers) == 3 and _workers().keys() == workers.keys()
+
+
 def test_a_new_n_jobs_replaces_the_pool_after_joining_the_old_one():
     serial = run_sweep(POOL_SPEC)
     with warnings.catch_warnings():
