@@ -25,7 +25,9 @@ an exit 2 leaves no file of the failed run in --out: a failure while
 writing keeps the previous set byte for byte, and a failed rename removes
 the files this run had already renamed into place.  No temp file is left
 either.  A run without a plot removes the stale trajectory.svg or
-sweep.svg of an earlier run once its new files are in place.
+sweep.svg of an earlier run once its new files are written, before any
+is renamed into place, so a stale plot that cannot be removed keeps the
+previous set too.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ _DEFAULT_SEED = 0
 _DEFAULT_SEEDS = "0..49"
 _DEFAULT_OUT = "out"
 
-_DETECTOR_KEYS = ("threshold", "peak_window", "min_drawdown")
+_DETECTOR_KEYS = tuple(f.name for f in fields(CrashConfig))
 _CONFIG_KEYS = frozenset(PARAM_FIELDS) | set(_DETECTOR_KEYS) | {
     "seed",
     "seeds",

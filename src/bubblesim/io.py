@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import os
+import threading
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict
 from os import PathLike
@@ -44,6 +45,7 @@ from .sweep import SweepResult
 ARTIFACT_VERSION = "0.1.0"
 
 CSV_HEADER = "t,log_price,momentum,lambda,x,trade,direction,n_trades"
+_COLUMNS = tuple(CSV_HEADER.split(","))
 
 _INT_COLUMNS = frozenset({"t", "trade", "direction", "n_trades"})
 
@@ -61,10 +63,9 @@ def write_trajectory_csv(traj: Trajectory, path: str | PathLike[str]) -> None:
 def _csv_text(traj: Trajectory) -> Iterator[str]:
     """The CSV text write_trajectory_csv writes, as the header and then one
     piece per _BLOCK_ROWS rows, each formatted only when it is reached."""
-    names = CSV_HEADER.split(",")
-    columns = [traj_column(traj, name) for name in names]
-    kernels = [_int_cells if name in _INT_COLUMNS else _g17_cells for name in names]
-    seps = "," * (len(names) - 1) + "\n"
+    columns = [traj_column(traj, name) for name in _COLUMNS]
+    kernels = [_int_cells if name in _INT_COLUMNS else _g17_cells for name in _COLUMNS]
+    seps = "," * (len(_COLUMNS) - 1) + "\n"
     blocks = (
         _rows_text([col[start:start + _BLOCK_ROWS] for col in columns], kernels, "%.17g", seps)
         for start in range(0, len(traj), _BLOCK_ROWS)
@@ -254,7 +255,7 @@ def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def traj_column(traj: Trajectory, name: str) -> np.ndarray:
     """The trajectory column behind a CSV column name."""
-    if name not in CSV_HEADER.split(","):
+    if name not in _COLUMNS:
         raise ValueError(f"unknown trajectory column {name!r}")
     return getattr(traj, "lam" if name == "lambda" else name)  # lambda is a keyword
 
@@ -273,12 +274,11 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
     the leftmost column that has one.  Rows are numbered from 1 after the
     header, blank lines not counted.
     """
-    names = CSV_HEADER.split(",")
-    dtypes = [np.int64 if name in _INT_COLUMNS else np.float64 for name in names]
+    dtypes = [np.int64 if name in _INT_COLUMNS else np.float64 for name in _COLUMNS]
     parts = [[np.empty(0, dtype)] for dtype in dtypes]  # each column's blocks
     error: Exception | None = None  # raised once the whole file has decoded
     final = False  # error outranks every error a later line could give
-    parsed = len(names)  # columns left of the leftmost bad cell so far
+    parsed = len(_COLUMNS)  # columns left of the leftmost bad cell so far
     n_rows = 0
     try:
         with Path(path).open(encoding="utf-8") as fh:
@@ -292,10 +292,10 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
                     continue  # read on: a later undecodable byte still wins
                 rows = [ln.split(",") for ln in "".join(block).split("\n") if ln]
                 for i, row in enumerate(rows):
-                    if len(row) != len(names):
+                    if len(row) != len(_COLUMNS):
                         error = ValueError(
                             f"row {n_rows + i + 1} of {path} has {len(row)} fields, "
-                            f"expected {len(names)}"
+                            f"expected {len(_COLUMNS)}"
                         )
                         final = True
                         break
@@ -314,14 +314,10 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
     if error is not None:
         raise error
     out: dict[str, np.ndarray] = {}
-    for name, part in zip(names, parts):
+    for name, part in zip(_COLUMNS, parts):
         out[name] = np.concatenate(part)
         part.clear()  # so the blocks of one column at a time outlive their copy
     return out
-
-
-def _detector_dict(cfg: CrashConfig | None) -> dict | None:
-    return None if cfg is None else asdict(cfg)
 
 
 def summary_payload(
@@ -334,7 +330,7 @@ def summary_payload(
     if cfg is None:
         cfg = CrashConfig.for_params(params)
     return {
-        "config": {"params": params.as_dict(), "detector": _detector_dict(cfg)},
+        "config": {"params": asdict(params), "detector": asdict(cfg)},
         "seed": int(seed),
         "stats": asdict(stats),
         "version": ARTIFACT_VERSION,
@@ -350,8 +346,8 @@ def sweep_payload(result: SweepResult, cfg: CrashConfig | None = None) -> dict:
     spec = result.spec
     return {
         "config": {
-            "params": spec.base.as_dict(),
-            "detector": _detector_dict(cfg),
+            "params": asdict(spec.base),
+            "detector": None if cfg is None else asdict(cfg),
             "axis": spec.axis,
             "values": list(spec.values),
         },
@@ -359,25 +355,8 @@ def sweep_payload(result: SweepResult, cfg: CrashConfig | None = None) -> dict:
         "sweep": {
             "axis": spec.axis,
             "values": list(spec.values),
-            "summaries": [
-                {
-                    "value": s.value,
-                    "n_seeds": s.n_seeds,
-                    "n_failed": s.n_failed,
-                    "median": dict(s.median),
-                    "iqr": dict(s.iqr),
-                }
-                for s in result.summaries
-            ],
-            "cells": [
-                {
-                    "value": c.value,
-                    "seed": c.seed,
-                    "stats": None if c.stats is None else asdict(c.stats),
-                    "error": c.error,
-                }
-                for c in result.cells
-            ],
+            "summaries": [asdict(s) for s in result.summaries],
+            "cells": [asdict(c) for c in result.cells],
         },
         "version": ARTIFACT_VERSION,
     }
@@ -414,15 +393,17 @@ def _write_files(
     """Commit a set of files, each given as one string or its pieces in
     order, or as None for a file the set drops; returns the paths written.
 
-    Every text goes to a temp file next to its target first.  Only once all
-    of them are written do they replace their targets, one rename each in
-    the given order, and only then are the dropped files removed.  If
-    anything fails, every temp file is removed, and so is every target this
-    call already replaced, before OSError("failed to write <path>: ...")
-    names the file that failed.  So a failure while writing leaves the
-    previous files as they were, and a failed rename or removal leaves no
-    file of this call behind, only those previous files it had not renamed
-    onto yet.
+    Every text goes to a temp file next to its target first, named for the
+    writing process and thread, so that two writers of one path never share
+    a temp file and the last complete commit wins.  Once all of them are
+    written, the dropped files are removed, and only then do the temp files
+    replace their targets, one rename each in the given order.  If anything
+    fails, every temp file is removed, and so is every target this call
+    already replaced, before OSError("failed to write <path>: ...") names
+    the file that failed.  So a failure while writing, or while removing a
+    dropped file, leaves every file the set replaces as it was, and a failed
+    rename leaves no file of this call behind, only those previous files it
+    had not renamed onto yet.
     """
     texts = {path: text for path, text in files.items() if text is not None}
     dropped = [path for path, text in files.items() if text is None]
@@ -430,16 +411,16 @@ def _write_files(
     try:
         for path, text in texts.items():
             target = Path(path)
-            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
             staged.append((path, tmp, target))
             with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
                 for piece in [text] if isinstance(text, str) else text:
                     fh.write(piece)
+        for path in dropped:
+            Path(path).unlink(missing_ok=True)
         for path, tmp, target in staged:
             os.replace(tmp, target)
             replaced.append(target)
-        for path in dropped:
-            Path(path).unlink(missing_ok=True)
     except BaseException as exc:
         for p in [tmp for _, tmp, _ in staged] + replaced:
             with contextlib.suppress(OSError):

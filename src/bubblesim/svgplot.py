@@ -24,7 +24,7 @@ import numpy as np
 
 from .io import _f2_cells, _rows_text, _write_files
 from .model import Trajectory
-from .sweep import SweepResult
+from .sweep import SweepResult, compare_medians
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -236,8 +236,8 @@ def _sweep_svg(result: SweepResult) -> str:
     inset_top = _TOP + main_h + 40
     inset_h = 120
     inset_w = 300
-    medians = [(s.value, s.median["peak_log_price"]) for s in result.summaries]
-    known = [(v, m) for v, m in medians if m is not None]
+    medians = compare_medians(result, "peak_log_price")
+    known = [(i, value, m) for i, (value, m) in enumerate(medians) if m is not None]
     body.append('<g class="inset">')
     body.append(
         f'<rect class="frame" x="{x0}" y="{inset_top}" width="{inset_w}" '
@@ -245,16 +245,12 @@ def _sweep_svg(result: SweepResult) -> str:
     )
     body.append(_text(x0, inset_top - 7, "median peak log price", "title"))
     if known:
-        mlo, mhi = _span(min(m for _, m in known), max(m for _, m in known))
-        n = len(medians)
-        isx = _Scale(-0.5, n - 0.5, x0, x0 + inset_w)
+        at, _, ms = zip(*known)
+        mlo, mhi = _span(min(ms), max(ms))
+        isx = _Scale(-0.5, len(medians) - 0.5, x0, x0 + inset_w)
         isy = _Scale(mlo, mhi, inset_top + inset_h, inset_top)
-        drawn_at = [i for i, (_, m) in enumerate(medians) if m is not None]
-        pts = _points(drawn_at, [m for _, m in known], isx, isy)
-        body.append(_polyline(pts, "#444", cls="inset-series"))
-        for i, (value, m) in enumerate(medians):
-            if m is None:
-                continue
+        body.append(_polyline(_points(at, ms, isx, isy), "#444", cls="inset-series"))
+        for i, value, m in known:
             body.append(f'<circle cx="{isx(i):.2f}" cy="{isy(m):.2f}" r="3" fill="#444"/>')
             body.append(_text(isx(i), inset_top + inset_h + 14, f"{value:g}", "xtick", anchor="middle", size=10))
     body.append("</g>")

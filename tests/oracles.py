@@ -25,6 +25,10 @@ return the same arrays and raise the same errors.
 The sweep aggregation oracle reduces one value's seeds at a time with 1-D
 ``np.median``/``np.percentile`` calls; the batched reduction over the whole
 grid must give the same bits.
+
+The sweep payload oracle copies every field of the sweep's types by name;
+the package builds the same payload with ``dataclasses.asdict``, and the two
+must serialize to the same JSON text.
 """
 
 from __future__ import annotations
@@ -39,14 +43,17 @@ import numpy as np
 
 from bubblesim import (
     CSV_HEADER,
+    CrashConfig,
     ModelParams,
+    PARAM_FIELDS,
     RngStream,
     SweepCell,
+    SweepResult,
     Trajectory,
     ValueSummary,
     normal_cdf,
 )
-from bubblesim.io import traj_column
+from bubblesim.io import ARTIFACT_VERSION, traj_column
 from bubblesim.model import cubic_increment
 from bubblesim.sweep import STAT_FIELDS
 
@@ -293,3 +300,49 @@ def value_summary(value: float, cells: Sequence[SweepCell]) -> ValueSummary:
         median=median,
         iqr=iqr,
     )
+
+
+def sweep_payload_by_field(result: SweepResult, cfg: CrashConfig | None = None) -> dict:
+    """The sweep JSON payload with each field of the parameters, the
+    detector, the value summaries and the cells copied by name."""
+    spec = result.spec
+    detector = None if cfg is None else {
+        "threshold": cfg.threshold,
+        "peak_window": cfg.peak_window,
+        "min_drawdown": cfg.min_drawdown,
+    }
+    return {
+        "config": {
+            "params": {name: getattr(spec.base, name) for name in PARAM_FIELDS},
+            "detector": detector,
+            "axis": spec.axis,
+            "values": list(spec.values),
+        },
+        "seed": [int(s) for s in spec.seeds],
+        "sweep": {
+            "axis": spec.axis,
+            "values": list(spec.values),
+            "summaries": [
+                {
+                    "value": s.value,
+                    "n_seeds": s.n_seeds,
+                    "n_failed": s.n_failed,
+                    "median": dict(s.median),
+                    "iqr": dict(s.iqr),
+                }
+                for s in result.summaries
+            ],
+            "cells": [
+                {
+                    "value": c.value,
+                    "seed": c.seed,
+                    "stats": None if c.stats is None else {
+                        name: getattr(c.stats, name) for name in STAT_FIELDS
+                    },
+                    "error": c.error,
+                }
+                for c in result.cells
+            ],
+        },
+        "version": ARTIFACT_VERSION,
+    }

@@ -602,6 +602,47 @@ def test_a_run_without_a_plot_drops_the_stale_plot(tmp_path, argv, first, second
     )
 
 
+@pytest.mark.parametrize("argv, first, second", _COMMITS, ids=["simulate", "sweep"])
+def test_a_stale_plot_that_cannot_be_removed_keeps_the_previous_files(tmp_path, capsys, argv, first, second):
+    out = tmp_path / "out"
+    old = _artifacts(out, *argv, *first)
+    plot = next(name for name in old if name.endswith(".svg"))
+    (out / plot).unlink()
+    (out / plot).mkdir()
+    capsys.readouterr()
+    assert _run(*argv, *second, "--no-plot", "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: failed to write {out / plot}: ")
+    assert sorted(p.name for p in out.iterdir()) == sorted(old)  # no temp file
+    assert (out / plot).is_dir()
+    assert all((out / name).read_bytes() == data for name, data in old.items() if name != plot)
+
+
+def _out_is_a_file(tmp_path, monkeypatch):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    return out
+
+
+def _mkdir_is_refused(tmp_path, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    return tmp_path / "locked"
+
+
+@pytest.mark.parametrize("make_out", [_out_is_a_file, _mkdir_is_refused], ids=["out-is-a-file", "mkdir-refused"])
+@pytest.mark.parametrize("argv", [argv + first for argv, first, _ in _COMMITS], ids=["simulate", "sweep"])
+def test_an_out_that_cannot_be_created_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv, make_out):
+    out = make_out(tmp_path, monkeypatch)
+    before = _files(tmp_path)
+    assert _run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot create output directory {out}: ")
+    assert _files(tmp_path) == before
+
+
 def test_horizon_too_large_to_allocate_exits_1(tmp_path, capsys):
     # the 2(T-1) float64 draws of T = 10**17 take about 1.4 EiB, more than
     # any 64-bit address space, so numpy refuses the allocation at once

@@ -2,6 +2,7 @@
 
 import builtins
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from bubblesim import (
     write_summary_json,
     write_trajectory_csv,
 )
-from oracles import read_trajectory_csv_whole, trajectory_csv_text
+from oracles import read_trajectory_csv_whole, sweep_payload_by_field, trajectory_csv_text
 from synthetic import flat_trajectory
 
 P = ModelParams(T=300)
@@ -405,6 +406,42 @@ def test_successful_write_replaces_the_file_and_leaves_no_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
+def test_two_writers_of_one_path_each_commit_whole_and_the_last_wins(tmp_path, monkeypatch):
+    # writer A is held between opening its temp file and writing it, until
+    # writer B's whole commit of the same path has returned
+    target = tmp_path / "summary.json"
+    texts = {"A": "a" * 5000 + "\n", "B": "b" * 3000 + "\n"}
+    a_opened, b_done = threading.Event(), threading.Event()
+    errors = []
+
+    def held_open(*args, **kwargs):
+        fh = builtins.open(*args, **kwargs)
+        if threading.current_thread().name == "A":
+            a_opened.set()
+            b_done.wait(timeout=10)
+        return fh
+
+    def commit(name):
+        try:
+            bubblesim.io._write_files({target: texts[name]})
+        except OSError as exc:
+            errors.append(exc)
+
+    monkeypatch.setattr(bubblesim.io, "open", held_open, raising=False)
+    a = threading.Thread(target=commit, args=("A",), name="A")
+    a.start()
+    try:
+        assert a_opened.wait(timeout=10)
+        commit("B")
+    finally:
+        b_done.set()
+        a.join(timeout=10)
+    assert not a.is_alive()
+    assert errors == []
+    assert target.read_text() == texts["A"]
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+
 # ---------------------------------------------------------------- JSON
 
 
@@ -457,3 +494,17 @@ def test_json_numbers_survive_a_round_trip(tmp_path):
     back = json.loads(path.read_text())
     assert back["stats"]["peak_log_price"] == payload["stats"]["peak_log_price"]
     assert back["config"]["params"]["r"] == P.r
+
+
+@pytest.mark.parametrize("spec, cfg, shows", [
+    (SweepSpec(base=P, axis="b", values=(0.5, 1.5), seeds=(0, 1)), None, '"error": "ValueError: '),
+    (SweepSpec(base=P, axis="r", values=(0.001, 0.005), seeds=(3, 4)),
+     CrashConfig(threshold=0.05, peak_window=100, min_drawdown=0.02), '"peak_window": 100'),
+    (SweepSpec(base=ModelParams(log_p0=1.79e308, d=1e307, T=2), axis="Lambda", values=(30, 31),
+               seeds=(0, 1, 2, 3)), None, '"NaN"'),
+], ids=["failed-cells", "fixed-detector", "non-finite"])
+def test_sweep_payload_equals_the_field_by_field_oracle(spec, cfg, shows):
+    result = run_sweep(spec, cfg)
+    text = bubblesim.io._json_text(sweep_payload(result, cfg))
+    assert shows in text
+    assert text == bubblesim.io._json_text(sweep_payload_by_field(result, cfg))
