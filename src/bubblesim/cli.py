@@ -27,7 +27,7 @@ the files this run had already renamed into place.  No temp file is left
 either.  A run without a plot removes the stale trajectory.svg or
 sweep.svg of an earlier run once its new files are written, before any
 is renamed into place, so a stale plot that cannot be removed keeps the
-previous set too.
+previous set too, while a failed rename finds that plot already gone.
 """
 
 from __future__ import annotations

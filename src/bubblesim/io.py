@@ -330,7 +330,7 @@ def summary_payload(
     if cfg is None:
         cfg = CrashConfig.for_params(params)
     return {
-        "config": {"params": asdict(params), "detector": asdict(cfg)},
+        "config": {"params": params.as_dict(), "detector": asdict(cfg)},
         "seed": int(seed),
         "stats": asdict(stats),
         "version": ARTIFACT_VERSION,
@@ -346,7 +346,7 @@ def sweep_payload(result: SweepResult, cfg: CrashConfig | None = None) -> dict:
     spec = result.spec
     return {
         "config": {
-            "params": asdict(spec.base),
+            "params": spec.base.as_dict(),
             "detector": None if cfg is None else asdict(cfg),
             "axis": spec.axis,
             "values": list(spec.values),
@@ -394,16 +394,17 @@ def _write_files(
     order, or as None for a file the set drops; returns the paths written.
 
     Every text goes to a temp file next to its target first, named for the
-    writing process and thread, so that two writers of one path never share
-    a temp file and the last complete commit wins.  Once all of them are
-    written, the dropped files are removed, and only then do the temp files
-    replace their targets, one rename each in the given order.  If anything
-    fails, every temp file is removed, and so is every target this call
-    already replaced, before OSError("failed to write <path>: ...") names
-    the file that failed.  So a failure while writing, or while removing a
-    dropped file, leaves every file the set replaces as it was, and a failed
-    rename leaves no file of this call behind, only those previous files it
-    had not renamed onto yet.
+    writing process and thread, so that two writers of one file never share
+    a temp file and the last complete one-file commit wins; two writers of
+    one multi-file set may interleave and are not supported.  Once all of
+    them are written, the dropped files are removed, and only then do the
+    temp files replace their targets, one rename each in the given order.
+    If anything fails, every temp file is removed, and so is every target
+    this call already replaced, before OSError("failed to write <path>:
+    ...") names the file that failed.  So a failure while writing, or while
+    removing a dropped file, leaves every file the set replaces as it was.
+    A failed rename leaves no file of this call behind, only those previous
+    files it had not renamed onto yet; the dropped files are already gone.
     """
     texts = {path: text for path, text in files.items() if text is not None}
     dropped = [path for path, text in files.items() if text is None]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 
 def finite_real(value) -> bool:
@@ -92,7 +92,7 @@ class ModelParams:
 
     def as_dict(self) -> dict:
         """Plain dict of all parameter fields, e.g. for JSON provenance."""
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 PARAM_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(ModelParams))

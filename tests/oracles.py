@@ -27,8 +27,8 @@ The sweep aggregation oracle reduces one value's seeds at a time with 1-D
 grid must give the same bits.
 
 The sweep payload oracle copies every field of the sweep's types by name;
-the package builds the same payload with ``dataclasses.asdict``, and the two
-must serialize to the same JSON text.
+the package builds its summaries and cells with ``dataclasses.asdict``, and
+the two must serialize to the same JSON text.
 """
 
 from __future__ import annotations

@@ -28,6 +28,12 @@ from bubblesim import (
 from oracles import read_trajectory_csv_whole, sweep_payload_by_field, trajectory_csv_text
 from synthetic import flat_trajectory
 
+# A file left open on a commit path fails its test: the unclosed file's
+# finalizer warns, and pytest reports that as an unraisable exception.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 P = ModelParams(T=300)
 
 
