@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Trajectory
-from .params import ModelParams, finite_real
+from .params import ModelParams, integer, real
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,14 +32,13 @@ class CrashConfig:
     min_drawdown: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.peak_window, int) or isinstance(self.peak_window, bool):
-            raise ValueError(f"CrashConfig requires an integer peak_window (got {self.peak_window!r})")
+        object.__setattr__(self, "threshold", real(self.threshold, "CrashConfig threshold"))
+        object.__setattr__(self, "peak_window", integer(self.peak_window, "CrashConfig peak_window"))
+        object.__setattr__(self, "min_drawdown", real(self.min_drawdown, "CrashConfig min_drawdown"))
         if self.peak_window < 1:
             raise ValueError(f"CrashConfig requires peak_window >= 1 (got {self.peak_window})")
-        if not finite_real(self.threshold):
-            raise ValueError(f"CrashConfig requires a finite real threshold (got {self.threshold!r})")
-        if not finite_real(self.min_drawdown) or self.min_drawdown <= 0:
-            raise ValueError(f"CrashConfig requires a finite real min_drawdown > 0 (got {self.min_drawdown!r})")
+        if self.min_drawdown <= 0:
+            raise ValueError(f"CrashConfig requires min_drawdown > 0 (got {self.min_drawdown})")
 
     @classmethod
     def for_params(cls, params: ModelParams, **settings) -> "CrashConfig":

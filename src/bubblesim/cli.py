@@ -33,7 +33,6 @@ previous set too, while a failed rename finds that plot already gone.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import re
 import sys
@@ -43,7 +42,8 @@ from pathlib import Path
 
 from .analysis import CrashConfig, summarize
 from .model import simulate
-from .params import PARAM_FIELDS, ModelParams
+from .params import PARAM_FIELDS, ModelParams, integer, real
+from .rng import as_seed
 from .sweep import SweepSpec, compare_medians, run_sweep
 from .io import _csv_text, _json_text, _write_files, summary_payload, sweep_payload
 from .svgplot import _sweep_svg, _trajectory_svg
@@ -87,11 +87,9 @@ def parse_seed_range(text: str) -> tuple[int, ...]:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text.strip())
     if not m:
         raise ConfigError(f"seeds must look like A..B (got {text!r})")
-    a, b = int(m.group(1)), int(m.group(2))
+    a, b = int(m.group(1)), as_seed(int(m.group(2)), "seed range B")
     if a > b:
         raise ConfigError(f"seed range must have A <= B (got {text!r})")
-    if b >= 2**64:
-        raise ConfigError(f"seed range must have B < 2**64 (got {text!r})")
     try:
         return tuple(range(a, b + 1))
     except (OverflowError, MemoryError):
@@ -129,23 +127,11 @@ def _resolve_seeds(given) -> tuple[int, ...]:
         return parse_seed_range(_DEFAULT_SEEDS)
     if isinstance(given, str):
         return parse_seed_range(given)
-    if isinstance(given, list) and all(_is_seed(s) for s in given):
-        return tuple(given)
+    if isinstance(given, list):
+        return tuple(as_seed(s, "config seeds entry") for s in given)
     raise ConfigError(
         f"config seeds must be \"A..B\" or a list of integers in [0, 2**64) (got {given!r})"
     )
-
-
-def _is_seed(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
-
-
-def _real(name: str, value) -> float:
-    """A config-file number as a float; bools and non-numbers are rejected."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):
-            return float(value)
-    raise ConfigError(f"config {name} must be a real number (got {value!r})")
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:
@@ -153,6 +139,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
 
     One rule for every key: a given flag wins over the file, and the file
     over the stock value.  An empty --out or --axis counts as not given.
+    Numbers are read by the types they build (params.real and
+    params.integer), so a file's 1 and a flag's 1.0 give the same run.
     Parameter constraint violations surface with the violated constraint in
     the message.
     """
@@ -163,28 +151,10 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     }
     given = {**filed, **flags}
 
-    try:
-        params = ModelParams(**{k: given[k] for k in PARAM_FIELDS if k in given})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    crash: CrashConfig | None = None
+    params = ModelParams(**{k: given[k] for k in PARAM_FIELDS if k in given})
     det = {k: given[k] for k in _DETECTOR_KEYS if k in given}
-    if det:
-        window = det.get("peak_window")
-        if isinstance(window, float) and window.is_integer():
-            det["peak_window"] = int(window)  # 500.0 is accepted; CrashConfig rejects 2.7 and bools
-        for k in ("threshold", "min_drawdown"):
-            if k in det:
-                det[k] = _real(k, det[k])
-        try:
-            crash = CrashConfig.for_params(params, **det)  # defaults only for keys not given
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    seed_val = given.get("seed", _DEFAULT_SEED)
-    if not isinstance(seed_val, int) or isinstance(seed_val, bool):
-        raise ConfigError(f"seed must be an integer (got {seed_val!r})")
+    crash = CrashConfig.for_params(params, **det) if det else None  # defaults only for keys not given
+    seed = integer(given.get("seed", _DEFAULT_SEED), "seed")  # checked in sweep runs too
 
     values = given.get("values")
     if "values" in flags:  # the flag's text, parsed here so errors keep their order
@@ -192,7 +162,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     elif values is not None:
         if not isinstance(values, list):
             raise ConfigError(f"config values must be a list of reals (got {values!r})")
-        values = tuple(_real("values entry", x) for x in values)
+        values = tuple(real(x, "config values entry") for x in values)
 
     if not isinstance(given.get("out", ""), str):
         raise ConfigError(f"config out must be a path string (got {given['out']!r})")
@@ -202,7 +172,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         mode=args.mode,
         params=params,
-        seed=seed_val,
+        seed=seed,
         seeds=_resolve_seeds(given.get("seeds")),
         crash=crash,
         out=Path(given.get("out") or _DEFAULT_OUT),
@@ -288,10 +258,7 @@ def _run_sweep_cmd(cfg: RunConfig) -> dict[str, str | None]:
         raise ConfigError("sweep requires --axis (or an axis entry in the config file)")
     if cfg.values is None:
         raise ConfigError("sweep requires --values (or a values entry in the config file)")
-    try:
-        spec = SweepSpec(base=cfg.params, axis=cfg.axis, values=cfg.values, seeds=cfg.seeds)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = SweepSpec(base=cfg.params, axis=cfg.axis, values=cfg.values, seeds=cfg.seeds)
     try:
         result = run_sweep(spec, cfg.crash)
     except RuntimeError as exc:

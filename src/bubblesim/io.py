@@ -351,7 +351,7 @@ def sweep_payload(result: SweepResult, cfg: CrashConfig | None = None) -> dict:
             "axis": spec.axis,
             "values": list(spec.values),
         },
-        "seed": [int(s) for s in spec.seeds],
+        "seed": list(spec.seeds),
         "sweep": {
             "axis": spec.axis,
             "values": list(spec.values),

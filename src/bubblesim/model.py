@@ -216,7 +216,7 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     # must never raise: erfc takes nan and +-inf, and the check after the
     # loop raises for the first non-finite value, intensity first.
     j = _bins(u_trade)
-    floor = _momentum_floor(float(Lambda), float(k))[j]
+    floor = _momentum_floor(Lambda, k)[j]
     zhi = _ZHI[j]
     momentum = [0.0] * n
     traded_at: list[int] = []

@@ -14,9 +14,18 @@ path-independent number of draws.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
+
+from .params import integer
+
+
+def as_seed(value, name: str = "seed") -> int:
+    """``value`` as an int seed: an integer in [0, 2**64), spelled any way
+    ``params.integer`` accepts; raises ValueError naming ``name`` otherwise."""
+    seed = integer(value, name)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64) (got {seed})")
+    return seed
 
 
 class RngStream:
@@ -25,17 +34,9 @@ class RngStream:
     __slots__ = ("seed", "n_draws", "_gen")
 
     def __init__(self, seed: int):
-        try:  # any integer type, numpy's too, but not bool; kept as an int
-            index = operator.index(seed)
-        except TypeError:
-            index = None
-        if index is None or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer (got {seed!r})")
-        if not 0 <= index < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits (got {index})")
-        self.seed = index
+        self.seed = as_seed(seed)
+        self._gen = np.random.Generator(np.random.PCG64(self.seed))
         self.n_draws = 0
-        self._gen = np.random.Generator(np.random.PCG64(index))
 
     def uniform(self) -> float:
         """Next uniform draw in [0, 1); advances the stream by exactly one."""

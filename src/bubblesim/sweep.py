@@ -48,7 +48,6 @@ a path back from the workers.
 from __future__ import annotations
 
 import atexit
-import numbers
 import os
 import threading
 from dataclasses import dataclass, field, fields
@@ -57,16 +56,10 @@ import numpy as np
 
 from .analysis import CrashConfig, SummaryStats, summarize
 from .model import simulate
-from .params import PARAM_FIELDS, ModelParams, finite_real
+from .params import PARAM_FIELDS, ModelParams, integer, real
+from .rng import as_seed
 
 STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SummaryStats))
-
-
-def _is_integral(x) -> bool:
-    """True for integers and for finite reals with no fractional part."""
-    if isinstance(x, numbers.Integral):
-        return True
-    return finite_real(x) and x == int(x)
 
 
 @dataclass(frozen=True)
@@ -88,26 +81,14 @@ class SweepSpec:
                 f"unknown sweep axis {self.axis!r}; expected one of {', '.join(PARAM_FIELDS)}"
             )
         object.__setattr__(self, "axis", axis)
-        values, seeds = tuple(self.values), tuple(self.seeds)
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"SweepSpec requires real values (got {v!r})")
-        for s in seeds:
-            if isinstance(s, bool) or not _is_integral(s):
-                raise ValueError(f"SweepSpec requires integer seeds (got {s!r})")
-        if not all(map(finite_real, values)):
-            raise ValueError(f"SweepSpec requires finite values (got {values})")
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
+        object.__setattr__(self, "values", tuple(real(v, "SweepSpec value") for v in self.values))
+        object.__setattr__(self, "seeds", tuple(as_seed(s, "SweepSpec seed") for s in self.seeds))
         if not self.values:
             raise ValueError("SweepSpec requires a non-empty values list")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError(f"SweepSpec requires strictly increasing values (got {self.values})")
         if not self.seeds:
             raise ValueError("SweepSpec requires a non-empty seeds list")
-        for s in self.seeds:
-            if not 0 <= s < 2**64:
-                raise ValueError(f"SweepSpec requires seeds in [0, 2**64) (got {s})")
 
 
 @dataclass(frozen=True)
@@ -314,8 +295,9 @@ def run_sweep(
     Each value's first-seed cell also keeps its log-price path in
     ``paths``, so plotting the sweep simulates nothing again.
     """
-    if not isinstance(n_jobs, int) or isinstance(n_jobs, bool) or n_jobs < 1:
-        raise ValueError(f"run_sweep requires integer n_jobs >= 1 (got {n_jobs!r})")
+    n_jobs = integer(n_jobs, "run_sweep n_jobs")
+    if n_jobs < 1:
+        raise ValueError(f"run_sweep requires n_jobs >= 1 (got {n_jobs})")
     tasks = [
         (spec.base, spec.axis, value, seed, cfg, j == 0)
         for value in spec.values

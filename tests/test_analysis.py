@@ -59,7 +59,7 @@ def test_config_validation():
 ], ids=lambda v: "huge_int" if isinstance(v, int) and abs(v) == 10**400 else None)
 def test_config_rejects_non_finite_and_non_real_settings(setting, bad):
     kwargs = {"threshold": 0.02, "peak_window": 500, "min_drawdown": 0.05, setting: bad}
-    with pytest.raises(ValueError, match=f"finite real {setting}"):
+    with pytest.raises(ValueError, match=f"CrashConfig {setting} must be a finite real number"):
         CrashConfig(**kwargs)
 
 

@@ -1,13 +1,15 @@
 """CLI behavior: flag/file layering, outputs, exit codes."""
 
 import builtins
+import contextlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
 import warnings
-
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bubblesim.io
-from bubblesim import CSV_HEADER, CrashConfig, ModelParams, read_trajectory_csv, simulate
+from bubblesim import (
+    CSV_HEADER,
+    CrashConfig,
+    ModelParams,
+    read_trajectory_csv,
+    simulate,
+    summarize,
+    summary_payload,
+)
 from bubblesim.cli import (
     _CONFIG_KEYS,
     ConfigError,
@@ -52,7 +62,7 @@ def test_seed_range_parsing():
     with pytest.raises(ConfigError):
         parse_seed_range("a..b")
     # refused before a tuple is built: B >= 2**64, and 2**64 seeds in 0..2**64-1
-    with pytest.raises(ConfigError, match="B < 2\\*\\*64"):
+    with pytest.raises(ValueError, match=r"seed range B must be in \[0, 2\*\*64\)"):
         parse_seed_range("0..99999999999999999999")
     with pytest.raises(ConfigError, match="too long"):
         parse_seed_range("0..18446744073709551615")
@@ -252,18 +262,18 @@ def test_config_int_beyond_the_float_range_exits_1(tmp_path, capsys):
     cfg.write_text('{"r": 1' + "0" * 400 + "}")  # a 401-digit JSON integer
     assert _run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ModelParams requires finite values (got r=1000")
+    assert err.startswith("error: ModelParams r must be a finite real number (got 1000")
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("seeds", [[True, False], [0, -1], [2**64], [1, 2.0]])
+@pytest.mark.parametrize("seeds", [[True, False], [0, -1], [2**64], [1, 2.5]])
 def test_config_seeds_must_be_64_bit_integers(tmp_path, capsys, seeds):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seeds": seeds}))
     out = tmp_path / "o"
     assert _run("sweep", "--config", str(cfg), "--axis", "b", "--values", "0.01",
                 "--T", "50", "--out", str(out)) == 1
-    assert "config seeds must be" in capsys.readouterr().err
+    assert "config seeds entry must be" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -315,7 +325,7 @@ def test_a_given_min_drawdown_replaces_a_default_that_would_fail(tmp_path, capsy
     assert det == {"threshold": 0.02, "peak_window": 500, "min_drawdown": 1.0}
     capsys.readouterr()
     assert _run(*huge_d, "--threshold", "0.03") == 1
-    assert "min_drawdown > 0 (got inf)" in capsys.readouterr().err
+    assert "min_drawdown must be a finite real number (got inf)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", [
@@ -353,14 +363,14 @@ def test_config_out_and_plot_types_are_checked(tmp_path, monkeypatch, capsys, en
 @pytest.mark.parametrize("data, argv, error", [
     ([1, 2], (), "config file cfg.json must hold a JSON object"),
     ({"seed": "x"}, (), "seed must be an integer (got 'x')"),
-    ({"seed": 1.0}, (), "seed must be an integer (got 1.0)"),
+    ({"seed": 1.5}, (), "seed must be an integer (got 1.5)"),
     ({"values": 3}, (), "config values must be a list of reals (got 3)"),
     ({"values": "0.01,0.02"}, (), "config values must be a list of reals (got '0.01,0.02')"),
     ({}, ("--values", "0.02,0.01"), "SweepSpec requires strictly increasing values"),
     # several bad entries: parameters, detector, seed, values, out/plot, seeds
     ({"T": 1, "seed": "x", "values": 3, "out": 5}, (), "ModelParams requires T >= 2"),
     ({"b": 5, "plot": 0}, (), "ModelParams requires a < b < c"),
-    ({"threshold": "x", "seed": "x"}, (), "config threshold must be a real number"),
+    ({"threshold": "x", "seed": "x"}, (), "CrashConfig threshold must be a finite real number"),
     ({"seed": "x", "values": 3}, (), "seed must be an integer"),
     ({"values": 3, "out": 5}, (), "config values must be"),
     ({"plot": 0, "seeds": 5}, (), "config plot must be"),
@@ -399,6 +409,99 @@ def test_config_whole_number_peak_window_is_accepted(tmp_path):
     det = json.loads((out / "summary.json").read_text())["config"]["detector"]
     assert det == {"peak_window": 300, "threshold": 0.0, "min_drawdown": 1.0}
     assert type(det["peak_window"]) is int and type(det["threshold"]) is float
+
+
+def test_int_spelled_parameters_write_the_bytes_of_float_spelled_ones(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"d": 1, "Lambda": -2, "T": 50}')
+    sweep = ("--axis", "b", "--values", "0.01,0.02", "--seeds", "0..1", "--no-plot")
+    spellings = {"filed": ("--config", str(cfg)), "flagged": ("--d", "1", "--Lambda", "-2", "--T", "50")}
+    for name, argv in spellings.items():
+        assert _run("simulate", *argv, "--out", str(tmp_path / name / "run"), "--no-plot") == 0
+        assert _run("sweep", *argv, *sweep, "--out", str(tmp_path / name / "sweep")) == 0
+    for file in ("run/summary.json", "sweep/sweep.json"):
+        assert (tmp_path / "filed" / file).read_bytes() == (tmp_path / "flagged" / file).read_bytes()
+    stats = summarize(simulate(ModelParams(d=1.0, T=50), 0))
+    texts = {bubblesim.io._json_text(summary_payload(stats, ModelParams(d=d, T=50), 0)) for d in (1, 1.0)}
+    assert len(texts) == 1
+
+
+def test_config_whole_number_seeds_are_read_as_ints(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1.0, "seeds": [1, 2.0], "T": 50}')
+    assert _run("simulate", "--config", str(cfg), "--out", str(tmp_path / "filed"), "--no-plot") == 0
+    assert _run("simulate", "--seed", "1", "--T", "50", "--out", str(tmp_path / "flagged"), "--no-plot") == 0
+    summary = (tmp_path / "filed" / "summary.json").read_bytes()
+    assert summary == (tmp_path / "flagged" / "summary.json").read_bytes()
+    assert _run("sweep", "--config", str(cfg), "--axis", "b", "--values", "0.01",
+                "--out", str(tmp_path / "sweep"), "--no-plot") == 0
+    seeds = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["seed"]
+    assert seeds == [1, 2] and all(type(s) is int for s in seeds)
+
+
+# Config-file literals for the numeric keys: every JSON type, the float and
+# int edges, and numbers no field takes.  Python's json reads 1e400 as inf.
+_EDGES = ("0", "1", "-1", "3", "0.5", "-0.0", "2.0", "0.02", "1e400", "-1e400", "NaN",
+          "1" + "0" * 400, "-1" + "0" * 400, "true", "false", "null", '"1"', "[]", "{}")
+_EDGE = st.sampled_from(_EDGES)
+
+
+def _spelled(value):
+    """The literals of a valid value, as an int where it is one, or an edge."""
+    spellings = {json.dumps(value), json.dumps(float(value))}
+    if float(value).is_integer():
+        spellings.add(str(int(value)))
+    return st.sampled_from(sorted(spellings)) | _EDGE
+
+
+def _listed(item):
+    return st.lists(item, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+
+
+_DEFAULTS = {**ModelParams().as_dict(), **asdict(CrashConfig.for_params(ModelParams())), "seed": 0}
+_FUZZ_KEYS = {key: _spelled(value) for key, value in _DEFAULTS.items()}
+# every run is small: T at most 50 (no 400-digit T), at most 3 seeds (a null
+# seeds entry means the default 50) and at most 3 values
+_FUZZ_KEYS["T"] = st.sampled_from([e for e in _EDGES if e != "1" + "0" * 400])
+_FUZZ_KEYS["seeds"] = _listed(_EDGE) | _EDGE.filter(lambda x: x != "null")
+_FUZZ_KEYS["values"] = _listed(_EDGE) | _EDGE
+_INCREASING = st.lists(st.sampled_from((0.01, 0.02, 0.5)), min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    command=st.sampled_from(("simulate", "sweep")),
+    valid=st.fixed_dictionaries({
+        "T": st.sampled_from(("2", "50", "20.0")),
+        "seeds": _listed(st.sampled_from(("0", "3", "3.0", "-0.0"))),
+        "values": _INCREASING.map(lambda xs: json.dumps(sorted(xs))),
+    }),
+    fuzzed=st.lists(st.sampled_from(sorted(_FUZZ_KEYS)), max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _FUZZ_KEYS[k] for k in keys})
+    ),
+    axis=st.sampled_from(("b", "r", "Lambda", "d", "x0")),
+    plot=st.booleans(),
+)
+def test_any_config_numbers_exit_0_or_1_with_one_error_line(
+    tmp_path_factory, command, valid, fuzzed, axis, plot
+):
+    entries = {**valid, **fuzzed}
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "cfg.json").write_text("{" + ", ".join(f'"{k}": {v}' for k, v in entries.items()) + "}")
+    out = root / "out"
+    argv = [command, "--config", str(root / "cfg.json"), "--out", str(out), "--plot" if plot else "--no-plot"]
+    if command == "sweep":
+        argv += ["--axis", axis]
+    stderr, stdout = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    assert code in (0, 1)
+    files = [p.name for p in out.iterdir()] if out.exists() else []
+    assert not [name for name in files if name.endswith(".tmp")]
+    if code == 1:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert files == []
 
 
 # ---------------------------------------------------------------- sweep

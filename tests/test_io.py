@@ -3,6 +3,7 @@
 import builtins
 import json
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -500,6 +501,23 @@ def test_json_numbers_survive_a_round_trip(tmp_path):
     back = json.loads(path.read_text())
     assert back["stats"]["peak_log_price"] == payload["stats"]["peak_log_price"]
     assert back["config"]["params"]["r"] == P.r
+
+
+@pytest.mark.parametrize("setting", [
+    {"threshold": np.float32(0.02)},
+    {"min_drawdown": np.int64(1)},
+    {"threshold": Fraction(1, 50)},
+], ids=["float32-threshold", "int64-min_drawdown", "Fraction-threshold"])
+def test_a_detector_of_any_real_type_serializes_through_both_payloads(tmp_path, setting):
+    cfg = CrashConfig.for_params(P, **setting)
+    stats = summarize(simulate(P, 3), cfg)
+    write_summary_json(summary_payload(stats, P, 3, cfg), tmp_path / "summary.json")
+    result = run_sweep(SweepSpec(base=P, axis="b", values=(P.b,), seeds=(3,)), cfg)
+    write_summary_json(sweep_payload(result, cfg), tmp_path / "sweep.json")
+    want = {"threshold": P.b, "peak_window": 500, "min_drawdown": 5 * P.d}
+    want.update({k: float(v) for k, v in setting.items()})
+    for name in ("summary.json", "sweep.json"):
+        assert json.loads((tmp_path / name).read_text())["config"]["detector"] == want
 
 
 @pytest.mark.parametrize("spec, cfg, shows", [

@@ -2,10 +2,14 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bubblesim import PARAM_FIELDS, ModelParams
+from bubblesim import PARAM_FIELDS, CrashConfig, ModelParams, RngStream, SweepSpec, run_sweep
 
 
 def test_defaults_are_the_baseline_configuration():
@@ -66,7 +70,7 @@ def test_non_finite_reals_are_rejected(bad):
 
 @pytest.mark.parametrize("bad", ["x", None, True])
 def test_non_real_values_are_rejected(bad):
-    with pytest.raises(ValueError, match=rf"requires a real number for d \(got {bad!r}\)"):
+    with pytest.raises(ValueError, match=rf"ModelParams d must be a finite real number \(got {bad!r}\)"):
         ModelParams(d=bad)
 
 
@@ -74,7 +78,7 @@ def test_non_real_values_are_rejected(bad):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_ints_beyond_the_float_range_are_rejected_as_non_finite(field, sign):
     # math.isfinite raises OverflowError on them; construction must not
-    with pytest.raises(ValueError, match=rf"requires finite values \(got {field}=-?1000"):
+    with pytest.raises(ValueError, match=rf"ModelParams {field} must be a finite real number \(got -?1000"):
         ModelParams(**{field: sign * 10**400})
 
 
@@ -99,7 +103,7 @@ def test_with_value_replaces_one_field():
 def test_with_value_rejects_a_non_integral_horizon():
     assert ModelParams().with_value("T", 2000.0).T == 2000  # the form SweepSpec passes
     for bad in (2.7, 2000.5, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="integer T"):
+        with pytest.raises(ValueError, match="ModelParams T must be an integer"):
             ModelParams().with_value("T", bad)
 
 
@@ -107,3 +111,46 @@ def test_as_dict_round_trips():
     p = ModelParams(b=0.03, Lambda=-1.5)
     assert ModelParams(**p.as_dict()) == p
     assert tuple(p.as_dict()) == PARAM_FIELDS
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_number_field_is_stored_as_a_plain_float_or_int(data):
+    def spell(value):
+        # exact spellings but float32; int ones only where value is integral
+        kinds = [float, np.float64, np.float32, Fraction]
+        if float(value).is_integer():
+            kinds += [int, np.int64]
+        return data.draw(st.sampled_from(kinds))(value)
+
+    spelled = {k: spell(v) for k, v in ModelParams().as_dict().items()}
+    params = ModelParams(**spelled)
+    detector = {k: spell(v) for k, v in dataclasses.asdict(CrashConfig.for_params(params)).items()}
+    crash = CrashConfig(**detector)
+    values, seeds = (spell(0.01), spell(0.5)), (spell(0), spell(3))
+    spec = SweepSpec(base=params, axis="b", values=values, seeds=seeds)
+    assert params.as_dict() == spelled and dataclasses.asdict(crash) == detector
+    assert spec.values == values and spec.seeds == seeds
+    assert type(params.T) is type(crash.peak_window) is int
+    assert all(type(s) is int for s in spec.seeds)
+    reals = [v for k, v in params.as_dict().items() if k != "T"]
+    reals += [crash.threshold, crash.min_drawdown, *spec.values]
+    assert all(type(x) is float for x in reals)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_bools_are_not_numbers(flag):
+    spec = SweepSpec(base=ModelParams(T=50), axis="b", values=(0.02,), seeds=(0,))
+    builds = [
+        lambda: ModelParams(T=flag),
+        lambda: ModelParams(d=flag),
+        lambda: CrashConfig(threshold=flag, peak_window=500, min_drawdown=0.05),
+        lambda: CrashConfig(threshold=0.02, peak_window=flag, min_drawdown=0.05),
+        lambda: SweepSpec(base=ModelParams(), axis="b", values=(flag,), seeds=(0,)),
+        lambda: SweepSpec(base=ModelParams(), axis="b", values=(0.02,), seeds=(flag,)),
+        lambda: RngStream(flag),
+        lambda: run_sweep(spec, n_jobs=flag),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match=rf"must be an? .*\(got {flag!r}\)"):
+            build()

@@ -90,20 +90,20 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("seeds", [(1.5, True), (True,), (0, 2.7), ("3",), (float("nan"),)])
 def test_spec_rejects_bool_and_non_integral_seeds(seeds):
-    with pytest.raises(ValueError, match="integer seeds"):
+    with pytest.raises(ValueError, match="SweepSpec seed must be an integer"):
         SweepSpec(base=SMALL, axis="b", values=(0.01,), seeds=seeds)
 
 
 @pytest.mark.parametrize("values", [(True,), (0.01, True), ("0.01",), (None,)])
 def test_spec_rejects_bool_and_non_real_values(values):
-    with pytest.raises(ValueError, match="real values"):
+    with pytest.raises(ValueError, match="SweepSpec value must be a finite real number"):
         SweepSpec(base=SMALL, axis="b", values=values, seeds=(0,))
 
 
 @pytest.mark.parametrize("values", [(10**400,), (0.01, -10**400), (float("nan"),), (0.01, float("inf"))])
 def test_spec_rejects_non_finite_values(values):
     # an int beyond the float range is not finite either: no OverflowError
-    with pytest.raises(ValueError, match="finite values"):
+    with pytest.raises(ValueError, match="SweepSpec value must be a finite real number"):
         SweepSpec(base=SMALL, axis="b", values=values, seeds=(0,))
 
 
@@ -431,6 +431,27 @@ def test_a_test_run_with_a_parallel_sweep_ends_without_an_ignored_exception(tmp_
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Exception ignored" not in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_serial_equals_parallel_under_every_start_method(tmp_path, method):
+    # spawn and forkserver workers import the main module again, so it is a file
+    (tmp_path / "sweep_main.py").write_text(
+        "import multiprocessing\n"
+        "from bubblesim import ModelParams, SweepSpec, run_sweep\n"
+        "if __name__ == '__main__':\n"
+        f"    multiprocessing.set_start_method({method!r})\n"
+        "    spec = SweepSpec(ModelParams(T=200), 'b', (0.01, 0.02), (0, 1))\n"
+        "    serial, parallel = run_sweep(spec), run_sweep(spec, n_jobs=2)\n"
+        "    paths = all((a == b).all() for a, b in zip(serial.paths, parallel.paths))\n"
+        "    print(multiprocessing.get_start_method(), parallel == serial and paths)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bubblesim.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "sweep_main.py"], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [method, "True"]
 
 
 def _sweep_in_child(conn, spec: SweepSpec) -> None:
