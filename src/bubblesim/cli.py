@@ -10,24 +10,23 @@ Configuration is resolved in three layers: built-in defaults, then a flat
 JSON config file (--config), then command-line flags.  One rule holds for
 every key: a given flag wins over the file, whatever the file holds for it,
 and the file over the default.  An empty --out or --axis counts as not
-given.  The effective configuration is echoed into every JSON summary, so
-outputs are self-describing.
+given.  Flags read numbers as the file does: the type that owns a field
+judges a flag's int or float (-0 keeps its sign), or else its text.  The
+effective configuration is echoed into every JSON summary, so outputs are
+self-describing.
 
 --seeds A..B is an inclusive range and needs 0 <= A <= B < 2**64.
 
-Exit codes: 0 success; 1 for anything wrong with the inputs (bad flag, bad
-config file, parameter constraint violations, a sweep with no valid cell);
-2 when an output file cannot be written.  Diagnostics go to stderr: bad
-input exits 1 with one "error:" line and no traceback.
+Exit codes: 0 success; 1 for anything wrong with the inputs (an unknown or
+abbreviated flag, a missing value, a bad config file, parameter constraint
+violations, a sweep with no valid cell); 2 when an output file cannot be
+written.  Bad input exits 1 with one "error:" line on stderr, with no usage
+block and no traceback.
 
-A run's files are written as one set by a single io._write_files call, so
-an exit 2 leaves no file of the failed run in --out: a failure while
-writing keeps the previous set byte for byte, and a failed rename removes
-the files this run had already renamed into place.  No temp file is left
-either.  A run without a plot removes the stale trajectory.svg or
-sweep.svg of an earlier run once its new files are written, before any
-is renamed into place, so a stale plot that cannot be removed keeps the
-previous set too, while a failed rename finds that plot already gone.
+A run's files, and the removal of a stale plot when it draws none, are one
+set committed by a single io._write_files call, so an exit 2 leaves no file
+of the failed run in --out and no temp file; a failure before any rename
+keeps the previous set byte for byte.
 """
 
 from __future__ import annotations
@@ -96,11 +95,21 @@ def parse_seed_range(text: str) -> tuple[int, ...]:
         raise ConfigError(f"seed range {text!r} is too long to run") from None
 
 
-def parse_value_list(text: str) -> tuple[float, ...]:
+def _number(text: str) -> int | float | str:
+    """The int ``text`` spells, or else the float, or else ``text``, for the
+    field's type to judge; never raises.  Zero is the float, so -0 keeps its sign."""
     try:
-        return tuple(float(p) for p in text.split(","))
+        return int(text) or float(text)
     except ValueError:
-        raise ConfigError(f"values must be a comma-separated list of reals (got {text!r})") from None
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is bad input like any other: exit 1
+        raise ConfigError(message)
 
 
 def _load_config_file(path: str) -> dict:
@@ -157,12 +166,10 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     seed = integer(given.get("seed", _DEFAULT_SEED), "seed")  # checked in sweep runs too
 
     values = given.get("values")
-    if "values" in flags:  # the flag's text, parsed here so errors keep their order
-        values = parse_value_list(values)
-    elif values is not None:
+    if values is not None:
         if not isinstance(values, list):
             raise ConfigError(f"config values must be a list of reals (got {values!r})")
-        values = tuple(real(x, "config values entry") for x in values)
+        values = tuple(real(x, "values entry") for x in values)
 
     if not isinstance(given.get("out", ""), str):
         raise ConfigError(f"config out must be a path string (got {given['out']!r})")
@@ -184,11 +191,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(ModelParams):
-        kind = int if f.type in ("int", int) else float
-        names = [f"--{f.name}"]
-        if f.name == "Lambda":
-            names.append("--lambda")
-        parser.add_argument(*names, dest=f.name, type=kind, default=None, metavar="V",
+        names = [f"--{f.name}"] + (["--lambda"] if f.name == "Lambda" else [])
+        parser.add_argument(*names, dest=f.name, type=_number, default=None, metavar="V",
                             help=f"override parameter {f.name} (default {f.default})")
 
 
@@ -197,17 +201,17 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="DIR", default=None, help=f"output directory (default {_DEFAULT_OUT!r})")
     parser.add_argument("--plot", action=argparse.BooleanOptionalAction, default=None,
                         help="emit SVG plot(s) (default: on)")
-    parser.add_argument("--threshold", type=float, default=None, metavar="V",
+    parser.add_argument("--threshold", type=_number, default=None, metavar="V",
                         help="crash detector crossing threshold (default: parameter b)")
-    parser.add_argument("--peak-window", dest="peak_window", type=int, default=None, metavar="N",
+    parser.add_argument("--peak-window", dest="peak_window", type=_number, default=None, metavar="N",
                         help="crash detector peak search window (default 500)")
-    parser.add_argument("--min-drawdown", dest="min_drawdown", type=float, default=None, metavar="V",
+    parser.add_argument("--min-drawdown", dest="min_drawdown", type=_number, default=None, metavar="V",
                         help="crash detector drawdown floor (default 5*d)")
     _add_param_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bubblesim",
         description="Simulate momentum-driven bubble/crash market dynamics.",
         allow_abbrev=False,
@@ -215,22 +219,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run one trajectory and write CSV/JSON/SVG", allow_abbrev=False)
-    p_sim.add_argument("--seed", type=int, default=None, metavar="N", help="RNG seed (default 0)")
+    p_sim.add_argument("--seed", type=_number, default=None, metavar="N", help="RNG seed (default 0)")
     _add_common_flags(p_sim)
     p_sim.set_defaults(mode="simulate")
 
     p_sweep = sub.add_parser("sweep", help="run a one-parameter matched-seed ensemble", allow_abbrev=False)
     p_sweep.add_argument("--axis", metavar="NAME", default=None,
                          help="parameter to vary: b, r, lambda (any parameter name works)")
-    p_sweep.add_argument("--values", metavar="LIST", default=None,
-                         help="comma-separated, strictly increasing values")
+    p_sweep.add_argument("--values", type=lambda text: [_number(x) for x in text.split(",")],
+                         metavar="LIST", default=None, help="comma-separated, strictly increasing values")
     p_sweep.add_argument("--seeds", metavar="A..B", default=None,
                          help=f"inclusive seed range (default {_DEFAULT_SEEDS})")
     _add_common_flags(p_sweep)
     p_sweep.set_defaults(mode="sweep")
 
     p_base = sub.add_parser("baseline", help="simulate with stock parameters, all outputs", allow_abbrev=False)
-    p_base.add_argument("--seed", type=int, default=None, metavar="N", help="RNG seed (default 0)")
+    p_base.add_argument("--seed", type=_number, default=None, metavar="N", help="RNG seed (default 0)")
     p_base.add_argument("--out", metavar="DIR", default=None, help=f"output directory (default {_DEFAULT_OUT!r})")
     p_base.set_defaults(mode="simulate")
 
@@ -274,21 +278,16 @@ def _run_sweep_cmd(cfg: RunConfig) -> dict[str, str | None]:
 
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the process exit code instead of raising."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors; usage errors are
-        # configuration errors in our codes
-        return 0 if exc.code in (0, None) else 1
-    try:
-        cfg = parse_config(args)
+        cfg = parse_config(build_parser().parse_args(argv))
         files = _run_sweep_cmd(cfg) if cfg.mode == "sweep" else _run_simulate(cfg)
         try:
             cfg.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise OSError(f"cannot create output directory {cfg.out}: {exc}") from exc
         written = _write_files({cfg.out / name: text for name, text in files.items()})
+    except SystemExit:  # --help; argparse's usage errors raise ConfigError
+        return 0
     except (ConfigError, ValueError, MemoryError, OSError) as exc:
         # MemoryError: numpy refuses the columns of a T too large to allocate,
         # and Python's own MemoryError has no text

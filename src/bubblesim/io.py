@@ -40,6 +40,7 @@ import numpy as np
 from .analysis import CrashConfig, SummaryStats
 from .model import Trajectory
 from .params import ModelParams
+from .rng import as_seed
 from .sweep import SweepResult
 
 ARTIFACT_VERSION = "0.1.0"
@@ -331,7 +332,7 @@ def summary_payload(
         cfg = CrashConfig.for_params(params)
     return {
         "config": {"params": params.as_dict(), "detector": asdict(cfg)},
-        "seed": int(seed),
+        "seed": as_seed(seed),
         "stats": asdict(stats),
         "version": ARTIFACT_VERSION,
     }

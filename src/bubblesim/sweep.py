@@ -24,19 +24,19 @@ Cells are independent pure function evaluations, so run_sweep can fan them
 out to worker processes; results are collected by cell index and the output
 is bit-identical whether run serially or in parallel.  Each worker gets one
 chunk of interleaved cells (cells w, w + n_jobs, ...), which spreads every
-value's seeds evenly over the workers; no worker takes over cells from a
-slow one, so a worker held up by the host holds up the sweep.  The worker
+value's seeds evenly over the workers; no worker takes over cells from a slow
+one, so a worker held up by the host holds up the sweep.  The worker
 processes are kept between parallel sweeps: the first one in a process pays
 their start-up, later ones with the same n_jobs reuse the warm workers.  A
 sweep starts at most one worker per cell, and reuses a kept pool of up to
-n_jobs workers.  The pool is replaced when it is too small or too large for
-a sweep, or when it breaks, and is shut down when the interpreter exits.  A forked child starts workers of its own, and in a
-multiprocessing child, which runs no exit hook, each parallel sweep shuts
-them down before it returns.  Workers see the package as it was when they
-were started, not changes made to its modules afterwards.  A cell whose
-derived parameters are invalid (say a swept b landing above c) records an
-error string and the sweep continues; only a sweep with no surviving cell
-raises.
+n_jobs workers.  The pool is replaced when it is too small or too large for a
+sweep, or when it breaks, and is shut down when the interpreter exits.  A
+forked child starts workers of its own, and in a multiprocessing child, which
+runs no exit hook, each parallel sweep shuts them down before it returns.
+Workers see the package as it was when they were started, not changes made to
+its modules afterwards.  A cell whose derived parameters are invalid (say a
+swept b landing above c) records an error string and the sweep continues;
+only a sweep with no surviving cell raises.
 
 The first seed's cell of each value also hands back its log-price path, the
 representative path plot_sweep draws, so a sweep and its plot simulate every
@@ -281,12 +281,12 @@ def run_sweep(
     grid ordering (values-major, seeds-minor) and every number in the result
     are independent of the execution mode.
 
-    The workers are kept for later parallel sweeps, so only the first one in
-    a process pays their start-up.  They are replaced when there are more
-    than n_jobs of them, or fewer than the sweep can use, or the pool breaks, shut down at interpreter exit, and see the
-    package as it was when they were started.  A forked child starts its own
-    workers, and in a multiprocessing child they are shut down before the
-    sweep returns.
+    The workers are kept for later parallel sweeps, so only the first one in a
+    process pays their start-up.  They are replaced when there are more than
+    n_jobs of them or fewer than the sweep can use, or when the pool breaks.
+    They are shut down at interpreter exit, and see the package as it was when
+    they were started.  A forked child starts its own workers, and in a
+    multiprocessing child they are shut down before the sweep returns.
 
     A cell that fails (invalid derived parameters, say) is recorded with its
     error and excluded from the aggregates.  If every cell fails, raises

@@ -34,7 +34,6 @@ from bubblesim.cli import (
     main,
     parse_config,
     parse_seed_range,
-    parse_value_list,
 )
 from bubblesim.params import PARAM_FIELDS
 
@@ -79,9 +78,15 @@ def test_a_huge_seed_bound_exits_1_with_one_error_line(tmp_path, capsys):
 
 
 def test_value_list_parsing():
-    assert parse_value_list("0.0001,0.01,0.02") == (0.0001, 0.01, 0.02)
-    with pytest.raises(ConfigError):
-        parse_value_list("1,two,3")
+    def values(text):
+        return parse_config(_PARSER.parse_args(["sweep", f"--values={text}"])).values
+
+    assert values("0.0001,0.01,0.02") == (0.0001, 0.01, 0.02)
+    spelled = values("1,-0,2.5")
+    assert spelled == (1.0, -0.0, 2.5) and [type(v) for v in spelled] == [float] * 3
+    assert np.signbit(spelled[1])
+    with pytest.raises(ValueError, match=r"values entry must be a finite real number \(got 'two'\)"):
+        values("1,two,3")
 
 
 # ---------------------------------------------------------------- simulate
@@ -141,6 +146,51 @@ def test_abbreviated_flags_exit_1_and_write_nothing(tmp_path, capsys, argv):
     assert _run(*argv, "--T", "50", "--out", str(out)) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["simulate", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["simulate", "--th", "0.1"], "unrecognized arguments: --th 0.1"),
+    (["simulate", "--T"], "argument --T: expected one argument"),
+    (["simulate", "--plot=1"], "argument --plot/--no-plot: ignored explicit argument '1'"),
+    (["frob"], "argument command: invalid choice: 'frob'"),
+    ([], "the following arguments are required: command"),
+    (["simulate", "--T=abc"], "ModelParams T must be an integer (got 'abc')"),
+    (["simulate", "--seed=0x10"], "seed must be an integer (got '0x10')"),
+    (["simulate", "--threshold="], "CrashConfig threshold must be a finite real number (got '')"),
+], ids=["unknown", "abbreviated", "missing-value", "explicit-boolean", "command", "no-command",
+        "bad-integer", "hex-seed", "empty-real"])
+def test_a_bad_flag_exits_1_with_one_error_line_and_no_usage(capsys, argv, error):
+    assert _run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {error}")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+def test_integral_flag_spellings_write_the_bytes_of_integer_spellings(tmp_path):
+    spellings = {
+        "integral": ("--T=50.0", "--seed=1e0", "--peak-window=300.0"),
+        "integer": ("--T=50", "--seed=1", "--peak-window=300"),
+    }
+    for name, argv in spellings.items():
+        assert _run("simulate", *argv, "--out", str(tmp_path / name)) == 0
+    for file in ("trajectory.csv", "summary.json", "trajectory.svg"):
+        assert (tmp_path / "integral" / file).read_bytes() == (tmp_path / "integer" / file).read_bytes()
+
+
+def test_a_minus_zero_flag_keeps_its_sign(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"x0": -0.0, "threshold": -0.0}')
+    spellings = {"flagged": ("--x0=-0", "--threshold=-0"), "filed": ("--config", str(cfg))}
+    for name, argv in spellings.items():
+        assert _run("simulate", *argv, "--T", "5", "--out", str(tmp_path / name), "--no-plot") == 0
+    rows = (tmp_path / "flagged" / "trajectory.csv").read_text().splitlines()
+    assert rows[1].split(",")[CSV_HEADER.split(",").index("x")] == "-0"
+    summary = json.loads((tmp_path / "flagged" / "summary.json").read_text())
+    assert np.signbit(summary["config"]["params"]["x0"])
+    assert np.signbit(summary["config"]["detector"]["threshold"])
+    for file in ("trajectory.csv", "summary.json"):
+        assert (tmp_path / "flagged" / file).read_bytes() == (tmp_path / "filed" / file).read_bytes()
 
 
 def test_help_exits_0(capsys):
@@ -446,12 +496,12 @@ _EDGES = ("0", "1", "-1", "3", "0.5", "-0.0", "2.0", "0.02", "1e400", "-1e400", 
 _EDGE = st.sampled_from(_EDGES)
 
 
-def _spelled(value):
+def _spelled(value, edge=_EDGE):
     """The literals of a valid value, as an int where it is one, or an edge."""
     spellings = {json.dumps(value), json.dumps(float(value))}
     if float(value).is_integer():
         spellings.add(str(int(value)))
-    return st.sampled_from(sorted(spellings)) | _EDGE
+    return st.sampled_from(sorted(spellings)) | edge
 
 
 def _listed(item):
@@ -495,6 +545,68 @@ def test_any_config_numbers_exit_0_or_1_with_one_error_line(
     stderr, stdout = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(stdout):
         code = main(argv)
+    assert code in (0, 1)
+    files = [p.name for p in out.iterdir()] if out.exists() else []
+    assert not [name for name in files if name.endswith(".tmp")]
+    if code == 1:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert files == []
+
+
+# Flag texts: the float and int edges, and text no field takes.  Every
+# flag is spelled --flag=value, so a value may start with "-".
+_ARGV_EDGES = ("", "nan", "inf", "-inf", "1e400", "1" + "0" * 400, "-1", "-0", "50.0", "2.5",
+               "1e3", "0x10", "1_0", "abc", "3..1", "0..2")
+_ARGV_EDGE = st.sampled_from(_ARGV_EDGES)
+
+_FLAG_NAMES = {**_DETECTOR_FLAGS, "seed": "--seed"}
+_FLAG_VALUES = {
+    _FLAG_NAMES.get(key, f"--{key}"): _spelled(value, _ARGV_EDGE)
+    for key, value in _DEFAULTS.items() if key != "T"
+}
+_FLAG_VALUES["--lambda"] = _FLAG_VALUES["--Lambda"]
+# every run is small: T at most 50, and a sweep has at most 3 cells, so
+# "0..2" seeds come with one value (baseline takes no --T: it runs T = 5000)
+_ARGV_T = st.sampled_from(("2", "50", "20.0", "50.0", "1_0", "5e1")) | st.sampled_from(
+    [e for e in _ARGV_EDGES if e not in ("1e3", "1" + "0" * 400)]
+)
+_ARGV_SWEEP = st.sampled_from(("0..0", "2..2", "0..2", "3..1", "0..2x", "")).flatmap(
+    lambda seeds: st.fixed_dictionaries({
+        "--seeds": st.just(seeds),
+        "--values": st.lists(st.sampled_from(("0.01", "0.02", "0.5")) | _ARGV_EDGE, min_size=1,
+                             max_size=1 if seeds == "0..2" else 3).map(",".join),
+        "--axis": st.sampled_from(("b", "r", "Lambda", "lambda", "d", "x0", "", "abc")),
+    })
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(("simulate", "sweep", "baseline")))
+    if command == "baseline":
+        flags = draw(st.dictionaries(st.just("--seed"), _FLAG_VALUES["--seed"]))
+    else:
+        names = sorted(set(_FLAG_VALUES) - ({"--seed"} if command == "sweep" else set()))
+        flags = draw(st.lists(st.sampled_from(names), max_size=3, unique=True).flatmap(
+            lambda keys: st.fixed_dictionaries({k: _FLAG_VALUES[k] for k in keys})
+        ))
+        flags["--T"] = draw(_ARGV_T)
+        if command == "sweep":
+            flags.update(draw(_ARGV_SWEEP))
+    argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
+    if command != "baseline":
+        argv.append(draw(st.sampled_from(("--plot", "--no-plot"))))
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(argv=_argv())
+def test_any_argv_exits_0_or_1_with_one_error_line(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("argv") / "out"
+    stderr, stdout = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(stdout):
+        code = main([*argv, f"--out={out}"])
     assert code in (0, 1)
     files = [p.name for p in out.iterdir()] if out.exists() else []
     assert not [name for name in files if name.endswith(".tmp")]

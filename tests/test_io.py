@@ -503,6 +503,16 @@ def test_json_numbers_survive_a_round_trip(tmp_path):
     assert back["config"]["params"]["r"] == P.r
 
 
+def test_summary_payload_checks_the_seed_and_writes_it_as_an_int():
+    stats = summarize(simulate(P, 7))
+    for seed in (7, 7.0, np.int64(7), np.uint64(7), np.float64(7.0)):
+        written = summary_payload(stats, P, seed)["seed"]
+        assert written == 7 and type(written) is int
+    for seed in (1.9, True, np.True_, -1, 2**64, "7"):
+        with pytest.raises(ValueError, match="seed must be"):
+            summary_payload(stats, P, seed)
+
+
 @pytest.mark.parametrize("setting", [
     {"threshold": np.float32(0.02)},
     {"min_drawdown": np.int64(1)},
