@@ -15,6 +15,7 @@ only removes marginal ones, which makes sweeps over the floor monotone.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,36 +107,34 @@ def detect_crashes(traj: Trajectory, cfg: CrashConfig | None = None) -> list[Cra
     episode and reported events never overlap: t_trough[i] < t_cross[i+1].
     Consuming them needs no code of its own: they are the crossings up to
     the peak, because the trough search stops before the next crossing.
+    The floor is applied last, so the detector stays a pure filter.
+
+    The crossings are walked as a list of Python ints, and each price is
+    read once as a Python float; the numpy form of the same steps lives with
+    the tests, which check every event against it field by field and bit
+    for bit.
     """
     if cfg is None:
         cfg = CrashConfig.for_params(traj.params)
     if len(traj) < 2:
         raise ValueError(f"detect_crashes requires at least 2 records (got {len(traj)})")
     lp = traj.log_price
-    n = len(lp)
-    cross = up_crossings(traj.momentum, cfg.threshold)
+    cross = up_crossings(traj.momentum, cfg.threshold).tolist()
+    window = cfg.peak_window + 1
     events: list[CrashEvent] = []
     i = 0
     while i < len(cross):
-        t_c = int(cross[i])
-        peak_end = min(t_c + cfg.peak_window, n - 1)
-        t_peak = t_c + int(np.argmax(lp[t_c : peak_end + 1]))
-        j = int(np.searchsorted(cross, t_peak, side="right"))  # > i: cross[i] <= t_peak
-        t_end = int(cross[j]) if j < len(cross) else n
-        t_trough = t_peak + int(np.argmin(lp[t_peak:t_end]))
-        drawdown = float(lp[t_peak] - lp[t_trough])
+        t_c = cross[i]
+        t_peak = t_c + int(lp[t_c : t_c + window].argmax())  # the slice clips at the end
+        # the next episode starts at the first crossing after the peak, and
+        # the trough search stops before it
+        i = bisect_right(cross, t_peak)  # > i: cross[i] <= t_peak
+        t_end = cross[i] if i < len(cross) else len(lp)
+        t_trough = t_peak + int(lp[t_peak:t_end].argmin())
+        peak, trough = lp.item(t_peak), lp.item(t_trough)
+        drawdown = peak - trough
         if drawdown >= cfg.min_drawdown:
-            events.append(
-                CrashEvent(
-                    t_cross=t_c,
-                    t_peak=t_peak,
-                    t_trough=t_trough,
-                    peak_log_price=float(lp[t_peak]),
-                    trough_log_price=float(lp[t_trough]),
-                    drawdown=drawdown,
-                )
-            )
-        i = j  # cross[j] > t_trough: the trough search stopped before it
+            events.append(CrashEvent(t_c, t_peak, t_trough, peak, trough, drawdown))
     return events
 
 
@@ -150,7 +149,7 @@ def summarize(traj: Trajectory, cfg: CrashConfig | None = None) -> SummaryStats:
     events = detect_crashes(traj, cfg)
     if len(events) >= 2:
         gaps = [b.t_cross - a.t_cross for a, b in zip(events, events[1:])]
-        mean_gap: float | None = float(np.mean(gaps))
+        mean_gap: float | None = sum(gaps) / len(gaps)
     else:
         mean_gap = None
     return SummaryStats(

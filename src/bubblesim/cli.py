@@ -290,8 +290,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (ConfigError, ValueError, MemoryError, OSError) as exc:
         # MemoryError: numpy refuses the columns of a T too large to allocate,
-        # and Python's own MemoryError has no text
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        # and Python's own MemoryError has no text.  A flag or a path may
+        # hold a line break; it is escaped, so the error stays one line.
+        text = str(exc) or type(exc).__name__
+        print("error: " + text.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1
     for path in written:
         print(f"wrote {path}")

@@ -43,7 +43,11 @@ x_t and the tick count.  Each period it stores M_t and tests the trade draw;
 it tests the direction draw only when a trade fires.  The other columns
 (lambda, x, direction, trade, n_trades, log P) are rebuilt afterwards as
 whole numpy columns, with the loop's IEEE operations in the loop's order, so
-every bit is the same as a period-by-period evaluation.
+every bit is the same as a period-by-period evaluation.  The draws' bins come
+from one pass over all 2*(T-1) of them; the trade and direction bins are its
+even and odd views.  x is filled in one buffer, x0 twice and then the cubic
+increments, and summed in place from period 1 on, which adds in the loop's
+order with no concatenation.
 
 Both Bernoulli(Phi) decisions use one exact bracket table and one rule.  A
 draw's bin gives two points of a fixed z grid: at or below the lower one the
@@ -112,14 +116,14 @@ def _bins(u: np.ndarray) -> np.ndarray:
     return np.clip(u * float(_BINS), 0.0, _BINS - 1.0).astype(np.intp)
 
 
-def _below_normal_cdf(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _below_normal_cdf(u: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Elementwise ``u < 0.5 * math.erfc(-x / sqrt 2)`` (the Bernoulli(Phi(x))
-    outcome of each draw u) for finite float64 x, bit for bit.
+    outcome of each draw u) for finite float64 x, bit for bit; j is
+    ``_bins(u)``.
 
     x at or beyond a bracket end of its draw's bin decides the draw; the few
     x inside the bracket are decided with ``normal_cdf``.
     """
-    j = _bins(u)
     below = x >= _ZHI[j]
     for i in np.flatnonzero(~below & (x > _ZLO[j])).tolist():
         below[i] = u[i] < normal_cdf(x[i])
@@ -201,6 +205,8 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     rng = RngStream(seed)
     u = rng.take(2 * (params.T - 1))
     u_trade, u_dir = u[0::2], u[1::2]
+    j = _bins(u)
+    j_trade, j_dir = j[0::2], j[1::2]
 
     log_p0, d, x0 = params.log_p0, params.d, params.x0
     Lambda, k = params.Lambda, params.k
@@ -215,9 +221,8 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     # in between.  Phi is written inline, not via normal_cdf, as the loop
     # must never raise: erfc takes nan and +-inf, and the check after the
     # loop raises for the first non-finite value, intensity first.
-    j = _bins(u_trade)
-    floor = _momentum_floor(Lambda, k)[j]
-    zhi = _ZHI[j]
+    floor = _momentum_floor(Lambda, k)[j_trade]
+    zhi = _ZHI[j_trade]
     momentum = [0.0] * n
     traded_at: list[int] = []
     lp = log_p0
@@ -243,16 +248,18 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     trade = np.zeros(n, dtype=np.int64)
     trade[traded_at] = 1
     direction = np.zeros(n, dtype=np.int64)
+    x = np.empty(n)
+    x[0] = x[1] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         lam = Lambda + k * mom
-        increments = cubic_increment(params, mom[2:])
-        x = np.concatenate(([x0], np.cumsum(np.concatenate(([x0], increments)))))
-        bad = ~(np.isfinite(lam) & np.isfinite(x))
-        if bad.any():  # normal_cdf raises on the first bad period, lam first
-            t = int(bad.argmax())
+        x[2:] = cubic_increment(params, mom[2:])
+        np.add.accumulate(x[1:], out=x[1:])
+        if not (np.isfinite(lam).all() and np.isfinite(x).all()):
+            # normal_cdf raises on the first bad period, lam first
+            t = int((~(np.isfinite(lam) & np.isfinite(x))).argmax())
             normal_cdf(float(lam[t]))
             normal_cdf(float(x[t]))
-        direction[2:] = _below_normal_cdf(u_dir, x[2:])
+        direction[2:] = _below_normal_cdf(u_dir, x[2:], j_dir)
         log_price = log_p0 + d * np.cumsum(trade * (2 * direction - 1))
     log_price[:2] = log_p0
 

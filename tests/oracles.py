@@ -22,6 +22,11 @@ writers must produce the same text, character for character.  The CSV
 reader's oracle parses the whole file as one string; the block reader must
 return the same arrays and raise the same errors.
 
+The crash detector's reference form is its numpy form: the crossings stay
+an int64 array, the next crossing comes from ``np.searchsorted``, and each
+price is read through a numpy scalar.  The package walks the crossings as
+Python ints and must report the same events, bit for bit.
+
 The sweep aggregation oracle reduces one value's seeds at a time with 1-D
 ``np.median``/``np.percentile`` calls; the batched reduction over the whole
 grid must give the same bits.
@@ -44,6 +49,7 @@ import numpy as np
 from bubblesim import (
     CSV_HEADER,
     CrashConfig,
+    CrashEvent,
     ModelParams,
     PARAM_FIELDS,
     RngStream,
@@ -52,6 +58,7 @@ from bubblesim import (
     Trajectory,
     ValueSummary,
     normal_cdf,
+    up_crossings,
 )
 from bubblesim.io import ARTIFACT_VERSION, traj_column
 from bubblesim.model import cubic_increment
@@ -229,6 +236,39 @@ def simulate_stepwise(params: ModelParams, seed: int) -> Trajectory:
         for name, col in zip(Row._fields, zip(*rows))
     }
     return Trajectory(params=params, seed=seed, n_rng_draws=rng.n_draws, **columns)
+
+
+def detect_crashes_reference(traj: Trajectory, cfg: CrashConfig) -> list[CrashEvent]:
+    """The crash episodes of ``bubblesim.detect_crashes``, found with numpy
+    indices and numpy scalars throughout."""
+    if len(traj) < 2:
+        raise ValueError(f"detect_crashes requires at least 2 records (got {len(traj)})")
+    lp = traj.log_price
+    n = len(lp)
+    cross = up_crossings(traj.momentum, cfg.threshold)
+    events: list[CrashEvent] = []
+    i = 0
+    while i < len(cross):
+        t_c = int(cross[i])
+        peak_end = min(t_c + cfg.peak_window, n - 1)
+        t_peak = t_c + int(np.argmax(lp[t_c : peak_end + 1]))
+        j = int(np.searchsorted(cross, t_peak, side="right"))  # > i: cross[i] <= t_peak
+        t_end = int(cross[j]) if j < len(cross) else n
+        t_trough = t_peak + int(np.argmin(lp[t_peak:t_end]))
+        drawdown = float(lp[t_peak] - lp[t_trough])
+        if drawdown >= cfg.min_drawdown:
+            events.append(
+                CrashEvent(
+                    t_cross=t_c,
+                    t_peak=t_peak,
+                    t_trough=t_trough,
+                    peak_log_price=float(lp[t_peak]),
+                    trough_log_price=float(lp[t_trough]),
+                    drawdown=drawdown,
+                )
+            )
+        i = j  # cross[j] > t_trough: the trough search stopped before it
+    return events
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:

@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from bubblesim import (
     CrashConfig,
+    CrashEvent,
     ModelParams,
     detect_crashes,
     simulate,
     summarize,
     up_crossings,
 )
+from oracles import detect_crashes_reference
 from synthetic import (
     alternating_trades_trajectory,
     double_crash_trajectory,
@@ -190,6 +192,45 @@ def test_raising_the_drawdown_floor_only_removes_events(walk, window):
     ]
     for lower, higher in zip(found, found[1:]):
         assert higher <= lower
+
+
+def _bits(v):
+    """A field's type and exact value: floats by their bits."""
+    return type(v), v.hex() if isinstance(v, float) else v
+
+
+# the walks above, and simulated paths at the paper's b values, whose own
+# b is the detector threshold
+_PAPER_B = (0.0001, 0.01, 0.02)
+_trajectories = hst.one_of(
+    _walks.map(lambda walk: make_trajectory(*walk)),
+    hst.tuples(hst.sampled_from(_PAPER_B), hst.integers(0, 2**64 - 1)).map(
+        lambda bs: simulate(ModelParams(b=bs[0]), bs[1])
+    ),
+)
+# crossings at t = 1 and at the last period, from a plateau
+_EDGE_WALK = make_trajectory([0.0, 0.05, 0.0, 0.0, 0.0, 0.0, 0.05], [0, 1, 1, 0, -1, -1, 0])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_trajectories, hst.integers(1, 40) | hst.integers(1, 2**70), hst.floats(0.001, 0.1))
+@example(_EDGE_WALK, 1, 0.005)
+@example(_EDGE_WALK, 2**70, 0.005)
+def test_detect_crashes_equals_its_numpy_reference_bit_for_bit(traj, window, floor):
+    cfg = CrashConfig(threshold=traj.params.b, peak_window=window, min_drawdown=floor)
+    got, want = detect_crashes(traj, cfg), detect_crashes_reference(traj, cfg)
+    assert len(got) == len(want)
+    for ev, ref in zip(got, want):
+        for name in CrashEvent.__slots__:
+            assert _bits(getattr(ev, name)) == _bits(getattr(ref, name)), name
+    gaps = [b.t_cross - a.t_cross for a, b in zip(want, want[1:])]
+    stats = summarize(traj, cfg)
+    assert stats.n_crashes == len(want)
+    assert _bits(stats.mean_inter_crash_interval) == _bits(float(np.mean(gaps)) if gaps else None)
+
+
+def test_the_edge_walk_crosses_at_t_1_and_at_the_last_period():
+    assert up_crossings(_EDGE_WALK.momentum, 0.02).tolist() == [1, len(_EDGE_WALK) - 1]
 
 
 def test_too_short_trajectories_are_rejected():

@@ -72,7 +72,8 @@ def _scalar_below(u: float, x: float) -> bool:
 
 def _decide(u: list[float], x: list[float]) -> list[bool]:
     with np.errstate(over="ignore"):  # as inside simulate: w*w overflows near 1e308
-        return _below_normal_cdf(np.array(u, dtype=float), np.array(x, dtype=float)).tolist()
+        u = np.array(u, dtype=float)
+        return _below_normal_cdf(u, np.array(x, dtype=float), _bins(u)).tolist()
 
 
 _EDGE_X = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
@@ -141,7 +142,7 @@ def test_draws_at_every_bin_edge_are_decided_like_the_scalar_form():
     phis = np.array([_phi(xi) for xi in x.tolist()])
     for ui in _EDGE_U:
         u = np.full(len(x), ui)
-        assert np.array_equal(_below_normal_cdf(u, x), ui < phis), ui
+        assert np.array_equal(_below_normal_cdf(u, x, _bins(u)), ui < phis), ui
 
 
 def _loop_trades(m: float, low: float, zhi: float, u: float, Lambda: float, k: float) -> bool:

@@ -158,8 +158,10 @@ def test_abbreviated_flags_exit_1_and_write_nothing(tmp_path, capsys, argv):
     (["simulate", "--T=abc"], "ModelParams T must be an integer (got 'abc')"),
     (["simulate", "--seed=0x10"], "seed must be an integer (got '0x10')"),
     (["simulate", "--threshold="], "CrashConfig threshold must be a finite real number (got '')"),
+    (["simulate", "--bogus=a\nb"], "unrecognized arguments: --bogus=a\\nb"),
+    (["simulate", "--config=a\r\nb"], "cannot read config file a\\r\\nb: "),
 ], ids=["unknown", "abbreviated", "missing-value", "explicit-boolean", "command", "no-command",
-        "bad-integer", "hex-seed", "empty-real"])
+        "bad-integer", "hex-seed", "empty-real", "newline-flag", "newline-config-path"])
 def test_a_bad_flag_exits_1_with_one_error_line_and_no_usage(capsys, argv, error):
     assert _run(*argv) == 1
     captured = capsys.readouterr()
@@ -557,7 +559,7 @@ def test_any_config_numbers_exit_0_or_1_with_one_error_line(
 # Flag texts: the float and int edges, and text no field takes.  Every
 # flag is spelled --flag=value, so a value may start with "-".
 _ARGV_EDGES = ("", "nan", "inf", "-inf", "1e400", "1" + "0" * 400, "-1", "-0", "50.0", "2.5",
-               "1e3", "0x10", "1_0", "abc", "3..1", "0..2")
+               "1e3", "0x10", "1_0", "abc", "3..1", "0..2", "1\n2")
 _ARGV_EDGE = st.sampled_from(_ARGV_EDGES)
 
 _FLAG_NAMES = {**_DETECTOR_FLAGS, "seed": "--seed"}

@@ -18,7 +18,9 @@ from bubblesim import (
     RngStream,
     Trajectory,
     normal_cdf,
+    read_trajectory_csv,
     simulate,
+    write_trajectory_csv,
 )
 from bubblesim.model import cubic_increment
 from oracles import SimState, bernoulli, initial_state, intensity, simulate_stepwise, step
@@ -187,19 +189,27 @@ def test_simulate_is_deterministic():
     assert not np.array_equal(a.log_price, c.log_price)
 
 
+def _exact(v: float) -> str:
+    return v.hex()  # equal strings: equal bits, the sign of zero included
+
+
 def test_simulate_columns_satisfy_the_update_equations():
+    # exactly, with the loop's IEEE operations in the loop's order
     p = ModelParams(T=400)
     traj = simulate(p, 5)
-    lp, m, lam, x = traj.log_price, traj.momentum, traj.lam, traj.x
+    lp, m, lam, x = (getattr(traj, name).tolist() for name in ("log_price", "momentum", "lam", "x"))
     trade, direction, n = traj.trade, traj.direction, traj.n_trades
+    decay = math.exp(-p.r)
+    ticks = 0
     for t in range(2, p.T + 1):
-        assert m[t] == pytest.approx(math.exp(-p.r) * (m[t - 1] + (lp[t - 1] - lp[t - 2])), abs=1e-16)
-        assert lam[t] == p.Lambda + p.k * m[t]
-        assert x[t] == pytest.approx(x[t - 1] + cubic_increment(p, m[t]), abs=1e-16)
+        assert _exact(m[t]) == _exact(decay * (m[t - 1] + (lp[t - 1] - lp[t - 2])))
+        assert _exact(lam[t]) == _exact(p.Lambda + p.k * m[t])
+        assert _exact(x[t]) == _exact(x[t - 1] + p.h * (m[t] - p.a) * (m[t] - p.b) * (m[t] - p.c))
         if trade[t]:
-            assert lp[t] - lp[t - 1] == pytest.approx(p.d * (2 * direction[t] - 1), abs=1e-15)
+            ticks += 2 * int(direction[t]) - 1
+            assert _exact(lp[t]) == _exact(p.log_p0 + p.d * ticks)
         else:
-            assert lp[t] == lp[t - 1]  # no-trade freeze, bitwise
+            assert _exact(lp[t]) == _exact(lp[t - 1])  # no-trade freeze
         assert n[t] == n[t - 1] + trade[t]
     assert set(np.unique(trade)) <= {0, 1}
     assert set(np.unique(direction)) <= {0, 1}
@@ -348,6 +358,55 @@ def test_the_edge_examples_reach_their_edges():
     rest = {name: v for name, v in _OVERFLOW.items() if name != "roots"}
     overflow = ModelParams(T=3, a=a, b=b, c=c, **rest)
     assert simulate(overflow, 1).log_price.tolist() == [0.0, 0.0, 1e308, math.inf]
+
+
+# ---------------------------------------------------------------- laws without an oracle
+
+
+def _assert_decisions_follow_the_draws(columns, seed: int) -> None:
+    """Every period's trade is [u < Phi(lam)] on its first draw, and its
+    direction [u < Phi(x)] on its second, with the scalar ``normal_cdf``."""
+    u = RngStream(seed).take(2 * (len(columns["trade"]) - 2)).tolist()
+    lam, x = columns["lam"].tolist(), columns["x"].tolist()
+    trade, direction = columns["trade"].tolist(), columns["direction"].tolist()
+    for t in range(2, len(trade)):
+        assert trade[t] == (u[2 * (t - 2)] < normal_cdf(lam[t])), t
+        assert direction[t] == (u[2 * (t - 2) + 1] < normal_cdf(x[t])), t
+
+
+def test_every_decision_follows_its_draw_on_random_parameters():
+    rng = np.random.Generator(np.random.PCG64(57))
+    for T in (2, 3, 50, 700, 1500):
+        params = _random_params(rng, T)
+        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+        traj = simulate(params, seed)
+        _assert_decisions_follow_the_draws({name: getattr(traj, name) for name in COLUMNS}, seed)
+
+
+def test_every_decision_follows_its_draw_in_a_csv_read_back(tmp_path):
+    for seed, params in ((3, ModelParams(T=1000)), (2**64 - 1, ModelParams(T=300, Lambda=-1.0, x0=0.7))):
+        path = tmp_path / f"{seed}.csv"
+        write_trajectory_csv(simulate(params, seed), path)
+        columns = read_trajectory_csv(path)
+        _assert_decisions_follow_the_draws({**columns, "lam": columns["lambda"]}, seed)
+
+
+def test_vanishing_k_and_h_leave_two_fixed_bernoulli_streams():
+    # k = h = 5e-324: k*M and the cubic increment are at most a few of the
+    # smallest subnormals, which vanish beside Lambda and x0, so lam is
+    # Lambda and x is x0 bitwise, and each decision is a draw against a
+    # fixed Phi
+    rng = np.random.Generator(np.random.PCG64(61))
+    for _ in range(60):
+        Lambda, x0 = float(rng.uniform(-3.0, 1.0)), float(rng.uniform(-2.0, 2.0))
+        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+        params = ModelParams(T=2000, k=5e-324, h=5e-324, Lambda=Lambda, x0=x0)
+        traj = simulate(params, seed)
+        assert _exact(traj.lam.min()) == _exact(traj.lam.max()) == _exact(Lambda)
+        assert _exact(traj.x.min()) == _exact(traj.x.max()) == _exact(x0)
+        u = RngStream(seed).take(2 * (params.T - 1))
+        assert np.array_equal(traj.trade[2:], u[0::2] < normal_cdf(Lambda))
+        assert np.array_equal(traj.direction[2:], u[1::2] < normal_cdf(x0))
 
 
 @pytest.mark.parametrize("b, bad", [(0.02, "inf"), (0.0, "nan")])
