@@ -14,12 +14,16 @@ JSON has no non-finite numbers; inf, -inf and nan are written as the strings
 "Infinity", "-Infinity" and "NaN".
 
 The CSV rows (Python's '%.17g' and '%d') and the SVG polyline points
-('%.2f') are both written by _rows_text, with one numpy cell kernel per
-column: _int_cells, _g17_cells or _f2_cells.  A real's 17 digits come from
-exact integer arithmetic on its significand.  The few cells a kernel does
-not cover (for '%.17g', |v| outside [1e-11, 1e15) but zeros, and values
-next to a power of ten whose log10 misleads it; for '%.2f', near-ties,
-large and non-finite values) get Python's text spliced in.
+('%.2f') are both written _WRITE_ROWS rows at a time by _cells and
+_rows_text: per block, one numpy cell kernel call (_int_cells, _g17_cells
+or _f2_cells) formats all the columns that use that kernel, stacked, and
+_rows_text lays a table's columns out as bytes.  A real's 17 digits come
+from exact integer arithmetic on its significand.  The few cells a kernel
+does not cover (for '%.17g', |v| outside [1e-11, 1e15) but zeros, and
+values next to a power of ten whose log10 misleads it; for '%.2f',
+near-ties, large and non-finite values) get Python's text spliced in.
+Every text reaches _write_files as bytes or str pieces, and every file is
+written in binary mode, str pieces as UTF-8.
 """
 
 from __future__ import annotations
@@ -55,32 +59,53 @@ def write_trajectory_csv(traj: Trajectory, path: str | PathLike[str]) -> None:
     """Write one row per period, t ascending, under the fixed header.
 
     Each cell reads as ``'%.17g' % v`` for reals and ``'%d' % v`` for
-    integers.  Rows are formatted and written _BLOCK_ROWS at a time, so the
-    memory a write takes does not grow with T.
+    integers.  Rows are formatted and written _WRITE_ROWS (1024) at a time,
+    so the memory a write takes does not grow with T (its tracemalloc peak
+    is about 390 KB), and no buffer of a block reaches glibc's 128 KB mmap
+    threshold: a write reuses heap pages instead of faulting in fresh ones.
+    1024 is the largest power of two that keeps it so; smaller blocks cost
+    more numpy calls per row.
     """
     _write_files({path: _csv_text(traj)})
 
 
-def _csv_text(traj: Trajectory) -> Iterator[str]:
-    """The CSV text write_trajectory_csv writes, as the header and then one
-    piece per _BLOCK_ROWS rows, each formatted only when it is reached."""
+def _csv_text(traj: Trajectory) -> Iterator[bytes]:
+    """The CSV bytes write_trajectory_csv writes, as the header and then one
+    piece per _WRITE_ROWS rows, each formatted only when it is reached."""
     columns = [traj_column(traj, name) for name in _COLUMNS]
-    kernels = [_int_cells if name in _INT_COLUMNS else _g17_cells for name in _COLUMNS]
-    seps = "," * (len(_COLUMNS) - 1) + "\n"
-    blocks = (
-        _rows_text([col[start:start + _BLOCK_ROWS] for col in columns], kernels, "%.17g", seps)
-        for start in range(0, len(traj), _BLOCK_ROWS)
-    )
-    return itertools.chain([CSV_HEADER + "\n"], blocks)
+    ints = [i for i, name in enumerate(_COLUMNS) if name in _INT_COLUMNS]
+    reals = [i for i in range(len(_COLUMNS)) if i not in ints]
+    seps = b"," * (len(_COLUMNS) - 1) + b"\n"
+    yield (CSV_HEADER + "\n").encode()
+    for rows in _row_blocks(len(traj)):
+        cells = {}
+        for kernel, at in ((_int_cells, ints), (_g17_cells, reals)):
+            cells.update(zip(at, _cells([columns[i][rows] for i in at], kernel)))
+        yield _rows_text([cells.pop(i) for i in range(len(columns))], b"%.17g", seps)
 
 
-_BLOCK_ROWS = 8192
+_BLOCK_ROWS = 8192  # the reader's block: lines parsed per step
+# The writers' block (CSV rows, SVG points), chosen by measurement on a
+# 2-core Linux host: at 1024 rows a block's largest buffer, the '%.17g'
+# cells of the four real columns, is 112 KB, below glibc's 128 KB mmap
+# threshold.  A `bubblesim simulate` write at T = 5000 then took about 20
+# minor page faults, against 600 to 760 with 8192-row blocks; 768 rows
+# took none but wrote the CSV about 10% slower, 1280 rows (143 KB cells)
+# took about 50.
+_WRITE_ROWS = 1024
+
+
+def _row_blocks(n: int) -> Iterator[slice]:
+    """The slices of _WRITE_ROWS rows that cover n rows, in order."""
+    return (slice(start, start + _WRITE_ROWS) for start in range(0, n, _WRITE_ROWS))
+
 
 _ZERO = ord("0")
 _MINUS = np.uint8(ord("-"))  # a bool mask times this is a sign slot, as uint8
-_MARK = 1  # the byte that stands for a cell formatted by Python (see _rows_text)
-_ONE, _TEN, _S32 = np.uint64(1), np.uint64(10), np.uint64(32)
-_LOW32 = np.uint64(0xFFFFFFFF)
+_MARK = 1  # the byte that stands for a cell formatted by Python (see _cells)
+_ONE, _S32, _S52, _SIXTY_FOUR = np.uint64(1), np.uint64(32), np.uint64(52), np.uint64(64)
+_LOW32, _FRAC_HI, _HIDDEN_HI = np.uint64(0xFFFFFFFF), np.uint64(2**20 - 1), np.uint64(2**20)
+_TEN, _E9 = np.uint32(10), np.uint64(10**9)
 _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
 
 # '%.17g' cells from integer digits cover 1e-11 <= |v| < 1e15: there the
@@ -97,99 +122,144 @@ _SHIFT_BASE = np.array([1059 + k for k in _KS], dtype=np.uint64)
 # digits before the '.': k + 1 in fixed form, 1 in exponent form (k < -4),
 # none for -4 <= k < 0, which is written "0." plus -k - 1 zeros first
 _INT_DIGITS = np.array([k + 1 if k >= 0 else 1 if k < -4 else 0 for k in _KS], np.uint8)
-# the "0.000" prefix (first 5 bytes) and "e-XX" suffix (bytes 8 to 11) of
-# each k, 16 bytes a k so that one gather fetches both
-_AFFIXES = np.frombuffer(
-    b"".join(
-        (b"0.000"[: 1 - k] if -4 <= k < 0 else b"").ljust(8, b"\0")
-        + (b"e-%02d" % -k if k < -4 else b"").ljust(8, b"\0")
-        for k in _KS
-    ),
-    dtype="V16",
-)
+# the slot of the '.' among the digits: after the integer ones; without any,
+# slot 17, which is cleared unless a digit moved there
+_DOT = np.array([d if d > 0 else 17 for d in _INT_DIGITS], np.uint8)
+# the "0.000" prefix of -4 <= k < 0 and the "e-XX" suffix of k < -4, one
+# column per k, 0 in unused slots
+_PREFIX = np.array([list((b"0.000"[: 1 - k] if -4 <= k < 0 else b"").ljust(5, b"\0")) for k in _KS], np.uint8)
+_SUFFIX = np.array([list((b"e-%02d" % -k if k < -4 else b"").ljust(4, b"\0")) for k in _KS], np.uint8)
+_PREFIX, _SUFFIX = _PREFIX.T.copy(), _SUFFIX.T.copy()
 _SLOTS = np.arange(18, dtype=np.uint8)  # 17 digits and a '.'
 
 
-def _rows_text(columns: list[np.ndarray], kernels: list, fmt: str, seps: str) -> str:
-    """The rows of a table given by its columns, each cell as its column's
-    kernel writes it and followed by the column's character of ``seps``.
+def _cells(columns: list[np.ndarray], kernel) -> list[tuple]:
+    """Each column's cells from one ``kernel`` call on all of them stacked.
 
     A kernel returns its cells slot-major, one uint8 row per character
     position with 0 in unused slots, and a mask of the cells it leaves to
-    Python; those are cleared and marked with _MARK.  All cells and
-    separators are stacked into one matrix whose transpose reads row after
-    row, minus the slots no row uses.  The marks, in row-major order, are
-    then replaced by ``fmt % v``.
+    Python; those are cleared here and marked with _MARK.  Each column gets
+    (its cells as a view, the slots it uses, its mask or None if it has no
+    marks, its values).
     """
-    n = len(columns[0])
-    parts, marked = [], []
-    for col, kernel, sep in zip(columns, kernels, seps):
-        cells, fallback = kernel(col)
-        if fallback.any():
-            cells[:, fallback] = 0
-            cells[0, fallback] = _MARK
-            marked.append((col, fallback))
-        parts += [cells, np.full((1, n), ord(sep), np.uint8)]
-    block = np.concatenate(parts)
-    parts.clear()  # frees the cells before the copies below, for a lower peak
-    block = block[block.any(axis=1)]
-    text = block.T.tobytes().translate(None, b"\0").decode("ascii")
+    n, k = len(columns[0]), len(columns)
+    cells, fallback = kernel(np.concatenate(columns))
+    marked = np.logical_or.reduce(fallback.reshape(k, n), axis=1).tolist()
+    if any(marked):
+        cells[:, fallback] = 0
+        cells[0, fallback] = _MARK
+    used = np.maximum.reduce(cells.reshape(len(cells), k, n), axis=2).T.tolist()  # each slot's top byte
+    return [
+        (
+            cells[:, i * n:(i + 1) * n],
+            [slot for slot, top in enumerate(used[i]) if top],
+            fallback[i * n:(i + 1) * n] if marked[i] else None,
+            col,
+        )
+        for i, col in enumerate(columns)
+    ]
+
+
+def _rows_text(columns: list[tuple], fmt: bytes, seps: bytes) -> bytes:
+    """The rows of a table given by its columns' _cells, each cell followed
+    by its column's byte of ``seps``.
+
+    The used slots of every column and one separator row per column are
+    stacked into one matrix whose transpose reads row after row.  The
+    marks, in row-major order, are then replaced by ``fmt % v``.  Empties
+    ``columns`` once the matrix is built, and drops each copy once the next
+    is made, so that cells no caller holds are freed before the copies.
+    """
+    n = columns[0][0].shape[1]
+    block = np.empty((sum(len(used) + 1 for _, used, _, _ in columns), n), np.uint8)
+    row = 0
+    for (cells, used, _, _), sep in zip(columns, seps):
+        cells.take(used, axis=0, out=block[row:row + len(used)], mode="clip")
+        block[row + len(used)] = sep
+        row += len(used) + 1
+    marked = [(col, mask) for _, _, mask, col in columns if mask is not None]
+    columns.clear()
+    text = block.T.tobytes()
+    del block
+    text = text.translate(None, b"\0")
     if not marked:
         return text
     cols, masks = zip(*marked)
     spliced = list(map(fmt.__mod__, np.column_stack(cols)[np.column_stack(masks)].tolist()))
-    pieces = text.split(chr(_MARK))
-    joined = [""] * (2 * len(pieces) - 1)
+    pieces = text.split(bytes([_MARK]))
+    joined = [b""] * (2 * len(pieces) - 1)
     joined[0::2] = pieces
     joined[1::2] = spliced  # raises unless there is one text per mark
-    return "".join(joined)
+    return b"".join(joined)
 
 
 def _digits(u: np.ndarray, width: int) -> np.ndarray:
-    """The last ``width`` decimal digits of each uint64 as ASCII bytes, one
-    column per element, most significant first, leading zeros included."""
-    out = np.empty((width, len(u)), np.uint8)
-    for slot in range(width - 1, -1, -1):
-        rest = u // _TEN
-        out[slot] = u - rest * _TEN
+    """The decimal digits of each unsigned integer below 10**width as ASCII
+    bytes, one column per element, most significant first, leading zeros
+    included.
+
+    The integers are split into uint32 groups of nine digits, which are
+    then worked on together, one digit slot of every group per step.
+    """
+    n, groups = len(u), -(-width // 9)
+    g = np.empty((groups, n), np.uint32)
+    for i in range(groups - 1, 0, -1):
+        rest = u // _E9
+        g[i] = u - rest * _E9
         u = rest
+    g[0] = u
+    out = np.empty((groups, 9, n), np.uint8)
+    for slot in range(8, 8 - min(width, 9), -1):
+        rest = g // _TEN
+        out[:, slot] = g - rest * _TEN
+        g = rest
+    out = out.reshape(9 * groups, n)[9 * groups - width:]
     out += _ZERO
     return out
 
 
 def _int_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The '%d' text of each int64 as a column of ASCII bytes (a sign slot
-    and as many digit slots as the largest magnitude needs, 0 in unused
-    slots), and an empty mask: no element is left to Python."""
+    """The '%d' text of each int64 as a column of ASCII bytes, and an empty
+    mask: no element is left to Python."""
     v = np.asarray(v, dtype=np.int64)
     u = np.abs(v).view(np.uint64)  # the magnitude: abs(-2**63) wraps to -2**63, read as 2**63
-    width = len(str(int(u.max(initial=0))))
-    cells = np.empty((width + 1, len(v)), np.uint8)
-    cells[0] = (v < 0) * _MINUS
-    cells[1:] = _digits(u, width)
-    cells[1:-1] *= u >= _POW10[width - 1:0:-1, None]  # leading zeros; the units digit stays
-    return cells, np.zeros(len(v), bool)
+    return _fixed_cells(u, v < 0), np.zeros(len(v), bool)
+
+
+def _fixed_cells(u: np.ndarray, negative: np.ndarray, decimals: int = 0) -> np.ndarray:
+    """A sign slot, '-' where ``negative``, then the digits of each unsigned
+    integer in as many slots as the largest needs, with a '.' before the
+    last ``decimals`` of them (none for 0) and the leading zeros of the
+    whole part cleared but for its units digit; one column per element."""
+    width = max(len(str(int(u.max(initial=0)))), decimals + 1)
+    whole = width - decimals  # digit slots before the '.'
+    digits = _digits(u, width)
+    cells = np.empty((width + 1 + (decimals > 0), len(u)), np.uint8)
+    cells[0] = negative * _MINUS
+    cells[1:whole + 1] = digits[:whole]
+    cells[1:whole] *= u >= _POW10[width - 1:decimals:-1, None]  # leading zeros
+    if decimals:
+        cells[whole + 1] = ord(".")
+        cells[whole + 2:] = digits[whole:]
+    return cells
 
 
 def _f2_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The '%.2f' text of each float64 as a column of ASCII bytes, and a mask
     of the elements left to Python.
 
-    A column holds the '%d' cells of the whole part with the sign taken from
-    the sign bit (so -0.001 gives "-0.00"), '.', and two decimals.
-    n = rint(|v| * 100) equals the correctly rounded hundredths unless the
-    product sits within its rounding error of a tie: below 2**30 that error
-    is at most 2**-24, so elements within 2**-20 of a tie, at or above
-    2**30, or not finite are masked.
+    A column holds the sign taken from the sign bit (so -0.001 gives
+    "-0.00") and the digits of n = rint(|v| * 100) with a '.' before the
+    last two.  n equals the correctly rounded hundredths unless the product
+    sits within its rounding error of a tie: below 2**30 that error is at
+    most 2**-24, so elements within 2**-20 of a tie, at or above 2**30, or
+    not finite are masked.  The others' n fits in a uint32.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.abs(v) * 100.0
         fallback = ~(y < 2.0**30) | (np.abs(y - np.floor(y) - 0.5) <= 2.0**-20)
-    whole, cents = np.divmod(np.rint(np.where(fallback, 0.0, y)).astype(np.uint64), np.uint64(100))
-    point = np.full((1, len(v)), ord("."), np.uint8)
-    cells = np.concatenate([_int_cells(whole)[0], point, _digits(cents, 2)])
-    cells[0] = np.signbit(v) * _MINUS
-    return cells, fallback
+    np.copyto(y, 0.0, where=fallback)
+    return _fixed_cells(np.rint(y, out=y).astype(np.uint32), np.signbit(v), 2), fallback
 
 
 def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,46 +282,81 @@ def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.abs(np.asarray(v, dtype=np.float64))
     zero = a == 0
     ok = (a >= 1e-11) & (a < 1e15)
-    a = np.where(ok, a, 1.0)  # a zero is laid out as 1, then its digit lowered to '0'
+    np.copyto(a, 1.0, where=~ok)  # a zero is laid out as 1, then its digit lowered to '0'
     ok |= zero
-    ki = np.clip(np.floor(np.log10(a)), _K_LO, _K_HI).astype(np.intp) - _K_LO
-    bits = a.view(np.uint64)
-    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
-    s = _SHIFT_BASE[ki] - (bits >> np.uint64(52))
-    f_lo, f_hi = _FIVE_LO[ki], _FIVE_HI[ki]
-    m_lo, m_hi = m & _LOW32, m >> _S32
-    ll = m_lo * f_lo
-    mid = m_lo * f_hi + m_hi * f_lo + (ll >> _S32)  # < 2**63 + 2**53 + 2**32
-    lo = (mid << _S32) | (ll & _LOW32)
-    hi = m_hi * f_hi + (mid >> _S32)
-    q = (hi << (np.uint64(64) - s)) | (lo >> s)
-    ok &= q >= _POW10[16]  # before rounding: 1e-7 is 9.99...95e-08 and rounds up to 10**16
-    half = _ONE << (s - _ONE)
-    rem = lo & ((half << _ONE) - _ONE)
-    q += (rem > half) | ((rem == half) & (q & _ONE).astype(bool))
+    k = np.log10(a)
+    np.minimum(np.maximum(np.floor(k, out=k), _K_LO, out=k), _K_HI, out=k)
+    ki = k.astype(np.intp)
+    ki -= _K_LO
+    del k  # each array goes once dead: a block's working set stays small
+    q, decade = _scaled(a, ki)
+    del a
+    ok &= decade
     ok &= q < _POW10[17]
 
     digits = _digits(q, 17)
-    kept = ((digits != _ZERO) * _SLOTS[1:, None]).max(axis=0)  # digits left after trailing zeros
-    int_digits = _INT_DIGITS[ki]
-    # the digits with a '.' after the integer ones; without any, the '.' goes
-    # to slot 17, which is always cleared below
-    dot = np.where(int_digits > 0, int_digits, 17)
-    body = np.zeros((18, n), np.uint8)
-    body[:17] = digits
-    np.copyto(body[1:], digits, where=_SLOTS[1:, None] > dot)
-    body[dot, np.arange(n)] = ord(".")
-    shown = np.maximum(kept, int_digits) + (kept > dot)  # the '.' only before a kept digit
-    body *= _SLOTS[:, None] < shown
-
-    affixes = _AFFIXES[ki].view(np.uint8).reshape(n, 16)
+    del q
+    mask = digits != _ZERO
+    # the digits left after trailing zeros
+    kept = np.maximum.reduce(np.multiply(mask, _SLOTS[1:, None], out=mask.view(np.uint8)), axis=0)
     cells = np.empty((28, n), np.uint8)
     cells[0] = np.signbit(v) * _MINUS
-    cells[1:6] = affixes[:, :5].T
-    cells[6:24] = body
-    cells[24:] = affixes[:, 8:12].T
+    _PREFIX.take(ki, axis=1, out=cells[1:6], mode="clip")
+    _SUFFIX.take(ki, axis=1, out=cells[24:], mode="clip")
+    int_digits, dot = _INT_DIGITS[ki], _DOT[ki]
+    del ki
+    body = cells[6:24]
+    body[:17] = digits
+    body[17] = 0
+    np.copyto(body[1:], digits, where=np.greater(_SLOTS[1:, None], dot, out=mask))
+    del digits, mask
+    shown = np.maximum(kept, int_digits) + (kept > dot)  # the '.' only before a kept digit
+    at = dot.astype(np.intp)
+    at *= n
+    at += np.arange(n)
+    body.reshape(-1)[at] = ord(".")  # body[dot[i], i] for each i
+    body *= _SLOTS[:, None] < shown
     cells[6] -= zero
     return cells, ~ok
+
+
+def _scaled(a: np.ndarray, ki: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q = round-half-even(a * 10**(16 - k)), exactly, for each float64 a
+    and the table index ki = k - _K_LO of its decade k, and a mask of the
+    elements whose product is at least 10**16 before rounding.
+
+    The arithmetic works on 32-bit limbs held in uint64 arrays, and each
+    array is reused (``out=``) once its value is dead, so that the working
+    set stays a few arrays deep.
+    """
+    bits = a.view(np.uint64)
+    s = _SHIFT_BASE[ki]
+    s -= bits >> _S52
+    m_lo = bits & _LOW32  # the significand's low limb; its high one has the hidden bit
+    m_hi = bits >> _S32
+    m_hi &= _FRAC_HI
+    m_hi |= _HIDDEN_HI
+    f_lo, f_hi = _FIVE_LO[ki], _FIVE_HI[ki]
+    ll = m_lo * f_lo
+    mid = np.multiply(m_lo, f_hi, out=m_lo)
+    mid += np.multiply(m_hi, f_lo, out=f_lo)
+    mid += np.right_shift(ll, _S32, out=f_lo)  # < 2**63 + 2**53 + 2**32
+    hi = np.multiply(m_hi, f_hi, out=f_hi)
+    hi += np.right_shift(mid, _S32, out=m_hi)
+    lo = np.left_shift(mid, _S32, out=mid)
+    lo |= np.bitwise_and(ll, _LOW32, out=ll)
+    q = np.left_shift(hi, np.subtract(_SIXTY_FOUR, s, out=m_hi), out=hi)
+    q |= np.right_shift(lo, s, out=f_lo)
+    decade = q >= _POW10[16]  # before rounding: 1e-7 is 9.99...95e-08 and rounds up to 10**16
+    s -= _ONE
+    half = np.left_shift(_ONE, s, out=s)
+    rem = np.left_shift(half, _ONE, out=m_hi)
+    rem -= _ONE
+    rem &= lo
+    up = rem > half
+    up |= (rem == half) & (q & _ONE).astype(bool)
+    q += up
+    return q, decade
 
 
 def traj_column(traj: Trajectory, name: str) -> np.ndarray:
@@ -267,7 +372,9 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
     Integer columns come back as int64, reals as float64; values equal the
     originally written ones exactly.  Blank lines are skipped.  The file is
     read _BLOCK_ROWS lines at a time, so at most one block of its text is
-    held at once.
+    held at once.  Each column is allocated once, for as many rows as the
+    file has line breaks (counted in its bytes first), filled block by
+    block, and sliced to the rows read.
 
     A malformed file raises the error a whole-file parse would: a file that
     is not UTF-8 raises that before anything else, then a bad header, then
@@ -276,12 +383,15 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
     header, blank lines not counted.
     """
     dtypes = [np.int64 if name in _INT_COLUMNS else np.float64 for name in _COLUMNS]
-    parts = [[np.empty(0, dtype)] for dtype in dtypes]  # each column's blocks
     error: Exception | None = None  # raised once the whole file has decoded
     final = False  # error outranks every error a later line could give
     parsed = len(_COLUMNS)  # columns left of the leftmost bad cell so far
     n_rows = 0
     try:
+        with Path(path).open("rb") as fh:  # text mode ends a line at \n, \r\n or \r
+            chunks = iter(lambda: fh.read(1 << 16), b"")
+            lines = 1 + sum(chunk.count(b"\n") + chunk.count(b"\r") for chunk in chunks)
+        columns = [np.empty(lines, dtype) for dtype in dtypes]
         with Path(path).open(encoding="utf-8") as fh:
             header = next(filter(None, (ln.rstrip("\n") for ln in fh)), None)
             if header != CSV_HEADER:
@@ -300,10 +410,10 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
                         )
                         final = True
                         break
-                n_rows += len(rows)
+                start, n_rows = n_rows, n_rows + len(rows)
                 for j, col in enumerate(list(zip(*rows))[: 0 if final else parsed]):
                     try:
-                        parts[j].append(np.array(col, dtype=dtypes[j]))
+                        columns[j][start:n_rows] = np.array(col, dtype=dtypes[j])
                     except (ValueError, OverflowError) as exc:
                         error, parsed = exc, j
                         break
@@ -314,11 +424,7 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
         raise OSError(f"failed to read trajectory CSV {path}: {exc}") from exc
     if error is not None:
         raise error
-    out: dict[str, np.ndarray] = {}
-    for name, part in zip(_COLUMNS, parts):
-        out[name] = np.concatenate(part)
-        part.clear()  # so the blocks of one column at a time outlive their copy
-    return out
+    return {name: col[:n_rows] for name, col in zip(_COLUMNS, columns)}
 
 
 def summary_payload(
@@ -389,10 +495,11 @@ def _finite_json(obj):
 
 
 def _write_files(
-    files: Mapping[str | PathLike[str], str | Iterable[str] | None],
+    files: Mapping[str | PathLike[str], str | bytes | Iterable[str | bytes] | None],
 ) -> list[str | PathLike[str]]:
-    """Commit a set of files, each given as one string or its pieces in
+    """Commit a set of files, each given as one text or its pieces in
     order, or as None for a file the set drops; returns the paths written.
+    A text is bytes, or a str written as UTF-8.
 
     Every text goes to a temp file next to its target first, named for the
     writing process and thread, so that two writers of one file never share
@@ -415,9 +522,10 @@ def _write_files(
             target = Path(path)
             tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
             staged.append((path, tmp, target))
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                for piece in [text] if isinstance(text, str) else text:
-                    fh.write(piece)
+            with open(tmp, "wb") as fh:
+                for piece in [text] if isinstance(text, (str, bytes)) else text:
+                    fh.write(piece.encode() if isinstance(piece, str) else piece)
+                    del piece  # a streamed piece is freed before the next one is made
         for path in dropped:
             Path(path).unlink(missing_ok=True)
         for path, tmp, target in staged:

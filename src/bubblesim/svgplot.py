@@ -13,7 +13,10 @@ plot_sweep overlays the representative log-price path that run_sweep kept
 for each swept value (it simulates nothing itself), adds a small inset of
 median peak log-price against the value index, and a legend mapping colors
 to values.  Polyline coordinates are written by io's table
-kernel, the one that writes the CSV rows, with its '%.2f' cell kernel.
+kernel, the one that writes the CSV rows, with its '%.2f' cell kernel: one
+kernel call per block of points formats the shared x column and every y
+column drawn against it.  A document is a list of pieces, str for the
+markup and bytes for the points, which io._write_files writes in order.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from os import PathLike
 
 import numpy as np
 
-from .io import _f2_cells, _rows_text, _write_files
+from .io import _cells, _f2_cells, _row_blocks, _rows_text, _write_files
 from .model import Trajectory
 from .sweep import SweepResult, compare_medians
 
@@ -62,16 +65,27 @@ class _Scale:
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
 
-def _points(xs: np.ndarray, ys: np.ndarray, sx: _Scale, sy: _Scale) -> str:
-    """Polyline points "x,y x,y ...", each coordinate as '%.2f' would write it.
+def _points(xs: np.ndarray, ys: list[np.ndarray], sx: _Scale, sys: list[_Scale]) -> list[list[bytes]]:
+    """The polyline points "x,y x,y ..." of each y series against the
+    shared xs, each coordinate as '%.2f' would write it, as one piece per
+    io block of points.
 
-    Scaling runs on whole float64 columns, the same IEEE operations per
-    element as scaling each point on its own; the x and y columns are then
-    written as a two-column table by io's '%.2f' kernel.
+    Each block is scaled as float64 columns, the same IEEE operations per
+    element as scaling each point on its own.  One '%.2f' kernel call then
+    formats the block's x and every y, and each series is written as the
+    two-column table of x and its y.
     """
-    px = sx(np.asarray(xs, dtype=float))
-    py = sy(np.asarray(ys, dtype=float))
-    return _rows_text([px, py], [_f2_cells, _f2_cells], "%.2f", ", ")[:-1]  # no space after the last point
+    points: list[list[bytes]] = [[] for _ in ys]
+    for rows in _row_blocks(len(xs)):
+        columns = [sx(np.asarray(xs[rows], dtype=float))]
+        columns += [sy(np.asarray(y[rows], dtype=float)) for y, sy in zip(ys, sys)]
+        x, *cells = _cells(columns, _f2_cells)
+        for pieces, y in zip(points, cells):
+            pieces.append(_rows_text([x, y], b"%.2f", b", "))
+    for pieces in points:
+        if pieces:
+            pieces[-1] = pieces[-1][:-1]  # no space after the last point
+    return points
 
 
 def escape(s: str) -> str:
@@ -89,11 +103,9 @@ def quoteattr(s: str) -> str:
     return '"%s"' % s.replace('"', "&quot;")
 
 
-def _polyline(points: str, stroke: str, cls: str = "series", extra: str = "") -> str:
-    return (
-        f'<polyline class="{cls}" fill="none" stroke="{stroke}" '
-        f'stroke-width="1.2" points="{points}"{extra}/>'
-    )
+def _polyline(points: list[bytes], stroke: str, cls: str = "series", extra: str = "") -> list:
+    head = f'<polyline class="{cls}" fill="none" stroke="{stroke}" stroke-width="1.2" points="'
+    return [head, *points, f'"{extra}/>']
 
 
 def _text(x: float, y: float, s: str, cls: str, anchor: str = "start", size: int = 12) -> str:
@@ -107,13 +119,12 @@ def _panel(
     name: str,
     title: str,
     top: float,
-    t: np.ndarray,
     series: np.ndarray,
-    color: str,
     threshold: float | None = None,
-) -> str:
-    """One framed panel: title, y extent labels, the series, optional dashed
-    horizontal threshold line (included in the y range so it is always visible)."""
+) -> tuple[_Scale, list]:
+    """One framed panel's y scale, and its lines up to the series: title, y
+    extent labels, optional dashed horizontal threshold line (included in
+    the y range so it is always visible)."""
     x0 = _MARGIN_LEFT
     x1 = _W - _MARGIN_RIGHT
     lo = float(np.min(series))
@@ -122,7 +133,6 @@ def _panel(
         lo = min(lo, threshold)
         hi = max(hi, threshold)
     lo, hi = _span(lo, hi)
-    sx = _Scale(float(t[0]), float(t[-1]), x0, x1)
     sy = _Scale(lo, hi, top + _PANEL_H, top)
 
     parts = [f'<g class="panel" data-name={quoteattr(name)}>']
@@ -140,17 +150,21 @@ def _panel(
             f'x1="{x0}" y1="{y:.2f}" x2="{x1}" y2="{y:.2f}" '
             f'stroke="#c0392b" stroke-width="1" stroke-dasharray="6 4"/>'
         )
-    parts.append(_polyline(_points(t, series, sx, sy), color))
-    parts.append("</g>")
-    return "\n".join(parts)
+    return sy, parts
 
 
-def _document(height: float, body: list[str]) -> str:
+def _document(height: float, body: list[str | list]) -> list:
+    """The document's pieces: its lines, each a str or a polyline's pieces,
+    each followed by a newline."""
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{height:.0f}" '
         f'viewBox="0 0 {_W} {height:.0f}">'
     )
-    return "\n".join([head, '<rect width="100%" height="100%" fill="white"/>', *body, "</svg>"]) + "\n"
+    pieces: list = []
+    for line in [head, '<rect width="100%" height="100%" fill="white"/>', *body, "</svg>"]:
+        pieces += line if isinstance(line, list) else [line]
+        pieces.append("\n")
+    return pieces
 
 
 def plot_trajectory(traj: Trajectory, path: str | PathLike[str]) -> None:
@@ -159,19 +173,26 @@ def plot_trajectory(traj: Trajectory, path: str | PathLike[str]) -> None:
     _write_files({path: _trajectory_svg(traj, traj.params.b)})
 
 
-def _trajectory_svg(traj: Trajectory, threshold: float) -> str:
-    """The trajectory document with the given crossing threshold; raises
-    ValueError before any write when a series has no finite range to scale."""
+def _trajectory_svg(traj: Trajectory, threshold: float) -> list:
+    """The trajectory document's pieces with the given crossing threshold;
+    raises ValueError before any write when a series has no finite range to
+    scale."""
     panels = [
         ("log_price", "log price", traj.log_price, None),
         ("momentum", "momentum (dashed: crossing threshold)", traj.momentum, threshold),
         ("intensity", "trade intensity", traj.lam, None),
         ("direction", "direction pressure", traj.x, None),
     ]
-    body = []
+    scales, heads = [], []
     for i, (name, title, series, threshold) in enumerate(panels):
-        top = _TOP + i * (_PANEL_H + _PANEL_GAP)
-        body.append(_panel(name, title, top, traj.t, series, _PALETTE[0], threshold))
+        sy, head = _panel(name, title, _TOP + i * (_PANEL_H + _PANEL_GAP), series, threshold)
+        scales.append(sy)
+        heads.append(head)
+    sx = _Scale(float(traj.t[0]), float(traj.t[-1]), _MARGIN_LEFT, _W - _MARGIN_RIGHT)
+    points = _points(traj.t, [series for _, _, series, _ in panels], sx, scales)
+    body = []
+    for head, pieces in zip(heads, points):
+        body += [*head, _polyline(pieces, _PALETTE[0]), "</g>"]
     axis_y = _TOP + 4 * (_PANEL_H + _PANEL_GAP) - _PANEL_GAP + 18
     body.append(_text(_MARGIN_LEFT, axis_y, str(int(traj.t[0])), "xtick"))
     body.append(_text(_W - _MARGIN_RIGHT, axis_y, str(int(traj.t[-1])), "xtick", anchor="end"))
@@ -189,9 +210,9 @@ def plot_sweep(result: SweepResult, path: str | PathLike[str]) -> None:
     _write_files({path: _sweep_svg(result)})
 
 
-def _sweep_svg(result: SweepResult) -> str:
-    """The document plot_sweep writes; raises ValueError before any write
-    when the drawn paths have no finite range to scale."""
+def _sweep_svg(result: SweepResult) -> list:
+    """The pieces of the document plot_sweep writes; raises ValueError
+    before any write when the drawn paths have no finite range to scale."""
     spec = result.spec
     rep_seed = spec.seeds[0]
     drawn = [(v, path) for v, path in zip(spec.values, result.paths) if path is not None]
@@ -214,10 +235,14 @@ def _sweep_svg(result: SweepResult) -> str:
         sy = _Scale(lo, hi, _TOP + main_h, _TOP)
         body.append(_text(x0 - 6, sy(hi) + 4, f"{hi:.4g}", "ytick", anchor="end"))
         body.append(_text(x0 - 6, sy(lo) + 4, f"{lo:.4g}", "ytick", anchor="end"))
-        for i, (value, path) in enumerate(drawn):
+        points = {}  # paths of one length share their x cells
+        for n in {len(path) for _, path in drawn}:
+            at = [i for i, (_, path) in enumerate(drawn) if len(path) == n]
+            points.update(zip(at, _points(np.arange(n), [drawn[i][1] for i in at], sx, [sy] * len(at))))
+        for i, (value, _) in enumerate(drawn):
             color = _PALETTE[i % len(_PALETTE)]
             extra = f" data-value={quoteattr(repr(value))}"
-            body.append(_polyline(_points(np.arange(len(path)), path, sx, sy), color, extra=extra))
+            body.append(_polyline(points[i], color, extra=extra))
     body.append("</g>")
 
     # legend: one swatch per drawn value
@@ -249,7 +274,7 @@ def _sweep_svg(result: SweepResult) -> str:
         mlo, mhi = _span(min(ms), max(ms))
         isx = _Scale(-0.5, len(medians) - 0.5, x0, x0 + inset_w)
         isy = _Scale(mlo, mhi, inset_top + inset_h, inset_top)
-        body.append(_polyline(_points(at, ms, isx, isy), "#444", cls="inset-series"))
+        body.append(_polyline(_points(at, [ms], isx, [isy])[0], "#444", cls="inset-series"))
         for i, value, m in known:
             body.append(f'<circle cx="{isx(i):.2f}" cy="{isy(m):.2f}" r="3" fill="#444"/>')
             body.append(_text(isx(i), inset_top + inset_h + 14, f"{value:g}", "xtick", anchor="middle", size=10))

@@ -3,6 +3,7 @@
 import builtins
 import json
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,48 @@ def _kernel_test_doubles() -> np.ndarray:
     return np.concatenate([random_bits, in_range, near_powers, *ties, lattice, decay])
 
 
+# cells '%.17g' leaves to Python (nan, inf, the smallest subnormal, 1e15
+# and up, below 1e-11) and values a few ulps from a power of ten, in two or
+# more of the stacked real columns of one row, on rows 2 and 3, 5 and 6
+_NEAR_TEN = float(np.nextafter(1e-7, 0.0))
+_SPLICED_TRAJECTORY = _columns_trajectory(
+    [
+        [0.5, -1.25, float("nan"), 3.0, 0.125, 1e300, 2.5, -0.0, 7.0],
+        [1e-3, 2e-5, 0.25, 5e-324, -4.0, _NEAR_TEN, 1e-12, 0.5, -1e15],
+        [-2.0, 1.5, float("inf"), -float("inf"), 9.75, 0.1, _NEAR_TEN, 1e16, 3.5],
+        [0.0, 1e-7, 1e15, 1e-320, 6.5, -1e-11, 1e-12, 2.0, float("nan")],
+    ],
+    [list(range(9)), [0, 1] * 4 + [1], [-1, 0, 1] * 3, [0, 5, 2**63 - 1, -(2**63), 7, 8, 9, -10, 11]],
+)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 8, 9])
+def test_spliced_cells_land_in_place_across_small_blocks(tmp_path, monkeypatch, block_rows):
+    # one kernel call formats all the real (or int) columns of a block
+    # stacked; the Python texts of every stacked column must come back in
+    # row-major order, whichever side of a block boundary they fall on
+    monkeypatch.setattr(bubblesim.io, "_WRITE_ROWS", block_rows)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(_SPLICED_TRAJECTORY, path)
+    assert path.read_text(encoding="utf-8") == trajectory_csv_text(_SPLICED_TRAJECTORY)
+
+
+def test_csv_write_memory_does_not_grow_with_t(tmp_path):
+    # the writer holds one block of _WRITE_ROWS rows at a time: its
+    # tracemalloc peak measured about 390 KB at both T (the whole-column
+    # writer it replaced peaked at 1.7 MB and 3.5 MB)
+    peaks = []
+    for T in (5000, 20000):
+        traj = simulate(ModelParams(T=T), 1)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, tmp_path / "traj.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 800_000, peaks
+
+
 def test_csv_kernel_equals_the_oracle_on_120k_edge_doubles(tmp_path):
     reals = _kernel_test_doubles()
     rows = -(-len(reals) // 4)  # several _BLOCK_ROWS blocks
@@ -340,6 +383,17 @@ def test_block_reader_equals_the_whole_file_oracle(tmp_path_factory, header, lin
         mp.setattr(bubblesim.io, "_BLOCK_ROWS", block_rows)
         got = _read_outcome(read_trajectory_csv, path)
     assert got == _read_outcome(read_trajectory_csv_whole, path)
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_reader_sizes_its_columns_for_every_kind_of_line_break(tmp_path, end):
+    # the columns are allocated from a count of the file's line breaks; a
+    # file that ends its lines with \r alone has no \n to count
+    path = tmp_path / "ends.csv"
+    path.write_bytes(end.join([CSV_HEADER.encode(), *[_GOOD_ROW] * 20, b""]))
+    got = _read_outcome(read_trajectory_csv, path)
+    assert got == _read_outcome(read_trajectory_csv_whole, path)
+    assert len(got[0][2]) == 20 * 8
 
 
 def test_block_reader_numbers_rows_and_places_bad_bytes_in_the_whole_file(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bubblesim.io
 from bubblesim import ModelParams, SweepSpec, plot_sweep, plot_trajectory, run_sweep, simulate
 from bubblesim import svgplot
 from bubblesim.svgplot import _points, _Scale, escape, quoteattr
@@ -17,6 +18,12 @@ from synthetic import flat_trajectory
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
 P = ModelParams(T=300)
+
+
+def _points_text(xs, ys, sx, sy) -> str:
+    """The points _points writes for one series, as one string."""
+    [pieces] = _points(xs, [ys], sx, [sy])
+    return b"".join(pieces).decode("ascii")
 
 
 def _root(path):
@@ -119,23 +126,41 @@ def test_points_equal_the_per_point_oracle(xy, sx, sy):
     # data far outside a scale's range overflows to inf alike in both forms;
     # only numpy warns about it
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _points(xs, ys, sx, sy) == polyline_points(xs, ys, sx, sy)
-        assert _points(t, ys, sx, sy) == polyline_points(t, ys, sx, sy)
+        assert _points_text(xs, ys, sx, sy) == polyline_points(xs, ys, sx, sy)
+        assert _points_text(t, ys, sx, sy) == polyline_points(t, ys, sx, sy)
 
 
 def test_every_trajectory_panel_equals_the_oracle(monkeypatch):
     # each panel of seeds 0..9 at the stock T, with the scales plot_trajectory picks
     checked = []
 
-    def checked_points(xs, ys, sx, sy):
-        text = _points(xs, ys, sx, sy)
-        checked.append(text == polyline_points(xs, ys, sx, sy))
-        return text
+    def checked_points(xs, ys, sx, sys):
+        points = _points(xs, ys, sx, sys)
+        for y, sy, pieces in zip(ys, sys, points, strict=True):
+            checked.append(b"".join(pieces).decode("ascii") == polyline_points(xs, y, sx, sy))
+        return points
 
     monkeypatch.setattr(svgplot, "_points", checked_points)
     for seed in range(10):
         svgplot._trajectory_svg(simulate(ModelParams(), seed), ModelParams().b)
     assert checked == [True] * 40
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 7])
+def test_shared_x_points_equal_the_oracle_across_small_blocks(monkeypatch, block_rows):
+    # one '%.2f' kernel call per block formats x and both y columns stacked;
+    # the texts Python writes (near-ties, 2**30 hundredths and up, non-finite)
+    # sit in x and in both y columns, on both sides of block boundaries
+    monkeypatch.setattr(bubblesim.io, "_WRITE_ROWS", block_rows)
+    xs = np.array([1.0, 2.0, 0.005, float("nan"), 5.0, 72.035, 7.0])
+    ys = [
+        np.array([0.5, 1.0, float("inf"), 0.015, -0.0, 2**30 / 100, 3.0]),
+        np.array([72.035, -0.004, 2.0, -1e308, 0.125, 4.0, float("nan")]),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = _points(xs, ys, _IDENTITY, [_IDENTITY, _IDENTITY])
+        for y, pieces in zip(ys, points, strict=True):
+            assert b"".join(pieces).decode("ascii") == polyline_points(xs, y, _IDENTITY, _IDENTITY)
 
 
 _XML_TEXT = st.text(st.one_of(st.sampled_from("&<>\"'\n\r\t;#a "), st.characters()))
