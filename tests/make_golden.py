@@ -1,7 +1,8 @@
 """Write tests/golden.json, the committed corpus of what each (params, seed)
 case gives: the sha256 of every trajectory column's bytes, the draw count,
 the summary stats and the crash events under the default detector, or the
-``ValueError`` text of the step that refused the case.
+``ValueError`` text of the step that refused the case.  The corpus ends with
+CLI runs: the exit code and the sha256 of every file each argv writes.
 
 Run from the repository root:
 
@@ -13,14 +14,18 @@ that alters bytes on purpose, and list the entries that changed.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from bubblesim import CrashConfig, ModelParams, detect_crashes, simulate, summarize
+from bubblesim.cli import main as cli_main
 
 GOLDEN = Path(__file__).with_name("golden.json")
 COLUMNS = ("t", "log_price", "momentum", "lam", "x", "trade", "direction", "n_trades")
@@ -129,8 +134,31 @@ def cases() -> list[tuple[dict, int]]:
     return out
 
 
+# a log-price path that overflows to inf: non-finite stats and CSV cells
+_OVERFLOW = ["--log_p0", "1.79e308", "--d", "1e307", "--Lambda", "30", "--T", "2", "--no-plot"]
+CLI_RUNS = [
+    ["simulate", "--T", "50.0", "--seed", "1e3"],  # int-spelled flags
+    ["simulate", "--T", "400", "--seed", "5", "--threshold", "0.01", "--peak-window", "100",
+     "--min-drawdown", "0.05"],
+    ["simulate", "--T", "2000", "--seed", "3", "--log_p0", "1e15"],  # CSV cells left to Python
+    ["simulate", "--seed", "0", *_OVERFLOW],
+    ["sweep", "--axis", "b", "--values", "0.01,1.5", "--seeds", "0..2", "--T", "300"],  # b = 1.5 fails
+    ["sweep", "--axis", "Lambda", "--values", "30,31", "--seeds", "0..3", *_OVERFLOW],
+]
+
+
+def cli_outcome(argv: list[str]) -> dict:
+    """The exit code of ``bubblesim *argv`` and the sha256 of each file it
+    writes, run in-process into a fresh output directory."""
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main([*argv, "--out", out])
+        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(out).iterdir())}
+    return {"exit": code, "files": files}
+
+
 def main() -> None:
     corpus = [{"params": p, "seed": s, **outcome(p, s)} for p, s in cases()]
+    corpus += [{"argv": argv, **cli_outcome(argv)} for argv in CLI_RUNS]
     lines = ",\n".join(json.dumps(case, separators=(",", ":")) for case in corpus)
     GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
     print(f"wrote {len(corpus)} cases to {GOLDEN}")

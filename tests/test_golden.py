@@ -1,12 +1,14 @@
 """The committed golden corpus: every (params, seed) case must still give the
 bytes, draw count, stats and events recorded in golden.json, or the same
-``ValueError`` text.  make_golden.py writes the file; this test only reads it."""
+``ValueError`` text, and every CLI run the same exit code and file bytes.
+make_golden.py writes the file; this test only reads it."""
 
 import json
 
-from make_golden import GOLDEN, outcome
+from make_golden import GOLDEN, cli_outcome, outcome
 
-_CORPUS = json.loads(GOLDEN.read_text(encoding="utf-8"))
+_CORPUS = [case for case in json.loads(GOLDEN.read_text(encoding="utf-8")) if "params" in case]
+_CLI_RUNS = [run for run in json.loads(GOLDEN.read_text(encoding="utf-8")) if "argv" in run]
 
 
 def test_the_corpus_covers_refusals_events_and_long_paths():
@@ -25,3 +27,10 @@ def test_every_case_gives_its_recorded_outcome():
             mismatches.append((case["params"], case["seed"], sorted(
                 k for k in want.keys() | got.keys() if want.get(k) != got.get(k))))
     assert not mismatches, f"{len(mismatches)} cases differ, first: {mismatches[0]}"
+
+
+def test_every_cli_run_writes_its_recorded_bytes():
+    assert len(_CLI_RUNS) >= 6 and {"sweep.svg", "trajectory.csv"} <= {
+        name for run in _CLI_RUNS for name in run["files"]}
+    for run in _CLI_RUNS:
+        assert cli_outcome(run["argv"]) == {"exit": run["exit"], "files": run["files"]}, run["argv"]
