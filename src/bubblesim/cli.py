@@ -19,9 +19,10 @@ self-describing.
 
 Exit codes: 0 success; 1 for anything wrong with the inputs (an unknown or
 abbreviated flag, a missing value, a bad config file, parameter constraint
-violations, a sweep with no valid cell); 2 when an output file cannot be
-written.  Bad input exits 1 with one "error:" line on stderr, with no usage
-block and no traceback.
+violations, detector keys in a sweep over b without threshold or over d
+without min_drawdown, a sweep with no valid cell); 2 when an output file
+cannot be written.  Bad input exits 1 with one "error:" line on stderr,
+with no usage block and no traceback.
 
 A run's files, and the removal of a stale plot when it draws none, are one
 set committed by a single io._write_files call, so an exit 2 leaves no file
@@ -163,6 +164,14 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     params = ModelParams(**{k: given[k] for k in PARAM_FIELDS if k in given})
     det = {k: given[k] for k in _DETECTOR_KEYS if k in given}
     crash = CrashConfig.for_params(params, **det) if det else None  # defaults only for keys not given
+    axis = str(given.get("axis", "")).lower()
+    derived = {"b": "threshold", "d": "min_drawdown"}.get(axis) if args.mode == "sweep" else None
+    if det and derived and derived not in det:  # its default would pin every cell to the base value
+        raise ConfigError(
+            f"a sweep over {axis} with detector settings also needs {derived} "
+            f"(--{derived.replace('_', '-')} or a config entry): without any, each cell derives "
+            f"its detector from its own {axis}"
+        )
     seed = integer(given.get("seed", _DEFAULT_SEED), "seed")  # checked in sweep runs too
 
     values = given.get("values")

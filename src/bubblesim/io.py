@@ -14,15 +14,17 @@ JSON has no non-finite numbers; inf, -inf and nan are written as the strings
 "Infinity", "-Infinity" and "NaN".
 
 The CSV rows (Python's '%.17g' and '%d') and the SVG polyline points
-('%.2f') are both written _WRITE_ROWS rows at a time by _cells and
+('%.2f') are both written _BLOCK_ROWS rows at a time by _cells and
 _rows_text: per block, one numpy cell kernel call (_int_cells, _g17_cells
 or _f2_cells) formats all the columns that use that kernel, stacked, and
 _rows_text lays a table's columns out as bytes.  A real's 17 digits come
-from exact integer arithmetic on its significand.  The few cells a kernel
-does not cover (for '%.17g', |v| outside [1e-11, 1e15) but zeros, and
-values next to a power of ten whose log10 misleads it; for '%.2f',
-near-ties, large and non-finite values) get Python's text spliced in.
-Every text reaches _write_files as bytes or str pieces, and every file is
+from exact integer arithmetic on its significand.  The few cells a kernel's
+arithmetic does not cover (for '%.17g', |v| outside [1e-11, 1e15) but
+zeros, and values next to a power of ten whose log10 misleads it; for
+'%.2f', near-ties, large and non-finite values) get Python's text, which
+the kernel writes into the element's own column, so every cell it returns
+is finished.  The reader parses _BLOCK_ROWS lines at a time too.  Every
+text reaches _write_files as bytes or str pieces, and every file is
 written in binary mode, str pieces as UTF-8.
 """
 
@@ -59,7 +61,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | PathLike[str]) -> None:
     """Write one row per period, t ascending, under the fixed header.
 
     Each cell reads as ``'%.17g' % v`` for reals and ``'%d' % v`` for
-    integers.  Rows are formatted and written _WRITE_ROWS (1024) at a time,
+    integers.  Rows are formatted and written _BLOCK_ROWS (1024) at a time,
     so the memory a write takes does not grow with T (its tracemalloc peak
     is about 390 KB), and no buffer of a block reaches glibc's 128 KB mmap
     threshold: a write reuses heap pages instead of faulting in fresh ones.
@@ -71,7 +73,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | PathLike[str]) -> None:
 
 def _csv_text(traj: Trajectory) -> Iterator[bytes]:
     """The CSV bytes write_trajectory_csv writes, as the header and then one
-    piece per _WRITE_ROWS rows, each formatted only when it is reached."""
+    piece per _BLOCK_ROWS rows, each formatted only when it is reached."""
     columns = [traj_column(traj, name) for name in _COLUMNS]
     ints = [i for i, name in enumerate(_COLUMNS) if name in _INT_COLUMNS]
     reals = [i for i in range(len(_COLUMNS)) if i not in ints]
@@ -81,28 +83,27 @@ def _csv_text(traj: Trajectory) -> Iterator[bytes]:
         cells = {}
         for kernel, at in ((_int_cells, ints), (_g17_cells, reals)):
             cells.update(zip(at, _cells([columns[i][rows] for i in at], kernel)))
-        yield _rows_text([cells.pop(i) for i in range(len(columns))], b"%.17g", seps)
+        yield _rows_text([cells.pop(i) for i in range(len(columns))], seps)
 
 
-_BLOCK_ROWS = 8192  # the reader's block: lines parsed per step
-# The writers' block (CSV rows, SVG points), chosen by measurement on a
-# 2-core Linux host: at 1024 rows a block's largest buffer, the '%.17g'
-# cells of the four real columns, is 112 KB, below glibc's 128 KB mmap
-# threshold.  A `bubblesim simulate` write at T = 5000 then took about 20
-# minor page faults, against 600 to 760 with 8192-row blocks; 768 rows
-# took none but wrote the CSV about 10% slower, 1280 rows (143 KB cells)
-# took about 50.
-_WRITE_ROWS = 1024
+# The block of the writers (CSV rows, SVG points) and of the reader (lines
+# parsed per step), chosen by measurement on a 2-core Linux host: at 1024
+# rows a block's largest buffer, the '%.17g' cells of the four real
+# columns, is 112 KB, below glibc's 128 KB mmap threshold.  A `bubblesim
+# simulate` write at T = 5000 then took about 20 minor page faults, against
+# 600 to 760 with 8192-row blocks; 768 rows took none but wrote the CSV
+# about 10% slower, 1280 rows (143 KB cells) took about 50.  The reader's
+# peak above its result is 1.4 MB at any T; 8192 lines took 4 MB to 11 MB.
+_BLOCK_ROWS = 1024
 
 
 def _row_blocks(n: int) -> Iterator[slice]:
-    """The slices of _WRITE_ROWS rows that cover n rows, in order."""
-    return (slice(start, start + _WRITE_ROWS) for start in range(0, n, _WRITE_ROWS))
+    """The slices of _BLOCK_ROWS rows that cover n rows, in order."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
 
 
 _ZERO = ord("0")
 _MINUS = np.uint8(ord("-"))  # a bool mask times this is a sign slot, as uint8
-_MARK = 1  # the byte that stands for a cell formatted by Python (see _cells)
 _ONE, _S32, _S52, _SIXTY_FOUR = np.uint64(1), np.uint64(32), np.uint64(52), np.uint64(64)
 _LOW32, _FRAC_HI, _HIDDEN_HI = np.uint64(0xFFFFFFFF), np.uint64(2**20 - 1), np.uint64(2**20)
 _TEN, _E9 = np.uint32(10), np.uint64(10**9)
@@ -136,61 +137,50 @@ _SLOTS = np.arange(18, dtype=np.uint8)  # 17 digits and a '.'
 def _cells(columns: list[np.ndarray], kernel) -> list[tuple]:
     """Each column's cells from one ``kernel`` call on all of them stacked.
 
-    A kernel returns its cells slot-major, one uint8 row per character
-    position with 0 in unused slots, and a mask of the cells it leaves to
-    Python; those are cleared here and marked with _MARK.  Each column gets
-    (its cells as a view, the slots it uses, its mask or None if it has no
-    marks, its values).
+    A kernel returns every cell finished, slot-major: one uint8 row per
+    character position, 0 in unused slots.  Each column gets (its cells as
+    a view, the slots it uses).
     """
     n, k = len(columns[0]), len(columns)
-    cells, fallback = kernel(np.concatenate(columns))
-    marked = np.logical_or.reduce(fallback.reshape(k, n), axis=1).tolist()
-    if any(marked):
-        cells[:, fallback] = 0
-        cells[0, fallback] = _MARK
+    cells, _ = kernel(np.concatenate(columns))
     used = np.maximum.reduce(cells.reshape(len(cells), k, n), axis=2).T.tolist()  # each slot's top byte
-    return [
-        (
-            cells[:, i * n:(i + 1) * n],
-            [slot for slot, top in enumerate(used[i]) if top],
-            fallback[i * n:(i + 1) * n] if marked[i] else None,
-            col,
-        )
-        for i, col in enumerate(columns)
-    ]
+    return [(cells[:, i * n:(i + 1) * n], [slot for slot, top in enumerate(used[i]) if top]) for i in range(k)]
 
 
-def _rows_text(columns: list[tuple], fmt: bytes, seps: bytes) -> bytes:
+def _rows_text(columns: list[tuple], seps: bytes) -> bytes:
     """The rows of a table given by its columns' _cells, each cell followed
     by its column's byte of ``seps``.
 
     The used slots of every column and one separator row per column are
-    stacked into one matrix whose transpose reads row after row.  The
-    marks, in row-major order, are then replaced by ``fmt % v``.  Empties
-    ``columns`` once the matrix is built, and drops each copy once the next
-    is made, so that cells no caller holds are freed before the copies.
+    stacked into one matrix whose transpose, without its zero bytes, reads
+    row after row.  Empties ``columns`` once the matrix is built, and drops
+    each copy once the next is made, so that cells no caller holds are
+    freed before the copies.
     """
     n = columns[0][0].shape[1]
-    block = np.empty((sum(len(used) + 1 for _, used, _, _ in columns), n), np.uint8)
+    block = np.empty((sum(len(used) + 1 for _, used in columns), n), np.uint8)
     row = 0
-    for (cells, used, _, _), sep in zip(columns, seps):
+    for (cells, used), sep in zip(columns, seps):
         cells.take(used, axis=0, out=block[row:row + len(used)], mode="clip")
         block[row + len(used)] = sep
         row += len(used) + 1
-    marked = [(col, mask) for _, _, mask, col in columns if mask is not None]
     columns.clear()
     text = block.T.tobytes()
     del block
-    text = text.translate(None, b"\0")
-    if not marked:
-        return text
-    cols, masks = zip(*marked)
-    spliced = list(map(fmt.__mod__, np.column_stack(cols)[np.column_stack(masks)].tolist()))
-    pieces = text.split(bytes([_MARK]))
-    joined = [b""] * (2 * len(pieces) - 1)
-    joined[0::2] = pieces
-    joined[1::2] = spliced  # raises unless there is one text per mark
-    return b"".join(joined)
+    return text.translate(None, b"\0")
+
+
+def _python_cells(cells: np.ndarray, v: np.ndarray, fallback: np.ndarray, fmt: bytes) -> np.ndarray:
+    """``cells`` with the column of each element of ``v`` in ``fallback``
+    holding ``fmt % v`` from its first slot on, zero-padded; zero rows are
+    added below when a text is longer than the columns are tall."""
+    texts = [fmt % x for x in v[fallback].tolist()]
+    height = max([len(cells), *map(len, texts)])
+    if height > len(cells):
+        cells = np.concatenate([cells, np.zeros((height - len(cells), cells.shape[1]), np.uint8)])
+    text = np.frombuffer(b"".join(t.ljust(height, b"\0") for t in texts), np.uint8)
+    cells[:, fallback] = text.reshape(len(texts), height).T
+    return cells
 
 
 def _digits(u: np.ndarray, width: int) -> np.ndarray:
@@ -246,7 +236,7 @@ def _fixed_cells(u: np.ndarray, negative: np.ndarray, decimals: int = 0) -> np.n
 
 def _f2_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The '%.2f' text of each float64 as a column of ASCII bytes, and a mask
-    of the elements left to Python.
+    of the elements whose text Python wrote.
 
     A column holds the sign taken from the sign bit (so -0.001 gives
     "-0.00") and the digits of n = rint(|v| * 100) with a '.' before the
@@ -259,12 +249,13 @@ def _f2_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = np.abs(v) * 100.0
         fallback = ~(y < 2.0**30) | (np.abs(y - np.floor(y) - 0.5) <= 2.0**-20)
     np.copyto(y, 0.0, where=fallback)
-    return _fixed_cells(np.rint(y, out=y).astype(np.uint32), np.signbit(v), 2), fallback
+    cells = _fixed_cells(np.rint(y, out=y).astype(np.uint32), np.signbit(v), 2)
+    return _python_cells(cells, v, fallback, b"%.2f"), fallback
 
 
 def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The '%.17g' text of each float64 as a column of ASCII bytes, and a
-    mask of the elements left to Python.
+    mask of the elements whose text Python wrote.
 
     A column holds the sign, the "0.000" prefix of -4 <= k < 0, 17 digit
     slots and a '.', and the "e-XX" suffix of exponent form, 0 in unused
@@ -276,7 +267,8 @@ def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     both hold only when it is right (and q did not round up to the next
     decade).  Signed zeros are written here too.  Other elements outside
     1e-11 <= |v| < 1e15 (non-finite and subnormal ones among them) and those
-    failing the decade check are masked.
+    failing the decade check are masked; their text, at most 24 bytes, fits
+    the 28 slots.
     """
     n = len(v)
     a = np.abs(np.asarray(v, dtype=np.float64))
@@ -317,7 +309,8 @@ def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     body.reshape(-1)[at] = ord(".")  # body[dot[i], i] for each i
     body *= _SLOTS[:, None] < shown
     cells[6] -= zero
-    return cells, ~ok
+    fallback = ~ok
+    return _python_cells(cells, v, fallback, b"%.17g"), fallback
 
 
 def _scaled(a: np.ndarray, ki: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

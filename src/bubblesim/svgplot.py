@@ -41,13 +41,12 @@ _BOTTOM = 48
 
 
 def _span(lo: float, hi: float) -> tuple[float, float]:
-    """Pad a value range so flat data still gets a drawable extent."""
-    if not np.isfinite(lo) or not np.isfinite(hi):
+    """Pad a value range so flat data still gets a drawable extent; raises
+    ValueError when the padded range has no finite width, as when an end is
+    not finite or the padding overflows."""
+    pad = max(0.5, abs(lo) * 0.1) if hi <= lo else (hi - lo) * 0.05
+    if not np.isfinite((hi + pad) - (lo - pad)):
         raise ValueError(f"cannot scale non-finite data range [{lo}, {hi}]")
-    if hi <= lo:
-        pad = max(0.5, abs(lo) * 0.1)
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
     return lo - pad, hi + pad
 
 
@@ -81,7 +80,7 @@ def _points(xs: np.ndarray, ys: list[np.ndarray], sx: _Scale, sys: list[_Scale])
         columns += [sy(np.asarray(y[rows], dtype=float)) for y, sy in zip(ys, sys)]
         x, *cells = _cells(columns, _f2_cells)
         for pieces, y in zip(points, cells):
-            pieces.append(_rows_text([x, y], b"%.2f", b", "))
+            pieces.append(_rows_text([x, y], b", "))
     for pieces in points:
         if pieces:
             pieces[-1] = pieces[-1][:-1]  # no space after the last point

@@ -359,6 +359,40 @@ def test_detector_overrides_reach_the_summary(tmp_path):
     assert det["threshold"] == 0.02  # unset pieces keep their defaults
 
 
+_SWEEP = ("sweep", "--values", "0.01,0.02", "--seeds", "0..1", "--T", "200", "--no-plot")
+
+
+@pytest.mark.parametrize("argv, filed, missing", [
+    (("--axis", "b", "--peak-window", "500"), {}, "threshold"),
+    (("--axis", "B", "--min-drawdown", "0.1"), {}, "threshold"),
+    (("--axis", "d", "--threshold", "0.02", "--peak-window", "9"), {}, "min_drawdown"),
+    (("--axis", "b"), {"peak_window": 500}, "threshold"),
+    ((), {"axis": "d", "threshold": 0.02}, "min_drawdown"),
+])
+def test_a_detector_key_in_a_b_or_d_sweep_needs_the_key_that_axis_derives(
+        tmp_path, capsys, argv, filed, missing):
+    # the default threshold (b) or floor (5 d) would be the base value's in
+    # every cell, where a sweep without detector keys derives it per cell
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(filed))
+    out = tmp_path / "o"
+    assert _run(*_SWEEP, *argv, "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"also needs {missing} (--{missing.replace('_', '-')} or a config entry)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--axis", "b", "--peak-window", "300", "--threshold", "0.05"),
+    ("--axis", "d", "--min-drawdown", "0.1"),
+    ("--axis", "b"),
+    ("--axis", "Lambda", "--values=-2.5,-2", "--peak-window", "300"),
+])
+def test_other_detector_sweeps_run(tmp_path, argv):
+    assert _run(*_SWEEP, *argv, "--out", str(tmp_path)) == 0
+
+
 def test_the_plot_draws_the_detector_threshold_of_the_run(tmp_path):
     out = tmp_path / "run"
     assert _run("simulate", "--T", "300", "--threshold", "0.05", "--out", str(out)) == 0
@@ -658,6 +692,10 @@ _UNPLOTTABLE = ("--log_p0", "1.79e308", "--d", "1e307", "--Lambda", "30", "--T",
 @pytest.mark.parametrize("argv", [
     ("simulate", "--seed", "0", *_UNPLOTTABLE),
     ("sweep", "--axis", "Lambda", "--values", "30,31", "--seeds", "0..3", *_UNPLOTTABLE),
+    # finite data whose padded range overflows: the x panel's width, and
+    # the threshold line's padded end
+    ("simulate", "--x0=-1.5e308", "--h", "1e307", "--T", "400"),
+    ("simulate", "--T", "50", "--threshold", "1.79e308"),
 ])
 def test_a_failed_plot_writes_no_artifact(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -665,7 +703,8 @@ def test_a_failed_plot_writes_no_artifact(tmp_path, capsys, argv):
         warnings.simplefilter("always")
         assert _run(*argv, "--out", str(out)) == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "cannot scale non-finite data range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot scale non-finite data range") and err.count("\n") == 1
     assert not out.exists() or list(out.iterdir()) == []
 
 

@@ -194,16 +194,16 @@ _SPLICED_TRAJECTORY = _columns_trajectory(
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 8, 9])
 def test_spliced_cells_land_in_place_across_small_blocks(tmp_path, monkeypatch, block_rows):
     # one kernel call formats all the real (or int) columns of a block
-    # stacked; the Python texts of every stacked column must come back in
-    # row-major order, whichever side of a block boundary they fall on
-    monkeypatch.setattr(bubblesim.io, "_WRITE_ROWS", block_rows)
+    # stacked; the kernel writes each Python text into its own element's
+    # column, whichever side of a block boundary it falls on
+    monkeypatch.setattr(bubblesim.io, "_BLOCK_ROWS", block_rows)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(_SPLICED_TRAJECTORY, path)
     assert path.read_text(encoding="utf-8") == trajectory_csv_text(_SPLICED_TRAJECTORY)
 
 
 def test_csv_write_memory_does_not_grow_with_t(tmp_path):
-    # the writer holds one block of _WRITE_ROWS rows at a time: its
+    # the writer holds one block of _BLOCK_ROWS rows at a time: its
     # tracemalloc peak measured about 390 KB at both T (the whole-column
     # writer it replaced peaked at 1.7 MB and 3.5 MB)
     peaks = []
@@ -398,10 +398,11 @@ def test_reader_sizes_its_columns_for_every_kind_of_line_break(tmp_path, end):
 
 def test_block_reader_numbers_rows_and_places_bad_bytes_in_the_whole_file(tmp_path):
     # three blocks of the real size, blank lines not counted as rows
-    rows = [_GOOD_ROW] * (2 * 8192 + 4) + [b""] * 5
+    block_rows = bubblesim.io._BLOCK_ROWS
+    rows = [_GOOD_ROW] * (2 * block_rows + 4) + [b""] * 5
     path = tmp_path / "long.csv"
     path.write_bytes(b"\n".join([CSV_HEADER.encode(), *rows, b"1,2,3", _GOOD_ROW]) + b"\n")
-    with pytest.raises(ValueError, match=r"^row 16389 of .* has 3 fields, expected 8$"):
+    with pytest.raises(ValueError, match=rf"^row {2 * block_rows + 5} of .* has 3 fields, expected 8$"):
         read_trajectory_csv(path)
     # a bad byte outranks a bad header before it, and is placed by its
     # offset in the file, not in the block that held it
@@ -410,6 +411,23 @@ def test_block_reader_numbers_rows_and_places_bad_bytes_in_the_whole_file(tmp_pa
         with pytest.raises(UnicodeDecodeError) as info:
             read_trajectory_csv(path)
         assert f"in position {path.stat().st_size - 2}:" in str(info.value)
+
+
+def test_read_memory_does_not_grow_with_t(tmp_path):
+    # the reader holds one block of _BLOCK_ROWS lines at a time besides the
+    # columns it returns: its tracemalloc peak above them measured about
+    # 1.4 MB at both T (with 8192-line blocks, 4.0 MB and 11 MB)
+    above = []
+    for T in (5000, 20000):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(simulate(ModelParams(T=T), 1), path)
+        tracemalloc.start()
+        try:
+            cols = read_trajectory_csv(path)
+            above.append(tracemalloc.get_traced_memory()[1] - sum(col.nbytes for col in cols.values()))
+        finally:
+            tracemalloc.stop()
+    assert max(above) < 2_500_000, above
 
 
 def test_write_error_carries_the_path(tmp_path):

@@ -151,7 +151,7 @@ def test_shared_x_points_equal_the_oracle_across_small_blocks(monkeypatch, block
     # one '%.2f' kernel call per block formats x and both y columns stacked;
     # the texts Python writes (near-ties, 2**30 hundredths and up, non-finite)
     # sit in x and in both y columns, on both sides of block boundaries
-    monkeypatch.setattr(bubblesim.io, "_WRITE_ROWS", block_rows)
+    monkeypatch.setattr(bubblesim.io, "_BLOCK_ROWS", block_rows)
     xs = np.array([1.0, 2.0, 0.005, float("nan"), 5.0, 72.035, 7.0])
     ys = [
         np.array([0.5, 1.0, float("inf"), 0.015, -0.0, 2**30 / 100, 3.0]),
