@@ -142,7 +142,7 @@ def _cells(columns: list[np.ndarray], kernel) -> list[tuple]:
     a view, the slots it uses).
     """
     n, k = len(columns[0]), len(columns)
-    cells, _ = kernel(np.concatenate(columns))
+    cells = kernel(np.concatenate(columns))
     used = np.maximum.reduce(cells.reshape(len(cells), k, n), axis=2).T.tolist()  # each slot's top byte
     return [(cells[:, i * n:(i + 1) * n], [slot for slot, top in enumerate(used[i]) if top]) for i in range(k)]
 
@@ -208,12 +208,11 @@ def _digits(u: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _int_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The '%d' text of each int64 as a column of ASCII bytes, and an empty
-    mask: no element is left to Python."""
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """The '%d' text of each int64 as a column of ASCII bytes."""
     v = np.asarray(v, dtype=np.int64)
     u = np.abs(v).view(np.uint64)  # the magnitude: abs(-2**63) wraps to -2**63, read as 2**63
-    return _fixed_cells(u, v < 0), np.zeros(len(v), bool)
+    return _fixed_cells(u, v < 0)
 
 
 def _fixed_cells(u: np.ndarray, negative: np.ndarray, decimals: int = 0) -> np.ndarray:
@@ -234,28 +233,26 @@ def _fixed_cells(u: np.ndarray, negative: np.ndarray, decimals: int = 0) -> np.n
     return cells
 
 
-def _f2_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The '%.2f' text of each float64 as a column of ASCII bytes, and a mask
-    of the elements whose text Python wrote.
+def _f2_cells(v: np.ndarray) -> np.ndarray:
+    """The '%.2f' text of each float64 as a column of ASCII bytes.
 
     A column holds the sign taken from the sign bit (so -0.001 gives
     "-0.00") and the digits of n = rint(|v| * 100) with a '.' before the
     last two.  n equals the correctly rounded hundredths unless the product
     sits within its rounding error of a tie: below 2**30 that error is at
     most 2**-24, so elements within 2**-20 of a tie, at or above 2**30, or
-    not finite are masked.  The others' n fits in a uint32.
+    not finite get Python's text.  The others' n fits in a uint32.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.abs(v) * 100.0
         fallback = ~(y < 2.0**30) | (np.abs(y - np.floor(y) - 0.5) <= 2.0**-20)
     np.copyto(y, 0.0, where=fallback)
     cells = _fixed_cells(np.rint(y, out=y).astype(np.uint32), np.signbit(v), 2)
-    return _python_cells(cells, v, fallback, b"%.2f"), fallback
+    return _python_cells(cells, v, fallback, b"%.2f")
 
 
-def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The '%.17g' text of each float64 as a column of ASCII bytes, and a
-    mask of the elements whose text Python wrote.
+def _g17_cells(v: np.ndarray) -> np.ndarray:
+    """The '%.17g' text of each float64 as a column of ASCII bytes.
 
     A column holds the sign, the "0.000" prefix of -4 <= k < 0, 17 digit
     slots and a '.', and the "e-XX" suffix of exponent form, 0 in unused
@@ -267,7 +264,7 @@ def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     both hold only when it is right (and q did not round up to the next
     decade).  Signed zeros are written here too.  Other elements outside
     1e-11 <= |v| < 1e15 (non-finite and subnormal ones among them) and those
-    failing the decade check are masked; their text, at most 24 bytes, fits
+    failing the decade check get Python's text, at most 24 bytes, which fits
     the 28 slots.
     """
     n = len(v)
@@ -309,8 +306,7 @@ def _g17_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     body.reshape(-1)[at] = ord(".")  # body[dot[i], i] for each i
     body *= _SLOTS[:, None] < shown
     cells[6] -= zero
-    fallback = ~ok
-    return _python_cells(cells, v, fallback, b"%.17g"), fallback
+    return _python_cells(cells, v, ~ok, b"%.17g")
 
 
 def _scaled(a: np.ndarray, ki: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,10 +360,12 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
 
     Integer columns come back as int64, reals as float64; values equal the
     originally written ones exactly.  Blank lines are skipped.  The file is
-    read _BLOCK_ROWS lines at a time, so at most one block of its text is
-    held at once.  Each column is allocated once, for as many rows as the
-    file has line breaks (counted in its bytes first), filled block by
-    block, and sliced to the rows read.
+    opened once, as UTF-8 text, and read twice.  The first pass decodes the
+    whole file and counts its lines, each ended by \\n, \\r\\n or \\r as the
+    decoder reads them; each column is allocated once for that many rows.
+    The second pass parses _BLOCK_ROWS lines at a time, so at most one block
+    of the text is held at once, fills the columns block by block, and
+    slices them to the rows read.
 
     A malformed file raises the error a whole-file parse would: a file that
     is not UTF-8 raises that before anything else, then a bad header, then
@@ -376,43 +374,37 @@ def read_trajectory_csv(path: str | PathLike[str]) -> dict[str, np.ndarray]:
     header, blank lines not counted.
     """
     dtypes = [np.int64 if name in _INT_COLUMNS else np.float64 for name in _COLUMNS]
-    error: Exception | None = None  # raised once the whole file has decoded
-    final = False  # error outranks every error a later line could give
+    error: Exception | None = None  # the leftmost bad cell, raised once every row is checked
     parsed = len(_COLUMNS)  # columns left of the leftmost bad cell so far
     n_rows = 0
     try:
-        with Path(path).open("rb") as fh:  # text mode ends a line at \n, \r\n or \r
-            chunks = iter(lambda: fh.read(1 << 16), b"")
-            lines = 1 + sum(chunk.count(b"\n") + chunk.count(b"\r") for chunk in chunks)
-        columns = [np.empty(lines, dtype) for dtype in dtypes]
         with Path(path).open(encoding="utf-8") as fh:
+            try:
+                lines = 1 + sum(chunk.count("\n") for chunk in iter(lambda: fh.read(1 << 16), ""))
+            except UnicodeDecodeError:
+                Path(path).read_text(encoding="utf-8")  # raises it again, placed in the whole file
+                raise
+            columns = [np.empty(lines, dtype) for dtype in dtypes]
+            fh.seek(0)
             header = next(filter(None, (ln.rstrip("\n") for ln in fh)), None)
             if header != CSV_HEADER:
                 got = "<empty file>" if header is None else header
-                error = ValueError(f"bad trajectory CSV header in {path}: {got!r}")
-                final = True
+                raise ValueError(f"bad trajectory CSV header in {path}: {got!r}")
             while block := list(itertools.islice(fh, _BLOCK_ROWS)):
-                if final:
-                    continue  # read on: a later undecodable byte still wins
                 rows = [ln.split(",") for ln in "".join(block).split("\n") if ln]
                 for i, row in enumerate(rows):
                     if len(row) != len(_COLUMNS):
-                        error = ValueError(
+                        raise ValueError(
                             f"row {n_rows + i + 1} of {path} has {len(row)} fields, "
                             f"expected {len(_COLUMNS)}"
                         )
-                        final = True
-                        break
                 start, n_rows = n_rows, n_rows + len(rows)
-                for j, col in enumerate(list(zip(*rows))[: 0 if final else parsed]):
+                for j, col in enumerate(list(zip(*rows))[:parsed]):
                     try:
                         columns[j][start:n_rows] = np.array(col, dtype=dtypes[j])
                     except (ValueError, OverflowError) as exc:
                         error, parsed = exc, j
                         break
-    except UnicodeDecodeError:
-        Path(path).read_text(encoding="utf-8")  # raises it again, placed in the whole file
-        raise
     except OSError as exc:
         raise OSError(f"failed to read trajectory CSV {path}: {exc}") from exc
     if error is not None:

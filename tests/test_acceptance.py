@@ -1,10 +1,10 @@
-"""Acceptance gate: one test per shipping criterion, numbered 01-10.
+"""Acceptance gate: one test per shipping criterion, numbered 01-12.
 
 Run with -v to get one pass/fail line per criterion.  Ensemble criteria
 (06-08, 10) use the session-scoped 50-seed sweeps from conftest, so the whole
 gate stays well under the time budget.
 
-Two criteria need context:
+Four criteria need context:
 
 * 06 checks, besides the median ordering, that the micro-bubble median peak
   at b = 0.0001 stays under half the b = 0.02 median peak.  What shrinks
@@ -23,9 +23,26 @@ Two criteria need context:
   median level provided the suite reports the deviation loudly instead of
   passing silently; the test emits a warning with the measured medians when
   the interior maximum does not hold.
+
+* 11 reads the abstract's "simultaneous surges in liquidity and price" as
+  the trade rate over each event's run-up [t_cross, t_peak] against its
+  path's rate.  The claim itself gives the bounds: the median surge is
+  above 1, and the surge is above 1 in more than half of the events.  On
+  seeds the gate does not use the surge is a median 1.71x, above 1 in
+  77.5% of 986 events (seeds 5000..5199), and 1.88x, 79.7% of 479 events
+  (seeds 7000..7099).
+
+* 12 checks the degenerate limit k = h = 5e-324, where momentum no longer
+  feeds back and a path's trade total is Binomial(T - 1, Phi(Lambda)).
+  The bounds come from the seeds 20000..23999, which the gate does not
+  use: over 5,000 random 200-seed subsets of them the mean's |z| has a
+  99.9th percentile of 3.39 (largest 3.55), and the variance ratio lies
+  between 0.71 and 1.43 (0.1th and 99.9th percentiles 0.77 and 1.35).
+  Seeds 9000..9199 give z = 1.07 and a ratio of 1.049.
 """
 
 import hashlib
+import math
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -272,3 +289,31 @@ def test_criterion_10_baseline_qualitative(baseline_crossing_count, tmp_path):
     assert len(thresholds) == 1
     assert float(thresholds[0].get("data-level")) == ModelParams().b
     print(f"criterion 10: {baseline_crossing_count}/100 seeds cross; SVG panels ordered")
+
+
+def test_criterion_11_trades_surge_with_the_price():
+    """The trade rate over each event's run-up beats its path's rate."""
+    params = ModelParams()
+    surges = []
+    for seed in range(6000, 6100):
+        traj = simulate(params, seed)
+        rate = traj.trade.sum() / (params.T - 1)  # one trade draw per period t >= 2
+        for event in detect_crashes(traj, DETECTOR_CFG):
+            surges.append(traj.trade[event.t_cross:event.t_peak + 1].mean() / rate)
+    median, above = float(np.median(surges)), float(np.mean(np.greater(surges, 1.0)))
+    print(f"criterion 11: median surge {median:.2f}x, above 1 in {above:.1%} of {len(surges)} events")
+    assert median > 1.0, f"median run-up trade rate is {median:.3f}x the path's rate"
+    assert above > 0.5, f"the run-up trade rate beats the path's in only {above:.1%} of events"
+
+
+def test_criterion_12_vanishing_feedback_trades_binomially():
+    """With k = h = 5e-324, trade totals are Binomial(T - 1, Phi(-2))."""
+    params = ModelParams(k=5e-324, h=5e-324)
+    totals = np.array([simulate(params, seed).trade.sum() for seed in range(11000, 11200)], float)
+    p = 0.5 * math.erfc(-params.Lambda / math.sqrt(2.0))
+    mean, var = (params.T - 1) * p, (params.T - 1) * p * (1.0 - p)
+    z = (totals.mean() - mean) / math.sqrt(var / len(totals))
+    ratio = totals.var(ddof=1) / var
+    print(f"criterion 12: mean {totals.mean():.2f} against {mean:.2f} (z = {z:.2f}), variance ratio {ratio:.3f}")
+    assert abs(z) < 4.0, f"mean trade total {totals.mean():.2f} is {z:.2f} sd from {mean:.2f}"
+    assert 2 / 3 < ratio < 3 / 2, f"trade total variance is {ratio:.3f}x the binomial's"

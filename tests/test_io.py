@@ -218,7 +218,7 @@ def test_csv_write_memory_does_not_grow_with_t(tmp_path):
     assert max(peaks) < 800_000, peaks
 
 
-def test_csv_kernel_equals_the_oracle_on_120k_edge_doubles(tmp_path):
+def test_csv_kernel_equals_the_oracle_on_120k_edge_doubles(tmp_path, monkeypatch):
     reals = _kernel_test_doubles()
     rows = -(-len(reals) // 4)  # several _BLOCK_ROWS blocks
     reals = np.resize(reals, 4 * rows).reshape(4, rows)
@@ -233,7 +233,16 @@ def test_csv_kernel_equals_the_oracle_on_120k_edge_doubles(tmp_path):
     # but those a few ulps from a power of ten
     a = np.abs(reals.ravel())
     covered = (a >= 1e-11) & (a < 1e15)
-    _, fallback = bubblesim.io._g17_cells(a)
+    masks, python_cells = [], bubblesim.io._python_cells
+
+    def spy(cells, v, fallback, fmt):  # records the elements left to Python
+        masks.append((fmt, fallback.copy()))
+        return python_cells(cells, v, fallback, fmt)
+
+    monkeypatch.setattr(bubblesim.io, "_python_cells", spy)
+    bubblesim.io._g17_cells(a)
+    [(fmt, fallback)] = masks
+    assert fmt == b"%.17g"
     with np.errstate(divide="ignore", invalid="ignore"):
         near_power = np.abs(a / 10.0 ** np.round(np.log10(a)) - 1) < 1e-15
     assert covered.sum() > 90_000
@@ -388,12 +397,14 @@ def test_block_reader_equals_the_whole_file_oracle(tmp_path_factory, header, lin
 @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
 def test_reader_sizes_its_columns_for_every_kind_of_line_break(tmp_path, end):
     # the columns are allocated from a count of the file's line breaks; a
-    # file that ends its lines with \r alone has no \n to count
+    # file that ends its lines with \r alone has no \n to count, and one
+    # that ends them with \r\n has one break per line, not two
     path = tmp_path / "ends.csv"
     path.write_bytes(end.join([CSV_HEADER.encode(), *[_GOOD_ROW] * 20, b""]))
     got = _read_outcome(read_trajectory_csv, path)
     assert got == _read_outcome(read_trajectory_csv_whole, path)
     assert len(got[0][2]) == 20 * 8
+    assert read_trajectory_csv(path)["t"].base.size <= 20 + 2
 
 
 def test_block_reader_numbers_rows_and_places_bad_bytes_in_the_whole_file(tmp_path):
