@@ -109,6 +109,13 @@ def _number(text: str) -> int | float | str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-" or "-." then a digit starts a value (--x0 -1e-3, --values -3,-2)
+        # on every Python; argparse's pattern for it, a private attribute,
+        # differs across versions and takes neither on 3.10 to 3.13.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message: str):  # a usage error is bad input like any other: exit 1
         raise ConfigError(message)
 
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_simulate(cfg: RunConfig) -> dict[str, str | Iterable[str] | None]:
+def _run_simulate(cfg: RunConfig) -> dict[str, bytes | Iterable[bytes] | None]:
     """The run's files by name, None for a plot it drops.  Every text but
     the streamed CSV rows is built here, before main writes anything, so a
     plot that fails leaves no artifact."""
@@ -264,7 +271,7 @@ def _run_simulate(cfg: RunConfig) -> dict[str, str | Iterable[str] | None]:
     }
 
 
-def _run_sweep_cmd(cfg: RunConfig) -> dict[str, str | None]:
+def _run_sweep_cmd(cfg: RunConfig) -> dict[str, bytes | Iterable[bytes] | None]:
     """The sweep's files by name, as _run_simulate gives a run's, after the
     median peak of each value is printed."""
     if cfg.axis is None:

@@ -24,8 +24,7 @@ zeros, and values next to a power of ten whose log10 misleads it; for
 '%.2f', near-ties, large and non-finite values) get Python's text, which
 the kernel writes into the element's own column, so every cell it returns
 is finished.  The reader parses _BLOCK_ROWS lines at a time too.  Every
-text reaches _write_files as bytes or str pieces, and every file is
-written in binary mode, str pieces as UTF-8.
+text reaches _write_files as bytes, which it writes in binary mode.
 """
 
 from __future__ import annotations
@@ -463,9 +462,9 @@ def write_summary_json(payload: dict, path: str | PathLike[str]) -> None:
     _write_files({path: _json_text(payload)})
 
 
-def _json_text(payload: dict) -> str:
-    """The text write_summary_json writes for ``payload``."""
-    return json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _json_text(payload: dict) -> bytes:
+    """The bytes write_summary_json writes for ``payload``."""
+    return (json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def _finite_json(obj):
@@ -480,11 +479,11 @@ def _finite_json(obj):
 
 
 def _write_files(
-    files: Mapping[str | PathLike[str], str | bytes | Iterable[str | bytes] | None],
+    files: Mapping[str | PathLike[str], bytes | Iterable[bytes] | None],
 ) -> list[str | PathLike[str]]:
-    """Commit a set of files, each given as one text or its pieces in
+    """Commit a set of files, each given as its bytes or their pieces in
     order, or as None for a file the set drops; returns the paths written.
-    A text is bytes, or a str written as UTF-8.
+    A str raises TypeError, with every file left as it was.
 
     Every text goes to a temp file next to its target first, named for the
     writing process and thread, so that two writers of one file never share
@@ -508,8 +507,8 @@ def _write_files(
             tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
             staged.append((path, tmp, target))
             with open(tmp, "wb") as fh:
-                for piece in [text] if isinstance(text, (str, bytes)) else text:
-                    fh.write(piece.encode() if isinstance(piece, str) else piece)
+                for piece in [text] if isinstance(text, bytes) else text:
+                    fh.write(piece)
                     del piece  # a streamed piece is freed before the next one is made
         for path in dropped:
             Path(path).unlink(missing_ok=True)

@@ -15,8 +15,9 @@ median peak log-price against the value index, and a legend mapping colors
 to values.  Polyline coordinates are written by io's table
 kernel, the one that writes the CSV rows, with its '%.2f' cell kernel: one
 kernel call per block of points formats the shared x column and every y
-column drawn against it.  A document is a list of pieces, str for the
-markup and bytes for the points, which io._write_files writes in order.
+column drawn against it.  A document is a list of bytes pieces, which
+io._write_files writes in order.  Text and attribute values go in unescaped:
+names, ints and finite floats' repr, '%g' or '%.4g' need no XML escape.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from os import PathLike
 
 import numpy as np
 
+from .analysis import CrashConfig
 from .io import _cells, _f2_cells, _row_blocks, _rows_text, _write_files
 from .model import Trajectory
 from .sweep import SweepResult, compare_medians
@@ -87,30 +89,15 @@ def _points(xs: np.ndarray, ys: list[np.ndarray], sx: _Scale, sys: list[_Scale])
     return points
 
 
-def escape(s: str) -> str:
-    """Escape &, < and > for XML character data, as xml.sax.saxutils does."""
-    return s.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
-
-
-def quoteattr(s: str) -> str:
-    """Escape and quote an XML attribute value, as xml.sax.saxutils does."""
-    s = escape(s).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
-    if '"' not in s:
-        return f'"{s}"'
-    if "'" not in s:
-        return f"'{s}'"
-    return '"%s"' % s.replace('"', "&quot;")
-
-
-def _polyline(points: list[bytes], stroke: str, cls: str = "series", extra: str = "") -> list:
+def _polyline(points: list[bytes], stroke: str, cls: str = "series", extra: str = "") -> list[bytes]:
     head = f'<polyline class="{cls}" fill="none" stroke="{stroke}" stroke-width="1.2" points="'
-    return [head, *points, f'"{extra}/>']
+    return [head.encode(), *points, f'"{extra}/>'.encode()]
 
 
 def _text(x: float, y: float, s: str, cls: str, anchor: str = "start", size: int = 12) -> str:
     return (
         f'<text class="{cls}" x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
-        f'font-family="sans-serif" font-size="{size}">{escape(s)}</text>'
+        f'font-family="sans-serif" font-size="{size}">{s}</text>'
     )
 
 
@@ -134,7 +121,7 @@ def _panel(
     lo, hi = _span(lo, hi)
     sy = _Scale(lo, hi, top + _PANEL_H, top)
 
-    parts = [f'<g class="panel" data-name={quoteattr(name)}>']
+    parts = [f'<g class="panel" data-name="{name}">']
     parts.append(
         f'<rect class="frame" x="{x0}" y="{top:.2f}" width="{x1 - x0}" '
         f'height="{_PANEL_H}" fill="none" stroke="#888" stroke-width="0.8"/>'
@@ -145,34 +132,35 @@ def _panel(
     if threshold is not None:
         y = sy(threshold)
         parts.append(
-            f'<line class="threshold" data-level={quoteattr(repr(threshold))} '
+            f'<line class="threshold" data-level="{threshold!r}" '
             f'x1="{x0}" y1="{y:.2f}" x2="{x1}" y2="{y:.2f}" '
             f'stroke="#c0392b" stroke-width="1" stroke-dasharray="6 4"/>'
         )
     return sy, parts
 
 
-def _document(height: float, body: list[str | list]) -> list:
-    """The document's pieces: its lines, each a str or a polyline's pieces,
-    each followed by a newline."""
+def _document(height: float, body: list[str | list[bytes]]) -> list[bytes]:
+    """The document's pieces: its lines, each a str of markup or a
+    polyline's pieces, each followed by a newline, all as bytes."""
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{height:.0f}" '
         f'viewBox="0 0 {_W} {height:.0f}">'
     )
-    pieces: list = []
+    pieces: list[bytes] = []
     for line in [head, '<rect width="100%" height="100%" fill="white"/>', *body, "</svg>"]:
-        pieces += line if isinstance(line, list) else [line]
-        pieces.append("\n")
+        pieces += line if isinstance(line, list) else [line.encode()]
+        pieces.append(b"\n")
     return pieces
 
 
 def plot_trajectory(traj: Trajectory, path: str | PathLike[str]) -> None:
     """Four stacked panels over a shared time axis, with the default
-    detector's crossing threshold (the parameter b) dashed in panel 2."""
-    _write_files({path: _trajectory_svg(traj, traj.params.b)})
+    detector's crossing threshold dashed in panel 2; raises ValueError, as
+    summarize does, when the parameters admit no default detector."""
+    _write_files({path: _trajectory_svg(traj, CrashConfig.for_params(traj.params).threshold)})
 
 
-def _trajectory_svg(traj: Trajectory, threshold: float) -> list:
+def _trajectory_svg(traj: Trajectory, threshold: float) -> list[bytes]:
     """The trajectory document's pieces with the given crossing threshold;
     raises ValueError before any write when a series has no finite range to
     scale."""
@@ -209,7 +197,7 @@ def plot_sweep(result: SweepResult, path: str | PathLike[str]) -> None:
     _write_files({path: _sweep_svg(result)})
 
 
-def _sweep_svg(result: SweepResult) -> list:
+def _sweep_svg(result: SweepResult) -> list[bytes]:
     """The pieces of the document plot_sweep writes; raises ValueError
     before any write when the drawn paths have no finite range to scale."""
     spec = result.spec
@@ -240,7 +228,7 @@ def _sweep_svg(result: SweepResult) -> list:
             points.update(zip(at, _points(np.arange(n), [drawn[i][1] for i in at], sx, [sy] * len(at))))
         for i, (value, _) in enumerate(drawn):
             color = _PALETTE[i % len(_PALETTE)]
-            extra = f" data-value={quoteattr(repr(value))}"
+            extra = f' data-value="{value!r}"'
             body.append(_polyline(points[i], color, extra=extra))
     body.append("</g>")
 
@@ -249,7 +237,7 @@ def _sweep_svg(result: SweepResult) -> list:
     ly = _TOP + 16
     for i, (value, _) in enumerate(drawn):
         color = _PALETTE[i % len(_PALETTE)]
-        body.append(f'<g class="legend-entry" data-value={quoteattr(repr(value))}>')
+        body.append(f'<g class="legend-entry" data-value="{value!r}">')
         body.append(f'<rect x="{x1 - 150}" y="{ly - 9}" width="18" height="4" fill="{color}"/>')
         body.append(_text(x1 - 126, ly - 4, f"{spec.axis}={value:g}", "legend-label"))
         body.append("</g>")

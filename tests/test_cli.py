@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -193,6 +194,26 @@ def test_a_minus_zero_flag_keeps_its_sign(tmp_path):
     assert np.signbit(summary["config"]["detector"]["threshold"])
     for file in ("trajectory.csv", "summary.json"):
         assert (tmp_path / "flagged" / file).read_bytes() == (tmp_path / "filed" / file).read_bytes()
+
+
+def test_a_value_starting_with_minus_and_a_digit_needs_no_equals_sign(tmp_path, capsys):
+    # argparse reads "-1e-3" and "-2.5,-2" as flags on some Pythons; here they
+    # are values, while "-inf" still reads as a flag and leaves --x0 empty
+    runs = [
+        ("simulate", "--x0", "-1e-3", ["--T", "50"]),
+        ("sweep", "--values", "-2.5,-2", ["--axis", "lambda", "--seeds", "0..1", "--T", "50"]),
+    ]
+    for command, flag, value, rest in runs:
+        written = []
+        for i, argv in enumerate(([flag, value], [f"{flag}={value}"])):
+            out = tmp_path / command / str(i)
+            assert _run(command, *argv, *rest, "--out", str(out)) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1]
+    capsys.readouterr()
+    assert _run("simulate", "--x0", "-inf", "--T", "50", "--out", str(tmp_path / "inf")) == 1
+    assert capsys.readouterr().err == "error: argument --x0: expected one argument\n"
+    assert not (tmp_path / "inf").exists()
 
 
 def test_help_exits_0(capsys):
@@ -590,8 +611,8 @@ def test_any_config_numbers_exit_0_or_1_with_one_error_line(
         assert files == []
 
 
-# Flag texts: the float and int edges, and text no field takes.  Every
-# flag is spelled --flag=value, so a value may start with "-".
+# Flag texts: the float and int edges, and text no field takes.  A flag is
+# spelled --flag=value or --flag value; a value may start with "-".
 _ARGV_EDGES = ("", "nan", "inf", "-inf", "1e400", "1" + "0" * 400, "-1", "-0", "50.0", "2.5",
                "1e3", "0x10", "1_0", "abc", "3..1", "0..2", "1\n2")
 _ARGV_EDGE = st.sampled_from(_ARGV_EDGES)
@@ -630,7 +651,10 @@ def _argv(draw):
         flags["--T"] = draw(_ARGV_T)
         if command == "sweep":
             flags.update(draw(_ARGV_SWEEP))
-    argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
+    argv = [command]
+    for flag, value in flags.items():  # "-" then a non-digit reads as a flag, so that needs "="
+        spaced = not re.match(r"-\D", value) and draw(st.booleans())
+        argv += [flag, value] if spaced else [f"{flag}={value}"]
     if command != "baseline":
         argv.append(draw(st.sampled_from(("--plot", "--no-plot"))))
     return argv

@@ -500,7 +500,7 @@ def test_two_writers_of_one_path_each_commit_whole_and_the_last_wins(tmp_path, m
     # writer A is held between opening its temp file and writing it, until
     # writer B's whole commit of the same path has returned
     target = tmp_path / "summary.json"
-    texts = {"A": "a" * 5000 + "\n", "B": "b" * 3000 + "\n"}
+    texts = {"A": b"a" * 5000 + b"\n", "B": b"b" * 3000 + b"\n"}
     a_opened, b_done = threading.Event(), threading.Event()
     errors = []
 
@@ -528,8 +528,16 @@ def test_two_writers_of_one_path_each_commit_whole_and_the_last_wins(tmp_path, m
         a.join(timeout=10)
     assert not a.is_alive()
     assert errors == []
-    assert target.read_text() == texts["A"]
+    assert target.read_bytes() == texts["A"]
     assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+
+def test_a_str_text_raises_type_error_and_leaves_no_file(tmp_path):
+    # a text reaches the commit as bytes; a str is refused, not encoded
+    target = tmp_path / "summary.json"
+    with pytest.raises(TypeError):
+        bubblesim.io._write_files({target: "text"})
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- JSON
@@ -614,11 +622,11 @@ def test_a_detector_of_any_real_type_serializes_through_both_payloads(tmp_path, 
 
 
 @pytest.mark.parametrize("spec, cfg, shows", [
-    (SweepSpec(base=P, axis="b", values=(0.5, 1.5), seeds=(0, 1)), None, '"error": "ValueError: '),
+    (SweepSpec(base=P, axis="b", values=(0.5, 1.5), seeds=(0, 1)), None, b'"error": "ValueError: '),
     (SweepSpec(base=P, axis="r", values=(0.001, 0.005), seeds=(3, 4)),
-     CrashConfig(threshold=0.05, peak_window=100, min_drawdown=0.02), '"peak_window": 100'),
+     CrashConfig(threshold=0.05, peak_window=100, min_drawdown=0.02), b'"peak_window": 100'),
     (SweepSpec(base=ModelParams(log_p0=1.79e308, d=1e307, T=2), axis="Lambda", values=(30, 31),
-               seeds=(0, 1, 2, 3)), None, '"NaN"'),
+               seeds=(0, 1, 2, 3)), None, b'"NaN"'),
 ], ids=["failed-cells", "fixed-detector", "non-finite"])
 def test_sweep_payload_equals_the_field_by_field_oracle(spec, cfg, shows):
     result = run_sweep(spec, cfg)

@@ -2,17 +2,17 @@
 
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
-from xml.sax.saxutils import quoteattr as sax_quoteattr
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bubblesim.io
-from bubblesim import ModelParams, SweepSpec, plot_sweep, plot_trajectory, run_sweep, simulate
+from bubblesim import CrashConfig, ModelParams, SweepSpec, plot_sweep, plot_trajectory, run_sweep, simulate
 from bubblesim import svgplot
-from bubblesim.svgplot import _points, _Scale, escape, quoteattr
+from bubblesim.params import PARAM_FIELDS
+from bubblesim.svgplot import _points, _Scale
 from oracles import polyline_points
 from synthetic import flat_trajectory
 
@@ -163,17 +163,56 @@ def test_shared_x_points_equal_the_oracle_across_small_blocks(monkeypatch, block
             assert b"".join(pieces).decode("ascii") == polyline_points(xs, y, _IDENTITY, _IDENTITY)
 
 
-_XML_TEXT = st.text(st.one_of(st.sampled_from("&<>\"'\n\r\t;#a "), st.characters()))
+# The values the SVG writer puts in text and attributes unescaped: negative,
+# signed-zero and subnormal reals, 64-bit seeds, T up to 50 and any axis case
+_SVG_REALS = st.sampled_from((-0.0, 5e-324, -5e-324, 1e-300, -2.5, 0.3, 2.0)) | st.floats(-3.0, 3.0)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(s=_XML_TEXT)
-@example(s="&amp; <a b=\"c\" d='e'>\n\r\t</a>")
-@example(s="\"only double\"")
-@example(s="'only single'")
-def test_escape_and_quoteattr_equal_the_stdlib(s):
-    assert escape(s) == sax_escape(s)
-    assert quoteattr(s) == sax_quoteattr(s)
+def _unescaped(svg: list[bytes]):
+    """The parsed document, once every text node and attribute value is
+    checked to be text XML need not escape."""
+    root = ET.fromstring(b"".join(svg))
+    texts = [el.text for el in root.iter(f"{{{NS['svg']}}}text")]
+    for s in texts + [v for el in root.iter() for v in el.attrib.values()]:
+        assert s == sax_escape(s) and not set(s) & set("\"'\n\r\t"), s
+    return root
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    axis=st.sampled_from(PARAM_FIELDS).flatmap(
+        lambda name: st.sampled_from((name, name.lower(), name.upper(), name.swapcase()))
+    ),
+    reals=st.lists(_SVG_REALS, min_size=1, max_size=3),
+    ts=st.lists(st.integers(2, 50), min_size=1, max_size=3),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=2, unique=True),
+    threshold=st.none() | _SVG_REALS,
+)
+@example(axis="lambda", reals=[-2.5, -0.0, 5e-324], ts=[2], seeds=[2**64 - 1], threshold=-0.0)
+@example(axis="t", reals=[0.3], ts=[2, 50], seeds=[0, 1], threshold=None)
+def test_every_svg_text_and_attribute_needs_no_xml_escape(axis, reals, ts, seeds, threshold):
+    base = ModelParams(T=50)
+    canonical = {name.lower(): name for name in PARAM_FIELDS}[axis.lower()]
+
+    def valid(v):
+        try:
+            return base.with_value(canonical, v)
+        except ValueError:
+            return None
+
+    values = sorted({v for v in (ts if canonical == "T" else reals) if valid(v)})
+    assume(values)
+    params = valid(values[0])
+    crash = CrashConfig.for_params(params, **({} if threshold is None else {"threshold": threshold}))
+    root = _unescaped(svgplot._trajectory_svg(simulate(params, seeds[0]), crash.threshold))
+    assert root.find(".//svg:line[@class='threshold']", NS).get("data-level") == repr(crash.threshold)
+
+    cfg = None if threshold is None else CrashConfig.for_params(base, threshold=threshold)
+    result = run_sweep(SweepSpec(base=base, axis=axis, values=tuple(values), seeds=tuple(seeds)), cfg)
+    root = _unescaped(svgplot._sweep_svg(result))
+    drawn = [repr(v) for v, path in zip(result.spec.values, result.paths) if path is not None]
+    for kind in ("polyline[@class='series']", "g[@class='legend-entry']"):
+        assert [el.get("data-value") for el in root.findall(f".//svg:{kind}", NS)] == drawn
 
 
 # ---------------------------------------------------------------- sweep plot
