@@ -28,9 +28,8 @@ from .io import (
     write_summary_json,
     write_trajectory_csv,
 )
-from .model import Trajectory, normal_cdf, simulate
+from .model import RngStream, Trajectory, normal_cdf, simulate
 from .params import PARAM_FIELDS, ModelParams
-from .rng import RngStream
 from .svgplot import plot_sweep, plot_trajectory
 from .sweep import (
     SweepCell,

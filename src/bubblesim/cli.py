@@ -42,8 +42,7 @@ from pathlib import Path
 
 from .analysis import CrashConfig, summarize
 from .model import simulate
-from .params import PARAM_FIELDS, ModelParams, integer, real
-from .rng import as_seed
+from .params import PARAM_FIELDS, ModelParams, as_seed, integer, real
 from .sweep import SweepSpec, compare_medians, run_sweep
 from .io import _csv_text, _json_text, _write_files, summary_payload, sweep_payload
 from .svgplot import _sweep_svg, _trajectory_svg

@@ -1,9 +1,9 @@
-"""Trajectory CSV and summary JSON serialization.
+"""Trajectory CSV, summary JSON and SVG polyline points serialization.
 
-CSV carries the per-period trajectory columns (streamable, diffable); JSON
-carries scalar summaries and nested sweep grids.  Both are written with
-explicit "\\n" newlines and UTF-8 so that a fixed (config, seed) pair yields
-byte-identical files on every platform.
+CSV carries the per-period trajectory columns (streamable, diffable), JSON
+scalar summaries and nested sweep grids, _points svgplot's polyline points.
+All are written with explicit "\\n" newlines and UTF-8 so that a fixed
+(config, seed) pair yields byte-identical files on every platform.
 
 Reals are serialized with 17 significant digits, which round-trips every
 IEEE-754 double exactly: reading a file back reproduces the in-memory values
@@ -35,7 +35,7 @@ import json
 import math
 import os
 import threading
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import asdict
 from os import PathLike
 from pathlib import Path
@@ -44,8 +44,7 @@ import numpy as np
 
 from .analysis import CrashConfig, SummaryStats
 from .model import Trajectory
-from .params import ModelParams
-from .rng import as_seed
+from .params import ModelParams, as_seed
 from .sweep import SweepResult
 
 ARTIFACT_VERSION = "0.1.0"
@@ -83,6 +82,29 @@ def _csv_text(traj: Trajectory) -> Iterator[bytes]:
         for kernel, at in ((_int_cells, ints), (_g17_cells, reals)):
             cells.update(zip(at, _cells([columns[i][rows] for i in at], kernel)))
         yield _rows_text([cells.pop(i) for i in range(len(columns))], seps)
+
+
+def _points(xs: np.ndarray, ys: list[np.ndarray], sx: Callable, sys: list[Callable]) -> list[list[bytes]]:
+    """The SVG polyline points "x,y x,y ..." of each y series against the
+    shared xs, mapped to pixels by sx and by its own of sys, each coordinate
+    as '%.2f' would write it, as one piece per _BLOCK_ROWS points.
+
+    Each block is scaled as float64 columns, the same IEEE operations per
+    element as scaling each point on its own.  One '%.2f' kernel call then
+    formats the block's x and every y, and each series is written as the
+    two-column table of x and its y.
+    """
+    points: list[list[bytes]] = [[] for _ in ys]
+    for rows in _row_blocks(len(xs)):
+        columns = [sx(np.asarray(xs[rows], dtype=float))]
+        columns += [sy(np.asarray(y[rows], dtype=float)) for y, sy in zip(ys, sys)]
+        x, *cells = _cells(columns, _f2_cells)
+        for pieces, y in zip(points, cells):
+            pieces.append(_rows_text([x, y], b", "))
+    for pieces in points:
+        if pieces:
+            pieces[-1] = pieces[-1][:-1]  # no space after the last point
+    return points
 
 
 # The block of the writers (CSV rows, SVG points) and of the reader (lines
@@ -485,26 +507,28 @@ def _write_files(
     order, or as None for a file the set drops; returns the paths written.
     A str raises TypeError, with every file left as it was.
 
-    Every text goes to a temp file next to its target first, named for the
-    writing process and thread, so that two writers of one file never share
-    a temp file and the last complete one-file commit wins; two writers of
-    one multi-file set may interleave and are not supported.  Once all of
-    them are written, the dropped files are removed, and only then do the
-    temp files replace their targets, one rename each in the given order.
-    If anything fails, every temp file is removed, and so is every target
-    this call already replaced, before OSError("failed to write <path>:
-    ...") names the file that failed.  So a failure while writing, or while
-    removing a dropped file, leaves every file the set replaces as it was.
-    A failed rename leaves no file of this call behind, only those previous
-    files it had not renamed onto yet; the dropped files are already gone.
+    Every text goes to a temp file next to its target first, named
+    ".bubblesim.<pid>.<thread id>.<index in the set>.tmp", so that a target
+    of any legal name gets a legal temp name, two writers of one file never
+    share a temp file, and the last complete one-file commit wins; two
+    writers of one multi-file set may interleave and are not supported.
+    Once all of them are written, the dropped files are removed, and only
+    then do the temp files replace their targets, one rename each in the
+    given order.  If anything fails, every temp file is removed, and so is
+    every target this call already replaced, before OSError("failed to
+    write <path>: ...") names the file that failed.  So a failure while
+    writing, or while removing a dropped file, leaves every file the set
+    replaces as it was.  A failed rename leaves no file of this call
+    behind, only those previous files it had not renamed onto yet; the
+    dropped files are already gone.
     """
     texts = {path: text for path, text in files.items() if text is not None}
     dropped = [path for path, text in files.items() if text is None]
     staged, replaced = [], []  # (path, temp file, target) per text; the targets renamed onto
     try:
-        for path, text in texts.items():
+        for i, (path, text) in enumerate(texts.items()):
             target = Path(path)
-            tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+            tmp = target.with_name(f".bubblesim.{os.getpid()}.{threading.get_ident()}.{i}.tmp")
             staged.append((path, tmp, target))
             with open(tmp, "wb") as fh:
                 for piece in [text] if isinstance(text, bytes) else text:

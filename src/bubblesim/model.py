@@ -36,6 +36,10 @@ Periods t=0 and t=1 are initial conditions (log P_0 = log P_1 = log_p0,
 x_0 = x_1 = x0, M_1 = 0, N_1 = 0); the dynamics run for t = 2..T, so a full
 simulation covers T+1 periods and consumes exactly 2*(T-1) uniforms.
 
+The uniforms come from RngStream, numpy's PCG64 (period 2^128), so a 64-bit
+seed pins them bit for bit on every platform; its draw counter shows that a
+run used a fixed, path-independent number of draws.
+
 ``simulate`` is the only way to run the model.  It takes all 2*(T-1)
 uniforms from the stream at once, as one numpy array, then runs one loop that
 carries only the state the path feeds back on: the momentum M_t, the pressure
@@ -67,8 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams
-from .rng import RngStream
+from .params import ModelParams, as_seed
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -191,6 +194,34 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+class RngStream:
+    """Counted stream of uniforms in [0, 1) from a 64-bit seed; unbuffered,
+    so however it is split into calls it gives the same values."""
+
+    __slots__ = ("seed", "n_draws", "_gen")
+
+    def __init__(self, seed: int):
+        self.seed = as_seed(seed)
+        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self.n_draws = 0
+
+    def uniform(self) -> float:
+        """Next uniform draw in [0, 1); advances the stream by exactly one."""
+        self.n_draws += 1
+        return self._gen.random()
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n draws as a float64 array, equal to n calls of
+        ``uniform()``; advances by n."""
+        if n < 0:
+            raise ValueError(f"take requires n >= 0 (got n={n})")
+        self.n_draws += n
+        return self._gen.random(n)
+
+    def __repr__(self) -> str:
+        return f"RngStream(seed={self.seed}, n_draws={self.n_draws})"
 
 
 def simulate(params: ModelParams, seed: int) -> Trajectory:

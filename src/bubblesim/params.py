@@ -1,4 +1,4 @@
-"""Model parameters, their validity rules, and the one number rule.
+"""Model parameters, their validity rules, the one number rule and the seed rule.
 
 The simulator is controlled by eleven scalars.  The default values are the
 baseline configuration used throughout the analysis layer:
@@ -22,7 +22,7 @@ ModelParams instance in the system is valid by construction.
 Every number that comes from outside the package becomes a field through
 ``real`` or ``integer``: ModelParams, CrashConfig, SweepSpec, RngStream,
 run_sweep's n_jobs and the CLI's config file all call them, and a seed's
-range [0, 2**64) is checked by ``rng.as_seed`` alone.  A real field takes
+range [0, 2**64) is checked by ``as_seed`` alone.  A real field takes
 any finite real number, numpy's and Fraction among them, and stores it as
 a float.  An integer field takes any integer, numpy's too, or a finite real
 with no fractional part, and stores it as an int.  Neither takes a bool.
@@ -74,6 +74,15 @@ def integer(value, name: str) -> int:
         except OverflowError:  # a Fraction beyond the float range is not finite
             pass
     raise ValueError(f"{name} must be an integer (got {value!r})")
+
+
+def as_seed(value, name: str = "seed") -> int:
+    """``value`` as an int seed: an integer in [0, 2**64), spelled any way
+    ``integer`` accepts; raises ValueError naming ``name`` otherwise."""
+    seed = integer(value, name)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64) (got {seed})")
+    return seed
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,22 @@ the crossing threshold), trade intensity, and direction pressure.
 plot_sweep overlays the representative log-price path that run_sweep kept
 for each swept value (it simulates nothing itself), adds a small inset of
 median peak log-price against the value index, and a legend mapping colors
-to values.  Polyline coordinates are written by io's table
-kernel, the one that writes the CSV rows, with its '%.2f' cell kernel: one
-kernel call per block of points formats the shared x column and every y
-column drawn against it.  A document is a list of bytes pieces, which
-io._write_files writes in order.  Text and attribute values go in unescaped:
-names, ints and finite floats' repr, '%g' or '%.4g' need no XML escape.
+to values.  This module scales each polyline's coordinates; io._points
+writes them, with the table kernel that writes the CSV rows.  A document
+is a list of bytes pieces, which io._write_files writes in order.  Text
+and attribute values go in unescaped: names, ints and finite floats'
+repr, '%g' or '%.4g' need no XML escape.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from os import PathLike
 
 import numpy as np
 
 from .analysis import CrashConfig
-from .io import _cells, _f2_cells, _row_blocks, _rows_text, _write_files
+from .io import _points, _write_files
 from .model import Trajectory
 from .sweep import SweepResult, compare_medians
 
@@ -52,41 +52,9 @@ def _span(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-class _Scale:
-    """Affine map from data coordinates to pixel coordinates."""
-
-    def __init__(self, lo: float, hi: float, pix_lo: float, pix_hi: float):
-        self.lo = lo
-        self.hi = hi
-        self.pix_lo = pix_lo
-        self.pix_hi = pix_hi
-
-    def __call__(self, v: float | np.ndarray) -> float | np.ndarray:
-        frac = (v - self.lo) / (self.hi - self.lo)
-        return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
-
-
-def _points(xs: np.ndarray, ys: list[np.ndarray], sx: _Scale, sys: list[_Scale]) -> list[list[bytes]]:
-    """The polyline points "x,y x,y ..." of each y series against the
-    shared xs, each coordinate as '%.2f' would write it, as one piece per
-    io block of points.
-
-    Each block is scaled as float64 columns, the same IEEE operations per
-    element as scaling each point on its own.  One '%.2f' kernel call then
-    formats the block's x and every y, and each series is written as the
-    two-column table of x and its y.
-    """
-    points: list[list[bytes]] = [[] for _ in ys]
-    for rows in _row_blocks(len(xs)):
-        columns = [sx(np.asarray(xs[rows], dtype=float))]
-        columns += [sy(np.asarray(y[rows], dtype=float)) for y, sy in zip(ys, sys)]
-        x, *cells = _cells(columns, _f2_cells)
-        for pieces, y in zip(points, cells):
-            pieces.append(_rows_text([x, y], b", "))
-    for pieces in points:
-        if pieces:
-            pieces[-1] = pieces[-1][:-1]  # no space after the last point
-    return points
+def _scale(lo: float, hi: float, pix_lo: float, pix_hi: float) -> Callable:
+    """Affine map from data coordinates [lo, hi] to pixels [pix_lo, pix_hi]."""
+    return lambda v: pix_lo + (v - lo) / (hi - lo) * (pix_hi - pix_lo)
 
 
 def _polyline(points: list[bytes], stroke: str, cls: str = "series", extra: str = "") -> list[bytes]:
@@ -107,7 +75,7 @@ def _panel(
     top: float,
     series: np.ndarray,
     threshold: float | None = None,
-) -> tuple[_Scale, list]:
+) -> tuple[Callable, list]:
     """One framed panel's y scale, and its lines up to the series: title, y
     extent labels, optional dashed horizontal threshold line (included in
     the y range so it is always visible)."""
@@ -119,7 +87,7 @@ def _panel(
         lo = min(lo, threshold)
         hi = max(hi, threshold)
     lo, hi = _span(lo, hi)
-    sy = _Scale(lo, hi, top + _PANEL_H, top)
+    sy = _scale(lo, hi, top + _PANEL_H, top)
 
     parts = [f'<g class="panel" data-name="{name}">']
     parts.append(
@@ -175,7 +143,7 @@ def _trajectory_svg(traj: Trajectory, threshold: float) -> list[bytes]:
         sy, head = _panel(name, title, _TOP + i * (_PANEL_H + _PANEL_GAP), series, threshold)
         scales.append(sy)
         heads.append(head)
-    sx = _Scale(float(traj.t[0]), float(traj.t[-1]), _MARGIN_LEFT, _W - _MARGIN_RIGHT)
+    sx = _scale(float(traj.t[0]), float(traj.t[-1]), _MARGIN_LEFT, _W - _MARGIN_RIGHT)
     points = _points(traj.t, [series for _, _, series, _ in panels], sx, scales)
     body = []
     for head, pieces in zip(heads, points):
@@ -218,8 +186,8 @@ def _sweep_svg(result: SweepResult) -> list[bytes]:
         hi = max(float(np.max(path)) for _, path in drawn)
         lo, hi = _span(lo, hi)
         t_hi = max(float(len(path) - 1) for _, path in drawn)
-        sx = _Scale(0.0, t_hi, x0, x1)
-        sy = _Scale(lo, hi, _TOP + main_h, _TOP)
+        sx = _scale(0.0, t_hi, x0, x1)
+        sy = _scale(lo, hi, _TOP + main_h, _TOP)
         body.append(_text(x0 - 6, sy(hi) + 4, f"{hi:.4g}", "ytick", anchor="end"))
         body.append(_text(x0 - 6, sy(lo) + 4, f"{lo:.4g}", "ytick", anchor="end"))
         points = {}  # paths of one length share their x cells
@@ -259,8 +227,8 @@ def _sweep_svg(result: SweepResult) -> list[bytes]:
     if known:
         at, _, ms = zip(*known)
         mlo, mhi = _span(min(ms), max(ms))
-        isx = _Scale(-0.5, len(medians) - 0.5, x0, x0 + inset_w)
-        isy = _Scale(mlo, mhi, inset_top + inset_h, inset_top)
+        isx = _scale(-0.5, len(medians) - 0.5, x0, x0 + inset_w)
+        isy = _scale(mlo, mhi, inset_top + inset_h, inset_top)
         body.append(_polyline(_points(at, [ms], isx, [isy])[0], "#444", cls="inset-series"))
         for i, value, m in known:
             body.append(f'<circle cx="{isx(i):.2f}" cy="{isy(m):.2f}" r="3" fill="#444"/>')

@@ -56,8 +56,7 @@ import numpy as np
 
 from .analysis import CrashConfig, SummaryStats, summarize
 from .model import simulate
-from .params import PARAM_FIELDS, ModelParams, integer, real
-from .rng import as_seed
+from .params import PARAM_FIELDS, ModelParams, as_seed, integer, real
 
 STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SummaryStats))
 

@@ -496,6 +496,16 @@ def test_successful_write_replaces_the_file_and_leaves_no_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
+def test_a_255_byte_name_is_written_and_leaves_no_temp_file(tmp_path):
+    # the temp file's name does not grow with its target's, so a target of
+    # the longest legal name commits too
+    traj = simulate(P, 1)
+    target = tmp_path / ("x" * 251 + ".csv")
+    write_trajectory_csv(traj, target)
+    assert target.read_text() == trajectory_csv_text(traj)
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
 def test_two_writers_of_one_path_each_commit_whole_and_the_last_wins(tmp_path, monkeypatch):
     # writer A is held between opening its temp file and writing it, until
     # writer B's whole commit of the same path has returned

@@ -1,4 +1,5 @@
-"""Uniform stream determinism, draw accounting, and the frozen generator pin."""
+"""Uniform stream determinism, draw accounting, the frozen generator pin and
+the raw PCG64 stream below it."""
 
 import numpy as np
 import pytest
@@ -113,3 +114,13 @@ def test_take_zero_draws_nothing():
     assert rng.uniform() == RngStream(7).uniform()
     with pytest.raises(ValueError):
         rng.take(-1)
+
+
+def test_take_is_the_pcg64_raw_stream_scaled_to_53_bits():
+    # numpy pins PCG64's raw stream but not Generator.random's conversion
+    # of it; should that ever change, this names the cause
+    n = 10**5
+    for seed in (0, 1, 42, 2**64 - 1):
+        raw = np.random.PCG64(seed).random_raw(n)
+        expected = (raw >> np.uint64(11)) * 2.0**-53
+        assert RngStream(seed).take(n).tobytes() == expected.tobytes(), f"seed {seed}"

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import bubblesim.io
 from bubblesim import CrashConfig, ModelParams, SweepSpec, plot_sweep, plot_trajectory, run_sweep, simulate
 from bubblesim import svgplot
+from bubblesim.io import _points
 from bubblesim.params import PARAM_FIELDS
-from bubblesim.svgplot import _points, _Scale
+from bubblesim.svgplot import _scale
 from oracles import polyline_points
 from synthetic import flat_trajectory
 
@@ -84,22 +85,22 @@ def test_plot_output_is_deterministic(tmp_path):
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_IDENTITY = _Scale(0.0, 1.0, -0.0, 1.0)  # -0.0 + v is v, for v = -0.0 too
+_IDENTITY = _scale(0.0, 1.0, -0.0, 1.0)  # -0.0 + v is v, for v = -0.0 too
 _PIXEL = st.one_of(st.integers(-2000, 2000), st.floats(-2000.0, 2000.0))
 
 
 @st.composite
 def _scales(draw):
     lo, hi = sorted(draw(st.lists(_FINITE, min_size=2, max_size=2, unique=True)))
-    return _Scale(lo, hi, draw(_PIXEL), draw(_PIXEL))
+    return _scale(lo, hi, draw(_PIXEL), draw(_PIXEL))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(xy=st.lists(st.tuples(_FINITE, _FINITE), max_size=20), sx=_scales(), sy=_scales())
 @example(
     xy=[(-0.0, -0.0), (5e-324, 5e-324), (1.7e308, 1.7e308), (-1.7e308, -1.7e308)],
-    sx=_Scale(0.0, 5000.0, 72, 876),
-    sy=_Scale(-1.7e308, 1.7e308, 170, 40),
+    sx=_scale(0.0, 5000.0, 72, 876),
+    sy=_scale(-1.7e308, 1.7e308, 170, 40),
 )
 # _IDENTITY maps every coordinate to itself, -0.0 included, so these reach
 # the formatting as written.  Ties and near-ties that rint alone gets wrong
