@@ -40,18 +40,21 @@ The uniforms come from RngStream, numpy's PCG64 (period 2^128), so a 64-bit
 seed pins them bit for bit on every platform; its draw counter shows that a
 run used a fixed, path-independent number of draws.
 
-``simulate`` is the only way to run the model.  It takes all 2*(T-1)
-uniforms from the stream at once, as one numpy array, then runs one loop that
-carries only the state the path feeds back on: the momentum M_t, the pressure
-x_t and the tick count.  Each period it stores M_t and tests the trade draw;
-it tests the direction draw only when a trade fires.  The other columns
-(lambda, x, direction, trade, n_trades, log P) are rebuilt afterwards as
-whole numpy columns, with the loop's IEEE operations in the loop's order, so
-every bit is the same as a period-by-period evaluation.  The draws' bins come
-from one pass over all 2*(T-1) of them; the trade and direction bins are its
-even and odd views.  x is filled in one buffer, x0 twice and then the cubic
-increments, and summed in place from period 1 on, which adds in the loop's
-order with no concatenation.
+``simulate`` is the only way to run the model.  It is three private steps,
+draws -> floors -> path: ``_draws`` depends on (seed, T) only, ``_floors`` on
+those draws and (Lambda, k), and ``_path`` runs the loop and rebuilds the
+columns, so a sweep's cells of one seed can share the first two.  It takes
+all 2*(T-1) uniforms from the stream at once, as one numpy array, then runs
+one loop that carries only the state the path feeds back on: the momentum
+M_t, the pressure x_t and the tick count.  Each period it stores M_t and
+tests the trade draw; it tests the direction draw only when a trade fires.
+The other columns (lambda, x, direction, trade, n_trades, log P) are rebuilt
+afterwards as whole numpy columns, with the loop's IEEE operations in the
+loop's order, so every bit is the same as a period-by-period evaluation.  The
+draws' bins come from one pass over all 2*(T-1) of them; the trade and
+direction bins are its even and odd views.  x is filled in one buffer, x0
+twice and then the cubic increments, and summed in place from period 1 on,
+which adds in the loop's order with no concatenation.
 
 Both Bernoulli(Phi) decisions use one exact bracket table and one rule.  A
 draw's bin gives two points of a fixed z grid: at or below the lower one the
@@ -71,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ModelParams, as_seed
+from .params import ModelParams, as_seed, integer
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -214,11 +217,14 @@ class RngStream:
 
     def take(self, n: int) -> np.ndarray:
         """The next n draws as a float64 array, equal to n calls of
-        ``uniform()``; advances by n."""
+        ``uniform()``; advances by n.  n follows the integer rule, and a call
+        that raises draws and counts nothing."""
+        n = integer(n, "take n")
         if n < 0:
             raise ValueError(f"take requires n >= 0 (got n={n})")
-        self.n_draws += n
-        return self._gen.random(n)
+        u = self._gen.random(n)
+        self.n_draws += n  # only once the draws exist
+        return u
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, n_draws={self.n_draws})"
@@ -233,12 +239,31 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     Raises ``ValueError`` (from ``normal_cdf``) at the first period whose
     intensity or direction pressure is not finite, intensity first.
     """
-    rng = RngStream(seed)
-    u = rng.take(2 * (params.T - 1))
-    u_trade, u_dir = u[0::2], u[1::2]
-    j = _bins(u)
-    j_trade, j_dir = j[0::2], j[1::2]
+    draws = _draws(seed, params.T)
+    return _path(params, draws, _floors(draws, params.Lambda, params.k))
 
+
+def _draws(seed: int, T: int) -> tuple:
+    """The stream after its 2*(T-1) draws, the trade and direction draws and
+    their bins: the part of a run that depends on (seed, T) only."""
+    rng = RngStream(seed)
+    u = rng.take(2 * (T - 1))
+    j = _bins(u)
+    return rng, u[0::2], u[1::2], j[0::2], j[1::2]
+
+
+def _floors(draws: tuple, Lambda: float, k: float) -> tuple[list, np.ndarray]:
+    """The trade draws' momentum floors, as the list the loop walks, and their
+    ``_ZHI``: the part of a run that depends on (seed, T, Lambda, k) only."""
+    j_trade = draws[3]
+    return _momentum_floor(Lambda, k)[j_trade].tolist(), _ZHI[j_trade]
+
+
+def _path(params: ModelParams, draws: tuple, floors: tuple) -> Trajectory:
+    """The run of ``params`` on ``_draws(seed, params.T)`` and their
+    ``_floors(draws, params.Lambda, params.k)``: the loop and the columns."""
+    rng, u_trade, u_dir, _, j_dir = draws
+    floor, zhi = floors
     log_p0, d, x0 = params.log_p0, params.d, params.x0
     Lambda, k = params.Lambda, params.k
     h, a, b, c = params.h, params.a, params.b, params.c
@@ -252,15 +277,13 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     # in between.  Phi is written inline, not via normal_cdf, as the loop
     # must never raise: erfc takes nan and +-inf, and the check after the
     # loop raises for the first non-finite value, intensity first.
-    floor = _momentum_floor(Lambda, k)[j_trade]
-    zhi = _ZHI[j_trade]
     momentum = [0.0] * n
     traded_at: list[int] = []
     lp = log_p0
     m = ret = 0.0
     xt = x0
     ticks = 0
-    for t, low in enumerate(floor.tolist(), 2):
+    for t, low in enumerate(floor, 2):
         m = decay * (m + ret)
         momentum[t] = m
         xt = xt + h * (m - a) * (m - b) * (m - c)

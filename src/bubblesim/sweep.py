@@ -22,9 +22,11 @@ deviation rather than hiding it.
 
 Cells are independent pure function evaluations, so run_sweep can fan them
 out to worker processes; results are collected by cell index and the output
-is bit-identical whether run serially or in parallel.  Each worker gets one
-chunk of interleaved cells (cells w, w + n_jobs, ...), which spreads every
-value's seeds evenly over the workers; no worker takes over cells from a slow
+is bit-identical whether run serially or in parallel.  Cells run seed-major
+in contiguous chunks, one per worker, and the cells of one seed share its
+draws when their T is the same, and its momentum floors when their Lambda and
+k are too: a b sweep draws and floors each seed once, a Lambda sweep draws it
+once, a T sweep shares nothing.  No worker takes over cells from a slow
 one, so a worker held up by the host holds up the sweep.  The worker
 processes are kept between parallel sweeps: the first one in a process pays
 their start-up, later ones with the same n_jobs reuse the warm workers.  A
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import CrashConfig, SummaryStats, summarize
-from .model import simulate
+from .model import _draws, _floors, _path
 from .params import PARAM_FIELDS, ModelParams, as_seed, integer, real
 
 STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SummaryStats))
@@ -135,21 +137,36 @@ class SweepResult:
         return self.cells[value_index * len(self.spec.seeds) + seed_index]
 
 
-def _run_cell(
-    task: tuple[ModelParams, str, float, int, CrashConfig | None, bool],
-) -> tuple[SweepCell, np.ndarray | None]:
-    """Evaluate one grid cell, with its log-price path if the task keeps it
-    and the cell succeeds; module-level so worker processes can pickle it."""
-    base, axis, value, seed, cfg, keep_path = task
-    try:
-        params = base.with_value(axis, value)
-        traj = simulate(params, seed)
-        stats = summarize(traj, cfg)
-    except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        return SweepCell(value=value, seed=seed, stats=None, error=error), None
-    path = traj.log_price if keep_path else None
-    return SweepCell(value=value, seed=seed, stats=stats, error=None), path
+def _run_cells(
+    tasks: list[tuple[ModelParams, str, float, int, CrashConfig | None, bool]],
+) -> list[tuple[SweepCell, np.ndarray | None]]:
+    """Evaluate grid cells in order, each with its log-price path if its task
+    keeps it and the cell succeeds; module-level so workers can pickle it.
+
+    A cell takes the previous cell's draws when its (seed, T) is the same,
+    and also its floors when its (Lambda, k) is: the same bits as
+    ``simulate`` builds, from one seed's draws held at a time.
+    """
+    outcomes = []
+    drawn = floored = None  # the (seed, T) and (seed, T, Lambda, k) of those held
+    for base, axis, value, seed, cfg, keep_path in tasks:
+        try:
+            params = base.with_value(axis, value)
+            key = (seed, params.T)
+            if key != drawn:
+                draws, drawn = _draws(seed, params.T), key
+            key += (params.Lambda, params.k)
+            if key != floored:
+                floors, floored = _floors(draws, params.Lambda, params.k), key
+            traj = _path(params, draws, floors)
+            stats = summarize(traj, cfg)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            outcomes.append((SweepCell(value=value, seed=seed, stats=None, error=error), None))
+            continue
+        path = traj.log_price if keep_path else None
+        outcomes.append((SweepCell(value=value, seed=seed, stats=stats, error=None), path))
+    return outcomes
 
 
 def _aggregate(values: tuple[float, ...], cells: list[SweepCell]) -> tuple[ValueSummary, ...]:
@@ -201,11 +218,9 @@ _POOL_LOCK = threading.Lock()
 def _pool_map(tasks: list, n_jobs: int) -> list[tuple[SweepCell, np.ndarray | None]]:
     """The outcomes of ``tasks``, in order, from the kept pool.
 
-    With size = min(n_jobs, len(tasks)), the tasks go out as at most size
-    chunks of ceil(len / size) cells, listed strided (cells w, w + size,
-    w + 2 size, ... for w = 0, 1, ...), so each worker gets at most one
-    chunk and every value's seeds are spread evenly over the chunks; the
-    outcomes are put back in task order.
+    With size = min(n_jobs, len(tasks)), the tasks go out in order as at
+    most size contiguous chunks of ceil(len / size) cells, each run by one
+    ``_run_cells`` call, so each worker gets at most one chunk.
 
     A kept pool of size to n_jobs workers is reused, so a small sweep after
     a large one with the same n_jobs starts nothing.  Any other pool is shut
@@ -226,10 +241,9 @@ def _pool_map(tasks: list, n_jobs: int) -> list[tuple[SweepCell, np.ndarray | No
     if not reused:
         _drop_pool()
         _pool = (size, ProcessPoolExecutor(max_workers=size))
-    order = [i for w in range(size) for i in range(w, len(tasks), size)]
     chunk = -(-len(tasks) // size)
     try:
-        done = list(_pool[1].map(_run_cell, [tasks[i] for i in order], chunksize=chunk))
+        done = list(_pool[1].map(_run_cells, [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]))
     except BrokenProcessPool:
         _drop_pool()
         if not reused:
@@ -242,10 +256,7 @@ def _pool_map(tasks: list, n_jobs: int) -> list[tuple[SweepCell, np.ndarray | No
         # a multiprocessing child joins its non-daemon children when its
         # target returns and runs no atexit hook: these workers would hang it
         _drop_pool()
-    outcomes = [None] * len(tasks)
-    for i, outcome in zip(order, done):
-        outcomes[i] = outcome
-    return outcomes
+    return [outcome for outcomes in done for outcome in outcomes]
 
 
 @atexit.register
@@ -278,7 +289,9 @@ def run_sweep(
     the crossing threshold tracks a swept b.  n_jobs > 1 fans cells out to
     that many worker processes, and starts at most one worker per cell; the
     grid ordering (values-major, seeds-minor) and every number in the result
-    are independent of the execution mode.
+    are independent of the execution mode.  The cells of one seed share its
+    draws (see the module docstring), and each cell is bit for bit what its
+    own ``simulate`` + ``summarize`` gives.
 
     The workers are kept for later parallel sweeps, so only the first one in a
     process pays their start-up.  They are replaced when there are more than
@@ -297,16 +310,19 @@ def run_sweep(
     n_jobs = integer(n_jobs, "run_sweep n_jobs")
     if n_jobs < 1:
         raise ValueError(f"run_sweep requires n_jobs >= 1 (got {n_jobs})")
+    # seed-major, so the cells of one seed run in a row and share its draws
     tasks = [
         (spec.base, spec.axis, value, seed, cfg, j == 0)
-        for value in spec.values
         for j, seed in enumerate(spec.seeds)
+        for value in spec.values
     ]
     if n_jobs == 1:
-        outcomes = [_run_cell(t) for t in tasks]
+        outcomes = _run_cells(tasks)
     else:
         with _POOL_LOCK:
             outcomes = _pool_map(tasks, n_jobs)
+    n_values = len(spec.values)
+    outcomes = [outcome for i in range(n_values) for outcome in outcomes[i::n_values]]
     cells = [cell for cell, _ in outcomes]
     if all(c.error is not None for c in cells):
         raise RuntimeError(f"every sweep cell failed; first error: {cells[0].error}")

@@ -124,3 +124,17 @@ def test_take_is_the_pcg64_raw_stream_scaled_to_53_bits():
         raw = np.random.PCG64(seed).random_raw(n)
         expected = (raw >> np.uint64(11)) * 2.0**-53
         assert RngStream(seed).take(n).tobytes() == expected.tobytes(), f"seed {seed}"
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(2.5, ValueError), (True, ValueError), (-1, ValueError), ("3", ValueError), (10**18, MemoryError)],
+)
+def test_a_failed_take_draws_and_counts_nothing(bad, error):
+    rng = RngStream(5)
+    rng.take(3)
+    with pytest.raises(error, match="take" if error is ValueError else None):
+        rng.take(bad)
+    assert rng.n_draws == 3
+    assert rng.take(4).tolist() == RngStream(5).take(7).tolist()[3:]
+    assert rng.n_draws == 7

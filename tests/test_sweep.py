@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bubblesim
+import bubblesim.sweep
 
 from bubblesim import (
     CrashConfig,
@@ -168,6 +169,66 @@ def test_serial_and_parallel_agree_exactly(values, seeds, n_jobs):
     assert [None if p is None else p.tobytes() for p in serial.paths] == [
         None if p is None else p.tobytes() for p in parallel.paths
     ]
+
+
+def _oracle_cell(base: ModelParams, axis: str, value: float, seed: int):
+    """One cell as run_sweep must give it: its own simulate + summarize."""
+    try:
+        traj = simulate(base.with_value(axis, value), seed)
+        return summarize(traj), None, traj.log_price.tobytes()
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}", None
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize(
+    "axis, values, seeds",
+    [
+        # seed-major, the failing b = 1.5 cells (above c) sit between cells
+        # that share draws: seed 3 runs twice in a row, then seed 0
+        ("b", (0.01, 0.02, 1.5), (3, 3, 0)),
+        ("Lambda", (-2.5, -2.0, -1.5), (0, 1)),  # shares draws, not floors
+        ("k", (5.0, 10.0, 20.0), (2, 0)),
+        # T = 1e18 is too big for a numpy array: only its own cells fail
+        ("T", (50.0, 60.0, 1e18), (1, 1)),
+        ("b", (0.005, 0.01, 0.015, 0.02), (4,)),  # on 2 jobs, one seed in two chunks
+    ],
+    ids=["b-failing-repeated-seed", "Lambda", "k", "T-huge", "b-one-seed-four-values"],
+)
+def test_every_cell_equals_its_own_simulation_bit_for_bit(axis, values, seeds, n_jobs):
+    base = ModelParams(T=300)
+    spec = SweepSpec(base=base, axis=axis, values=values, seeds=seeds)
+    result = run_sweep(spec, n_jobs=n_jobs)
+    for i, value in enumerate(values):
+        for j, seed in enumerate(seeds):
+            cell = result.cell(i, j)
+            stats, error, path = _oracle_cell(base, spec.axis, value, seed)
+            # repr tells every float apart, -0.0 and nan included
+            assert (cell.value, cell.seed, repr(cell.stats), cell.error) == (value, seed, repr(stats), error)
+            if j == 0:
+                kept = result.paths[i]
+                assert (None if kept is None else kept.tobytes()) == path
+
+
+@pytest.mark.parametrize(
+    "axis, values, draws, floors",
+    [
+        ("b", (0.01, 0.02, 0.03), 2, 2),  # per seed: one of each
+        ("Lambda", (-2.5, -2.0, -1.5), 2, 6),  # one floor per cell
+        ("T", (50.0, 60.0, 70.0), 6, 6),  # nothing shared
+    ],
+)
+def test_a_serial_sweep_draws_each_seed_once_per_t(monkeypatch, axis, values, draws, floors):
+    calls = {"_draws": 0, "_floors": 0}
+    for step in calls:
+
+        def counted(*args, _step=step, _run=getattr(bubblesim.sweep, step)):
+            calls[_step] += 1
+            return _run(*args)
+
+        monkeypatch.setattr(bubblesim.sweep, step, counted)
+    run_sweep(SweepSpec(base=SMALL, axis=axis, values=values, seeds=(0, 1)))
+    assert calls == {"_draws": draws, "_floors": floors}
 
 
 def test_each_value_keeps_the_log_price_path_of_its_first_seed():
