@@ -41,13 +41,14 @@ seed pins them bit for bit on every platform; its draw counter shows that a
 run used a fixed, path-independent number of draws.
 
 ``simulate`` is the only way to run the model.  It is three private steps,
-draws -> floors -> path: ``_draws`` depends on (seed, T) only, ``_floors`` on
-those draws and (Lambda, k), and ``_path`` runs the loop and rebuilds the
-columns, so a sweep's cells of one seed can share the first two.  It takes
-all 2*(T-1) uniforms from the stream at once, as one numpy array, then runs
-one loop that carries only the state the path feeds back on: the momentum
-M_t, the pressure x_t and the tick count.  Each period it stores M_t and
-tests the trade draw; it tests the direction draw only when a trade fires.
+draws -> floors -> path.  ``_draws`` returns what depends on (seed, T) only:
+the draws, their bins and the trade draws' ``_ZHI``.  ``_floors`` returns the
+trade draws' momentum floors for (Lambda, k).  ``_path`` runs the loop and
+rebuilds the columns.  So a sweep's cells of one seed can share the first two.
+It takes all 2*(T-1) uniforms from the stream at once, as one numpy array,
+then runs one loop that carries only the state the path feeds back on: the
+momentum M_t, the pressure x_t and the tick count.  Each period it stores M_t
+and tests the trade draw; it tests the direction draw only when a trade fires.
 The other columns (lambda, x, direction, trade, n_trades, log P) are rebuilt
 afterwards as whole numpy columns, with the loop's IEEE operations in the
 loop's order, so every bit is the same as a period-by-period evaluation.  The
@@ -244,26 +245,25 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
 
 
 def _draws(seed: int, T: int) -> tuple:
-    """The stream after its 2*(T-1) draws, the trade and direction draws and
-    their bins: the part of a run that depends on (seed, T) only."""
+    """The stream after its 2*(T-1) draws, the trade and direction draws, their
+    bins and the trade draws' ``_ZHI``: the part of a run that depends on
+    (seed, T) only."""
     rng = RngStream(seed)
     u = rng.take(2 * (T - 1))
     j = _bins(u)
-    return rng, u[0::2], u[1::2], j[0::2], j[1::2]
+    return rng, u[0::2], u[1::2], j[0::2], j[1::2], _ZHI[j[0::2]]
 
 
-def _floors(draws: tuple, Lambda: float, k: float) -> tuple[list, np.ndarray]:
-    """The trade draws' momentum floors, as the list the loop walks, and their
-    ``_ZHI``: the part of a run that depends on (seed, T, Lambda, k) only."""
-    j_trade = draws[3]
-    return _momentum_floor(Lambda, k)[j_trade].tolist(), _ZHI[j_trade]
+def _floors(draws: tuple, Lambda: float, k: float) -> list:
+    """The trade draws' momentum floors, as the list the loop walks: the part
+    of a run that depends on (seed, T, Lambda, k) only."""
+    return _momentum_floor(Lambda, k)[draws[3]].tolist()
 
 
-def _path(params: ModelParams, draws: tuple, floors: tuple) -> Trajectory:
+def _path(params: ModelParams, draws: tuple, floor: list) -> Trajectory:
     """The run of ``params`` on ``_draws(seed, params.T)`` and their
     ``_floors(draws, params.Lambda, params.k)``: the loop and the columns."""
-    rng, u_trade, u_dir, _, j_dir = draws
-    floor, zhi = floors
+    rng, u_trade, u_dir, _, j_dir, zhi = draws
     log_p0, d, x0 = params.log_p0, params.d, params.x0
     Lambda, k = params.Lambda, params.k
     h, a, b, c = params.h, params.a, params.b, params.c

@@ -21,24 +21,16 @@ The test suite checks that ordering explicitly and reports the measured
 deviation rather than hiding it.
 
 Cells are independent pure function evaluations, so run_sweep can fan them
-out to worker processes; results are collected by cell index and the output
-is bit-identical whether run serially or in parallel.  Cells run seed-major
-in contiguous chunks, one per worker, and the cells of one seed share its
-draws when their T is the same, and its momentum floors when their Lambda and
-k are too: a b sweep draws and floors each seed once, a Lambda sweep draws it
-once, a T sweep shares nothing.  No worker takes over cells from a slow
-one, so a worker held up by the host holds up the sweep.  The worker
-processes are kept between parallel sweeps: the first one in a process pays
-their start-up, later ones with the same n_jobs reuse the warm workers.  A
-sweep starts at most one worker per cell, and reuses a kept pool of up to
-n_jobs workers.  The pool is replaced when it is too small or too large for a
-sweep, or when it breaks, and is shut down when the interpreter exits.  A
-forked child starts workers of its own, and in a multiprocessing child, which
-runs no exit hook, each parallel sweep shuts them down before it returns.
-Workers see the package as it was when they were started, not changes made to
-its modules afterwards.  A cell whose derived parameters are invalid (say a
-swept b landing above c) records an error string and the sweep continues;
-only a sweep with no surviving cell raises.
+out to worker processes, and the output is bit-identical whether run serially
+or in parallel.  A worker runs a contiguous chunk of the seed-major grid and
+reads each cell's seed and value from the spec.  The cells of one seed share
+its draws when their T is the same, and its momentum floors when their Lambda
+and k are too: a b sweep draws and floors each seed once, a Lambda sweep
+draws it once, a T sweep shares nothing.  How the chunks go to the workers,
+and when the kept worker pool is started, reused, replaced and shut down, is
+stated once, in run_sweep's docstring.  A cell whose derived parameters are
+invalid (say a swept b landing above c) records an error string and the
+sweep continues; only a sweep with no surviving cell raises.
 
 The first seed's cell of each value also hands back its log-price path, the
 representative path plot_sweep draws, so a sweep and its plot simulate every
@@ -134,24 +126,31 @@ class SweepResult:
     paths: tuple[np.ndarray | None, ...] = field(compare=False, repr=False)
 
     def cell(self, value_index: int, seed_index: int) -> SweepCell:
-        return self.cells[value_index * len(self.spec.seeds) + seed_index]
+        n_values, n_seeds = len(self.spec.values), len(self.spec.seeds)
+        if not (0 <= value_index < n_values and 0 <= seed_index < n_seeds):
+            raise IndexError(f"cell ({value_index}, {seed_index}) is outside the {n_values} x {n_seeds} grid")
+        return self.cells[value_index * n_seeds + seed_index]
 
 
 def _run_cells(
-    tasks: list[tuple[ModelParams, str, float, int, CrashConfig | None, bool]],
+    spec: SweepSpec, cfg: CrashConfig | None, start: int, stop: int
 ) -> list[tuple[SweepCell, np.ndarray | None]]:
-    """Evaluate grid cells in order, each with its log-price path if its task
-    keeps it and the cell succeeds; module-level so workers can pickle it.
+    """Evaluate cells start..stop-1 of the seed-major grid, where cell i is
+    (``spec.values[i % n]``, ``spec.seeds[i // n]``) for n values; the first
+    seed's cells (i < n) that succeed also give their log-price path.
+    Module-level so workers can pickle it.
 
     A cell takes the previous cell's draws when its (seed, T) is the same,
     and also its floors when its (Lambda, k) is: the same bits as
     ``simulate`` builds, from one seed's draws held at a time.
     """
+    n_values = len(spec.values)
     outcomes = []
     drawn = floored = None  # the (seed, T) and (seed, T, Lambda, k) of those held
-    for base, axis, value, seed, cfg, keep_path in tasks:
+    for i in range(start, stop):
+        seed, value = spec.seeds[i // n_values], spec.values[i % n_values]
         try:
-            params = base.with_value(axis, value)
+            params = spec.base.with_value(spec.axis, value)
             key = (seed, params.T)
             if key != drawn:
                 draws, drawn = _draws(seed, params.T), key
@@ -164,7 +163,7 @@ def _run_cells(
             error = f"{type(exc).__name__}: {exc}"
             outcomes.append((SweepCell(value=value, seed=seed, stats=None, error=error), None))
             continue
-        path = traj.log_price if keep_path else None
+        path = traj.log_price if i < n_values else None
         outcomes.append((SweepCell(value=value, seed=seed, stats=stats, error=None), path))
     return outcomes
 
@@ -215,40 +214,41 @@ _pool = None
 _POOL_LOCK = threading.Lock()
 
 
-def _pool_map(tasks: list, n_jobs: int) -> list[tuple[SweepCell, np.ndarray | None]]:
-    """The outcomes of ``tasks``, in order, from the kept pool.
-
-    With size = min(n_jobs, len(tasks)), the tasks go out in order as at
-    most size contiguous chunks of ceil(len / size) cells, each run by one
-    ``_run_cells`` call, so each worker gets at most one chunk.
+def _pool_map(
+    spec: SweepSpec, cfg: CrashConfig | None, n_jobs: int
+) -> list[tuple[SweepCell, np.ndarray | None]]:
+    """The outcomes of ``_run_cells`` on the whole grid, in order, from the
+    kept pool, which runs one ``_run_cells`` call per chunk (see run_sweep).
 
     A kept pool of size to n_jobs workers is reused, so a small sweep after
     a large one with the same n_jobs starts nothing.  Any other pool is shut
     down and joined before a new one of size workers forks, so no executor
     thread is alive at the fork.  Any exception drops the pool before it
     propagates, except that a kept pool found broken (its idle
-    workers were killed, say) is replaced and the tasks run once more: cells
+    workers were killed, say) is replaced and the cells run once more: cells
     are pure, so the rerun gives the same cells.  A new pool that breaks
     raises.
     """
     # imported here: a serial run never needs them
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from functools import partial
     from multiprocessing import parent_process
 
     global _pool
-    size = min(n_jobs, len(tasks))  # a worker started for no cell would only cost its start-up
+    n = len(spec.values) * len(spec.seeds)
+    size = min(n_jobs, n)  # a worker started for no cell would only cost its start-up
     reused = _pool is not None and size <= _pool[0] <= n_jobs
     if not reused:
         _drop_pool()
         _pool = (size, ProcessPoolExecutor(max_workers=size))
-    chunk = -(-len(tasks) // size)
+    bounds = [*range(0, n, -(-n // size)), n]
     try:
-        done = list(_pool[1].map(_run_cells, [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]))
+        done = list(_pool[1].map(partial(_run_cells, spec, cfg), bounds, bounds[1:]))
     except BrokenProcessPool:
         _drop_pool()
         if not reused:
             raise
-        return _pool_map(tasks, n_jobs)  # on a new pool, which raises if it breaks
+        return _pool_map(spec, cfg, n_jobs)  # on a new pool, which raises if it breaks
     except BaseException:
         _drop_pool()
         raise
@@ -286,19 +286,24 @@ def run_sweep(
     """Evaluate the full (value, seed) grid and aggregate per value.
 
     With cfg=None each cell derives its detector from its own parameters, so
-    the crossing threshold tracks a swept b.  n_jobs > 1 fans cells out to
-    that many worker processes, and starts at most one worker per cell; the
-    grid ordering (values-major, seeds-minor) and every number in the result
-    are independent of the execution mode.  The cells of one seed share its
-    draws (see the module docstring), and each cell is bit for bit what its
-    own ``simulate`` + ``summarize`` gives.
+    the crossing threshold tracks a swept b.  The grid ordering (values-major,
+    seeds-minor) and every number in the result are independent of n_jobs.
+    The cells of one seed share its draws (see the module docstring), and
+    each cell is bit for bit what its own ``simulate`` + ``summarize`` gives.
 
-    The workers are kept for later parallel sweeps, so only the first one in a
-    process pays their start-up.  They are replaced when there are more than
-    n_jobs of them or fewer than the sweep can use, or when the pool breaks.
-    They are shut down at interpreter exit, and see the package as it was when
-    they were started.  A forked child starts its own workers, and in a
-    multiprocessing child they are shut down before the sweep returns.
+    n_jobs > 1 runs the cells on worker processes.  With size =
+    min(n_jobs, cells), the seed-major grid is cut into at most size
+    contiguous chunks of ceil(cells / size) cells, and the next chunk goes to
+    the first idle worker: on a fresh pool one worker may run two chunks
+    before another has started (spawn and forkserver often do).  No worker
+    takes over cells from a slow one, so a worker held up by the host holds
+    up the sweep.  A sweep starts at most size workers, and reuses a kept
+    pool of size to n_jobs workers, so only the first parallel sweep in a
+    process pays their start-up.  The pool is replaced when it has more than n_jobs workers or
+    fewer than size, or when it breaks.  It is shut down at interpreter exit,
+    and its workers see the package as it was when they were started.  A
+    forked child starts its own workers, and in a multiprocessing child, which
+    runs no exit hook, they are shut down before the sweep returns.
 
     A cell that fails (invalid derived parameters, say) is recorded with its
     error and excluded from the aggregates.  If every cell fails, raises
@@ -310,18 +315,12 @@ def run_sweep(
     n_jobs = integer(n_jobs, "run_sweep n_jobs")
     if n_jobs < 1:
         raise ValueError(f"run_sweep requires n_jobs >= 1 (got {n_jobs})")
-    # seed-major, so the cells of one seed run in a row and share its draws
-    tasks = [
-        (spec.base, spec.axis, value, seed, cfg, j == 0)
-        for j, seed in enumerate(spec.seeds)
-        for value in spec.values
-    ]
+    n_values = len(spec.values)
     if n_jobs == 1:
-        outcomes = _run_cells(tasks)
+        outcomes = _run_cells(spec, cfg, 0, n_values * len(spec.seeds))
     else:
         with _POOL_LOCK:
-            outcomes = _pool_map(tasks, n_jobs)
-    n_values = len(spec.values)
+            outcomes = _pool_map(spec, cfg, n_jobs)
     outcomes = [outcome for i in range(n_values) for outcome in outcomes[i::n_values]]
     cells = [cell for cell, _ in outcomes]
     if all(c.error is not None for c in cells):

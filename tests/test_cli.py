@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -955,3 +956,21 @@ def test_console_script_runs_end_to_end(tmp_path):
     assert proc.returncode == 0, proc.stderr
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == CSV_HEADER
+
+
+def test_every_command_of_the_ci_console_script_step_exits_as_the_step_expects(tmp_path, monkeypatch, capsys):
+    # The workflow's console-script step, run through main: a command piped
+    # into "|| code=$?" must exit 1 with one error line, the others 0.  The
+    # workflow is read as text, each line that starts with "bubblesim ".
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    lines = [s for line in workflow.read_text().splitlines() if (s := line.strip()).startswith("bubblesim ")]
+    assert any(line.endswith("|| code=$?") for line in lines) and len(lines) > 1
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
+        argv = argv[1 : argv.index("2>") if "2>" in argv else None]
+        code, err = main(argv), capsys.readouterr().err
+        if line.endswith("|| code=$?"):
+            assert (code, len(err.splitlines())) == (1, 1), (line, err)
+        else:
+            assert code == 0, (line, err)

@@ -143,6 +143,14 @@ def test_grid_is_values_major_seeds_minor():
     assert result.cell(1, 2).seed == 5
 
 
+@pytest.mark.parametrize("value_index, seed_index", [(0, 2), (0, -1), (2, 0), (-1, 0)])
+def test_a_cell_outside_the_grid_raises_index_error(value_index, seed_index):
+    # unchecked, the flat index of each lands on another cell or past the last one
+    result = run_sweep(SweepSpec(base=ModelParams(T=50), axis="b", values=(0.01, 0.02), seeds=(0, 1)))
+    with pytest.raises(IndexError, match=rf"cell \({value_index}, {seed_index}\) is outside the 2 x 2 grid"):
+        result.cell(value_index, seed_index)
+
+
 def test_matched_seeds_give_paired_cells():
     spec = SweepSpec(base=SMALL, axis="k", values=(5.0, 10.0), seeds=(0, 1))
     result = run_sweep(spec)
@@ -192,8 +200,9 @@ def _oracle_cell(base: ModelParams, axis: str, value: float, seed: int):
         # T = 1e18 is too big for a numpy array: only its own cells fail
         ("T", (50.0, 60.0, 1e18), (1, 1)),
         ("b", (0.005, 0.01, 0.015, 0.02), (4,)),  # on 2 jobs, one seed in two chunks
+        ("b", (0.01, 0.02, 0.03), (0, 1, 2)),  # on 2 jobs, chunks of 5 and 4: seed 1 is cut
     ],
-    ids=["b-failing-repeated-seed", "Lambda", "k", "T-huge", "b-one-seed-four-values"],
+    ids=["b-failing-repeated-seed", "Lambda", "k", "T-huge", "b-one-seed-four-values", "b-3-seeds-3-values"],
 )
 def test_every_cell_equals_its_own_simulation_bit_for_bit(axis, values, seeds, n_jobs):
     base = ModelParams(T=300)
