@@ -40,12 +40,16 @@ The uniforms come from RngStream, numpy's PCG64 (period 2^128), so a 64-bit
 seed pins them bit for bit on every platform; its draw counter shows that a
 run used a fixed, path-independent number of draws.
 
-``simulate`` is the only way to run the model.  It is three private steps,
-draws -> floors -> path.  ``_draws`` returns what depends on (seed, T) only:
-the draws, their bins and the trade draws' ``_ZHI``.  ``_floors`` returns the
-trade draws' momentum floors for (Lambda, k).  ``_path`` runs the loop and
-rebuilds the columns.  So a sweep's cells of one seed can share the first two.
-It takes all 2*(T-1) uniforms from the stream at once, as one numpy array,
+One private runner, ``_simulator()``, runs the model for ``simulate`` and
+every sweep cell, and owns the rule for what its runs share.  The draws,
+their bins and the trade draws' ``_ZHI`` depend on (seed, T) only, and the
+trade draws' momentum floors on (seed, T, Lambda, k) only, so a runner keeps
+its last draws while (seed, T) repeats and its last floors while (seed, T,
+Lambda, k) does: a b sweep draws and floors each seed once, a Lambda sweep
+draws it once, a T sweep shares nothing.  ``_path`` runs the loop and
+rebuilds the columns.
+
+A run takes all 2*(T-1) uniforms from the stream at once, as one numpy array,
 then runs one loop that carries only the state the path feeds back on: the
 momentum M_t, the pressure x_t and the tick count.  Each period it stores M_t
 and tests the trade draw; it tests the direction draw only when a trade fires.
@@ -240,29 +244,34 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     Raises ``ValueError`` (from ``normal_cdf``) at the first period whose
     intensity or direction pressure is not finite, intensity first.
     """
-    draws = _draws(seed, params.T)
-    return _path(params, draws, _floors(draws, params.Lambda, params.k))
+    return _simulator()(params, seed)
 
 
-def _draws(seed: int, T: int) -> tuple:
-    """The stream after its 2*(T-1) draws, the trade and direction draws, their
-    bins and the trade draws' ``_ZHI``: the part of a run that depends on
-    (seed, T) only."""
-    rng = RngStream(seed)
-    u = rng.take(2 * (T - 1))
-    j = _bins(u)
-    return rng, u[0::2], u[1::2], j[0::2], j[1::2], _ZHI[j[0::2]]
+def _simulator():
+    """A runner ``run(params, seed)`` giving what ``simulate`` gives, which
+    shares draws and floors between its calls by the module docstring's rule;
+    it holds one seed's at a time, and a call that raises keeps them."""
+    drawn = floored = draws = floor = None  # drawn: (seed, T); floored: + (Lambda, k)
 
+    def run(params: ModelParams, seed: int) -> Trajectory:
+        nonlocal drawn, floored, draws, floor
+        key = (as_seed(seed), params.T)
+        if key != drawn:
+            rng = RngStream(seed)
+            u = rng.take(2 * (params.T - 1))
+            j = _bins(u)
+            draws, drawn = (rng, u[0::2], u[1::2], j[0::2], j[1::2], _ZHI[j[0::2]]), key
+        key += (params.Lambda, params.k)
+        if key != floored:
+            floor, floored = _momentum_floor(params.Lambda, params.k)[draws[3]].tolist(), key
+        return _path(params, draws, floor)
 
-def _floors(draws: tuple, Lambda: float, k: float) -> list:
-    """The trade draws' momentum floors, as the list the loop walks: the part
-    of a run that depends on (seed, T, Lambda, k) only."""
-    return _momentum_floor(Lambda, k)[draws[3]].tolist()
+    return run
 
 
 def _path(params: ModelParams, draws: tuple, floor: list) -> Trajectory:
-    """The run of ``params`` on ``_draws(seed, params.T)`` and their
-    ``_floors(draws, params.Lambda, params.k)``: the loop and the columns."""
+    """The run of ``params`` on the draws and trade-draw floors that
+    ``_simulator`` holds for it: the loop and the columns."""
     rng, u_trade, u_dir, _, j_dir, zhi = draws
     log_p0, d, x0 = params.log_p0, params.d, params.x0
     Lambda, k = params.Lambda, params.k

@@ -22,15 +22,14 @@ deviation rather than hiding it.
 
 Cells are independent pure function evaluations, so run_sweep can fan them
 out to worker processes, and the output is bit-identical whether run serially
-or in parallel.  A worker runs a contiguous chunk of the seed-major grid and
-reads each cell's seed and value from the spec.  The cells of one seed share
-its draws when their T is the same, and its momentum floors when their Lambda
-and k are too: a b sweep draws and floors each seed once, a Lambda sweep
-draws it once, a T sweep shares nothing.  How the chunks go to the workers,
-and when the kept worker pool is started, reused, replaced and shut down, is
-stated once, in run_sweep's docstring.  A cell whose derived parameters are
-invalid (say a swept b landing above c) records an error string and the
-sweep continues; only a sweep with no surviving cell raises.
+or in parallel.  A worker runs a contiguous chunk of the seed-major grid on
+one kernel runner, reading each cell's seed and value from the spec; what
+the cells of one seed share is the runner's rule, stated in model.py.  How
+the chunks go to the workers, and when the kept worker pool is started,
+reused, replaced and shut down, is stated once, in run_sweep's docstring.
+A cell whose derived parameters are invalid (say a swept b landing above c)
+records an error string and the sweep continues; only a sweep with no
+surviving cell raises.
 
 The first seed's cell of each value also hands back its log-price path, the
 representative path plot_sweep draws, so a sweep and its plot simulate every
@@ -49,7 +48,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import CrashConfig, SummaryStats, summarize
-from .model import _draws, _floors, _path
+from .model import _simulator
 from .params import PARAM_FIELDS, ModelParams, as_seed, integer, real
 
 STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SummaryStats))
@@ -140,24 +139,16 @@ def _run_cells(
     seed's cells (i < n) that succeed also give their log-price path.
     Module-level so workers can pickle it.
 
-    A cell takes the previous cell's draws when its (seed, T) is the same,
-    and also its floors when its (Lambda, k) is: the same bits as
-    ``simulate`` builds, from one seed's draws held at a time.
+    One ``model._simulator`` runs the chunk's cells, so they share draws and
+    floors by its rule and give the bits of their own ``simulate``.
     """
     n_values = len(spec.values)
+    run = _simulator()
     outcomes = []
-    drawn = floored = None  # the (seed, T) and (seed, T, Lambda, k) of those held
     for i in range(start, stop):
         seed, value = spec.seeds[i // n_values], spec.values[i % n_values]
         try:
-            params = spec.base.with_value(spec.axis, value)
-            key = (seed, params.T)
-            if key != drawn:
-                draws, drawn = _draws(seed, params.T), key
-            key += (params.Lambda, params.k)
-            if key != floored:
-                floors, floored = _floors(draws, params.Lambda, params.k), key
-            traj = _path(params, draws, floors)
+            traj = run(spec.base.with_value(spec.axis, value), seed)
             stats = summarize(traj, cfg)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -288,8 +279,8 @@ def run_sweep(
     With cfg=None each cell derives its detector from its own parameters, so
     the crossing threshold tracks a swept b.  The grid ordering (values-major,
     seeds-minor) and every number in the result are independent of n_jobs.
-    The cells of one seed share its draws (see the module docstring), and
-    each cell is bit for bit what its own ``simulate`` + ``summarize`` gives.
+    The cells of one seed share its draws (see model.py), and each cell is
+    bit for bit what its own ``simulate`` + ``summarize`` gives.
 
     n_jobs > 1 runs the cells on worker processes.  With size =
     min(n_jobs, cells), the seed-major grid is cut into at most size

@@ -1,6 +1,7 @@
 """The public API: every name in ``bubblesim.__all__``, pinned, and what
 importing it loads."""
 
+import ast
 import os
 import re
 import subprocess
@@ -45,6 +46,30 @@ def test_public_names_are_pinned_and_resolve():
     assert len(PUBLIC_NAMES) == 26
     missing = [name for name in PUBLIC_NAMES if not hasattr(bubblesim, name)]
     assert missing == []
+
+
+# (importing module, imported module, name) of every private name that one
+# module of the package imports from another: the seams between modules
+PRIVATE_IMPORTS = [
+    ("cli", "io", "_csv_text"),
+    ("cli", "io", "_json_text"),
+    ("cli", "io", "_write_files"),
+    ("cli", "svgplot", "_sweep_svg"),
+    ("cli", "svgplot", "_trajectory_svg"),
+    ("svgplot", "io", "_points"),
+    ("svgplot", "io", "_write_files"),
+    ("sweep", "model", "_simulator"),
+]
+
+
+def test_private_names_imported_across_modules_are_pinned():
+    # a seam widened or narrowed shows up as a diff of this list
+    found = []
+    for path in sorted(Path(bubblesim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found += [(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")]
+    assert sorted(found) == PRIVATE_IMPORTS
 
 
 def test_names_only_the_tests_used_are_not_exported():

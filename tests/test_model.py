@@ -22,7 +22,7 @@ from bubblesim import (
     simulate,
     write_trajectory_csv,
 )
-from bubblesim.model import cubic_increment
+from bubblesim.model import _simulator, cubic_increment
 from oracles import SimState, bernoulli, initial_state, intensity, simulate_stepwise, step
 
 COLUMNS = ("t", "log_price", "momentum", "lam", "x", "trade", "direction", "n_trades")
@@ -191,6 +191,14 @@ def test_simulate_is_deterministic():
 
 def _exact(v: float) -> str:
     return v.hex()  # equal strings: equal bits, the sign of zero included
+
+
+def test_a_runner_shares_draws_only_with_the_same_valid_seed():
+    # True == 1 but is no seed: seed 1's held draws must not serve it
+    run, params = _simulator(), ModelParams(T=50)
+    assert run(params, 1.0).log_price.tobytes() == simulate(params, 1).log_price.tobytes()
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run(params, True)
 
 
 def test_simulate_columns_satisfy_the_update_equations():

@@ -82,6 +82,13 @@ def test_ints_beyond_the_float_range_are_rejected_as_non_finite(field, sign):
         ModelParams(**{field: sign * 10**400})
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_field_rejects_a_fraction_beyond_the_float_range(sign):
+    # math.isfinite raises OverflowError on it; integer must not
+    with pytest.raises(ValueError, match=r"ModelParams T must be an integer \(got Fraction\(-?1000"):
+        ModelParams(T=Fraction(sign * 10**400))
+
+
 def test_instances_are_immutable():
     p = ModelParams()
     with pytest.raises(dataclasses.FrozenInstanceError):

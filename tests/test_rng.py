@@ -80,6 +80,13 @@ def test_seed_bounds_are_inclusive_exclusive():
     assert RngStream(2**64 - 1).seed == 2**64 - 1
 
 
+def test_repr_shows_the_seed_and_the_draw_count():
+    rng = RngStream(3)
+    assert repr(rng) == "RngStream(seed=3, n_draws=0)"
+    rng.take(5)
+    assert repr(rng) == "RngStream(seed=3, n_draws=5)"
+
+
 def test_take_returns_a_float64_array_of_n_draws():
     for n in (0, 1, 4096, 5000):
         taken = RngStream(3).take(n)

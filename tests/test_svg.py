@@ -270,8 +270,7 @@ def test_sweep_plot_runs_no_simulation(tmp_path, small_sweep, monkeypatch):
         raise AssertionError("plot_sweep simulated a path")
 
     monkeypatch.setattr("bubblesim.model.simulate", no_simulation)
-    for step in ("_draws", "_floors", "_path"):
-        monkeypatch.setattr(f"bubblesim.sweep.{step}", no_simulation)
+    monkeypatch.setattr("bubblesim.sweep._simulator", no_simulation)
     path = tmp_path / "sweep.svg"
     plot_sweep(small_sweep, path)
     assert len(_root(path).findall(".//svg:polyline[@class='series']", NS)) == 3

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bubblesim
+import bubblesim.model
 import bubblesim.sweep
 
 from bubblesim import (
@@ -190,22 +191,27 @@ def _oracle_cell(base: ModelParams, axis: str, value: float, seed: int):
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 @pytest.mark.parametrize(
-    "axis, values, seeds",
+    "base, axis, values, seeds",
     [
         # seed-major, the failing b = 1.5 cells (above c) sit between cells
         # that share draws: seed 3 runs twice in a row, then seed 0
-        ("b", (0.01, 0.02, 1.5), (3, 3, 0)),
-        ("Lambda", (-2.5, -2.0, -1.5), (0, 1)),  # shares draws, not floors
-        ("k", (5.0, 10.0, 20.0), (2, 0)),
+        (ModelParams(T=300), "b", (0.01, 0.02, 1.5), (3, 3, 0)),
+        (ModelParams(T=300), "Lambda", (-2.5, -2.0, -1.5), (0, 1)),  # shares draws, not floors
+        (ModelParams(T=300), "k", (5.0, 10.0, 20.0), (2, 0)),
         # T = 1e18 is too big for a numpy array: only its own cells fail
-        ("T", (50.0, 60.0, 1e18), (1, 1)),
-        ("b", (0.005, 0.01, 0.015, 0.02), (4,)),  # on 2 jobs, one seed in two chunks
-        ("b", (0.01, 0.02, 0.03), (0, 1, 2)),  # on 2 jobs, chunks of 5 and 4: seed 1 is cut
+        (ModelParams(T=300), "T", (50.0, 60.0, 1e18), (1, 1)),
+        (ModelParams(T=300), "b", (0.005, 0.01, 0.015, 0.02), (4,)),  # on 2 jobs, one seed in two chunks
+        (ModelParams(T=300), "b", (0.01, 0.02, 0.03), (0, 1, 2)),  # on 2 jobs, chunks of 5 and 4: seed 1 is cut
+        # the a = -1.7e308 cells raise in the path (the cubic overflows to
+        # inf), and the cells after them reuse the draws and floors they made
+        (ModelParams(T=20, h=1e10, c=1e10), "a", (-1.7e308, -1e10, -1.0), (3, 4)),
     ],
-    ids=["b-failing-repeated-seed", "Lambda", "k", "T-huge", "b-one-seed-four-values", "b-3-seeds-3-values"],
+    ids=[
+        "b-failing-repeated-seed", "Lambda", "k", "T-huge", "b-one-seed-four-values", "b-3-seeds-3-values",
+        "a-raising-in-the-path",
+    ],
 )
-def test_every_cell_equals_its_own_simulation_bit_for_bit(axis, values, seeds, n_jobs):
-    base = ModelParams(T=300)
+def test_every_cell_equals_its_own_simulation_bit_for_bit(base, axis, values, seeds, n_jobs):
     spec = SweepSpec(base=base, axis=axis, values=values, seeds=seeds)
     result = run_sweep(spec, n_jobs=n_jobs)
     for i, value in enumerate(values):
@@ -228,16 +234,16 @@ def test_every_cell_equals_its_own_simulation_bit_for_bit(axis, values, seeds, n
     ],
 )
 def test_a_serial_sweep_draws_each_seed_once_per_t(monkeypatch, axis, values, draws, floors):
-    calls = {"_draws": 0, "_floors": 0}
-    for step in calls:
+    calls = {"take": 0, "_momentum_floor": 0}
+    for owner, step in ((bubblesim.model.RngStream, "take"), (bubblesim.model, "_momentum_floor")):
 
-        def counted(*args, _step=step, _run=getattr(bubblesim.sweep, step)):
+        def counted(*args, _step=step, _run=getattr(owner, step)):
             calls[_step] += 1
             return _run(*args)
 
-        monkeypatch.setattr(bubblesim.sweep, step, counted)
+        monkeypatch.setattr(owner, step, counted)
     run_sweep(SweepSpec(base=SMALL, axis=axis, values=values, seeds=(0, 1)))
-    assert calls == {"_draws": draws, "_floors": floors}
+    assert calls == {"take": draws, "_momentum_floor": floors}
 
 
 def test_each_value_keeps_the_log_price_path_of_its_first_seed():
@@ -441,6 +447,34 @@ def test_a_sweep_after_the_idle_workers_were_killed_equals_the_serial_one():
     assert run_sweep(POOL_SPEC, n_jobs=2) == serial
     assert all(p.exitcode == -signal.SIGKILL for p in killed.values())
     assert len(_workers()) == 2 and not _workers().keys() & killed.keys()
+
+
+def test_a_new_pool_that_breaks_raises_and_is_dropped(monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    def broken(*args, **kwargs):
+        raise BrokenProcessPool("broken at the first map")
+
+    bubblesim.sweep._drop_pool()  # so the sweep starts a new pool
+    monkeypatch.setattr(ProcessPoolExecutor, "map", broken)
+    with pytest.raises(BrokenProcessPool, match="broken at the first map"):
+        run_sweep(POOL_SPEC, n_jobs=2)
+    assert bubblesim.sweep._pool is None
+
+
+def test_an_interrupted_sweep_drops_the_pool_and_joins_its_workers(monkeypatch):
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    run_sweep(POOL_SPEC, n_jobs=2)
+    workers = _workers()
+    monkeypatch.setattr(ProcessPoolExecutor, "map", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(POOL_SPEC, n_jobs=2)
+    assert bubblesim.sweep._pool is None
+    assert len(workers) == 2 and not any(p.is_alive() for p in workers.values()) and not _workers()
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
