@@ -1,6 +1,8 @@
-"""python -m bubblesim delegates to the CLI."""
+"""python -m bubblesim runs cli.main, as the bubblesim console script does."""
 
-from .cli import entry_point
+import sys
 
-if __name__ == "__main__":
-    entry_point()
+from .cli import main
+
+if __name__ == "__main__":  # a spawned worker imports this module as __mp_main__
+    sys.exit(main())

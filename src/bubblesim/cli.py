@@ -21,8 +21,8 @@ Exit codes: 0 success; 1 for anything wrong with the inputs (an unknown or
 abbreviated flag, a missing value, a bad config file, parameter constraint
 violations, detector keys in a sweep over b without threshold or over d
 without min_drawdown, a sweep with no valid cell); 2 when an output file
-cannot be written.  Bad input exits 1 with one "error:" line on stderr,
-with no usage block and no traceback.
+cannot be written.  Bad input raises ValueError, which main maps to exit 1
+with one "error:" line on stderr, with no usage block and no traceback.
 
 A run's files, and the removal of a stale plot when it draws none, are one
 set committed by a single io._write_files call, so an exit 2 leaves no file
@@ -62,10 +62,6 @@ _CONFIG_KEYS = frozenset(PARAM_FIELDS) | set(_DETECTOR_KEYS) | {
 }
 
 
-class ConfigError(Exception):
-    """Anything wrong with flags or the config file; maps to exit code 1."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run description, after defaults, file, and flags."""
@@ -85,14 +81,14 @@ def parse_seed_range(text: str) -> tuple[int, ...]:
     """Parse an inclusive seed range "A..B" into (A, ..., B)."""
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text.strip())
     if not m:
-        raise ConfigError(f"seeds must look like A..B (got {text!r})")
+        raise ValueError(f"seeds must look like A..B (got {text!r})")
     a, b = int(m.group(1)), as_seed(int(m.group(2)), "seed range B")
     if a > b:
-        raise ConfigError(f"seed range must have A <= B (got {text!r})")
+        raise ValueError(f"seed range must have A <= B (got {text!r})")
     try:
         return tuple(range(a, b + 1))
     except (OverflowError, MemoryError):
-        raise ConfigError(f"seed range {text!r} is too long to run") from None
+        raise ValueError(f"seed range {text!r} is too long to run") from None
 
 
 def _number(text: str) -> int | float | str:
@@ -116,25 +112,25 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str):  # a usage error is bad input like any other: exit 1
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _load_config_file(path: str) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     except RecursionError:
-        raise ConfigError(f"config file {path} is nested too deeply to parse") from None
+        raise ValueError(f"config file {path} is nested too deeply to parse") from None
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     return data
 
 
@@ -145,7 +141,7 @@ def _resolve_seeds(given) -> tuple[int, ...]:
         return parse_seed_range(given)
     if isinstance(given, list):
         return tuple(as_seed(s, "config seeds entry") for s in given)
-    raise ConfigError(
+    raise ValueError(
         f"config seeds must be \"A..B\" or a list of integers in [0, 2**64) (got {given!r})"
     )
 
@@ -173,7 +169,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     axis = str(given.get("axis", "")).lower()
     derived = {"b": "threshold", "d": "min_drawdown"}.get(axis) if args.mode == "sweep" else None
     if det and derived and derived not in det:  # its default would pin every cell to the base value
-        raise ConfigError(
+        raise ValueError(
             f"a sweep over {axis} with detector settings also needs {derived} "
             f"(--{derived.replace('_', '-')} or a config entry): without any, each cell derives "
             f"its detector from its own {axis}"
@@ -183,13 +179,13 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     values = given.get("values")
     if values is not None:
         if not isinstance(values, list):
-            raise ConfigError(f"config values must be a list of reals (got {values!r})")
+            raise ValueError(f"config values must be a list of reals (got {values!r})")
         values = tuple(real(x, "values entry") for x in values)
 
     if not isinstance(given.get("out", ""), str):
-        raise ConfigError(f"config out must be a path string (got {given['out']!r})")
+        raise ValueError(f"config out must be a path string (got {given['out']!r})")
     if not isinstance(given.get("plot", True), bool):
-        raise ConfigError(f"config plot must be true or false (got {given['plot']!r})")
+        raise ValueError(f"config plot must be true or false (got {given['plot']!r})")
 
     return RunConfig(
         mode=args.mode,
@@ -274,14 +270,14 @@ def _run_sweep_cmd(cfg: RunConfig) -> dict[str, bytes | Iterable[bytes] | None]:
     """The sweep's files by name, as _run_simulate gives a run's, after the
     median peak of each value is printed."""
     if cfg.axis is None:
-        raise ConfigError("sweep requires --axis (or an axis entry in the config file)")
+        raise ValueError("sweep requires --axis (or an axis entry in the config file)")
     if cfg.values is None:
-        raise ConfigError("sweep requires --values (or a values entry in the config file)")
+        raise ValueError("sweep requires --values (or a values entry in the config file)")
     spec = SweepSpec(base=cfg.params, axis=cfg.axis, values=cfg.values, seeds=cfg.seeds)
     try:
         result = run_sweep(spec, cfg.crash)
     except RuntimeError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     files = {
         "sweep.json": _json_text(sweep_payload(result, cfg.crash)),
         "sweep.svg": _sweep_svg(result) if cfg.plot else None,
@@ -301,9 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise OSError(f"cannot create output directory {cfg.out}: {exc}") from exc
         written = _write_files({cfg.out / name: text for name, text in files.items()})
-    except SystemExit:  # --help; argparse's usage errors raise ConfigError
+    except SystemExit:  # --help; argparse's usage errors raise ValueError
         return 0
-    except (ConfigError, ValueError, MemoryError, OSError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         # MemoryError: numpy refuses the columns of a T too large to allocate,
         # and Python's own MemoryError has no text.  A flag or a path may
         # hold a line break; it is escaped, so the error stays one line.
@@ -313,7 +309,3 @@ def main(argv: list[str] | None = None) -> int:
     for path in written:
         print(f"wrote {path}")
     return 0
-
-
-def entry_point() -> None:
-    sys.exit(main())

@@ -1,10 +1,10 @@
-"""Acceptance gate: one test per shipping criterion, numbered 01-13.
+"""Acceptance gate: one test per shipping criterion, numbered 01-14.
 
 Run with -v to get one pass/fail line per criterion.  Ensemble criteria
 (06-08, 10) use the session-scoped 50-seed sweeps from conftest, so the whole
 gate stays well under the time budget.
 
-Five criteria need context:
+Six criteria need context:
 
 * 06 checks, besides the median ordering, that the micro-bubble median peak
   at b = 0.0001 stays under half the b = 0.02 median peak.  What shrinks
@@ -48,6 +48,18 @@ Five criteria need context:
   40000..43999, which the gate does not use, the median ratio was at
   least 1.41 (0.1th percentile 1.44) and the share above 1 at least 68.3%
   (0.1th percentile 69.3%).
+
+* 14 reads the abstract's "endogenizes market frenzy by linking trading
+  frequency to the accumulated momentum" as self-excitation: trades
+  cluster in time beyond a null that trades at a fixed rate (the test's
+  docstring defines both).  The claim itself gives the bounds: the median
+  Fano factor is above 1 and above the null's, and the median lag-10
+  autocorrelation is above the null's.  Over 5,000 random 100-seed subsets
+  of the seeds 65000..65999, which the gate does not use, the model's
+  median Fano factor was at least 9.16 (0.1th percentile 9.62) against a
+  null median of at most 1.01, and the model's median autocorrelation was
+  at least 0.106 above the null's (0.1th percentile 0.117).  The null
+  there took its Lambda from all 1,000 seeds.
 """
 
 import hashlib
@@ -353,3 +365,41 @@ def test_criterion_13_crashes_fall_faster_than_the_run_up_rose():
     print(f"criterion 13: median fall/rise {median:.3f}, above 1 in {above:.1%} of {len(ratios)} events")
     assert median > 1.0, f"the median crash falls {median:.3f}x as fast as its run-up rose"
     assert above > 0.5, f"the crash outpaces the run-up in only {above:.1%} of events"
+
+
+def test_criterion_14_trades_cluster_beyond_a_fixed_rate():
+    """Trades cluster in time: their window counts are overdispersed and
+    the trade series stays correlated at lag 10, beyond a null whose trade
+    rate does not move with momentum.
+
+    Per seed, trade[2:] (one trade draw per period t >= 2) gives the Fano
+    factor, the variance over the mean (ddof 0) of its trade counts in 49
+    windows of W = 100 periods, and its lag-10 autocorrelation.  The null
+    runs the same seeds with k = 1e-12 and Lambda set so that
+    Phi(Lambda) is the model's median trade rate, found by bisection on
+    normal_cdf.  Each statistic is compared as its median over the seeds.
+    This tests clustering, which a Hawkes process implies, and not that
+    the trades are a Hawkes process.
+    """
+    W, lag, seeds = 100, 10, range(64000, 64100)
+
+    def clustering(params):
+        out = []
+        for seed in seeds:
+            x = simulate(params, seed).trade[2:].astype(float)
+            counts = x[: len(x) // W * W].reshape(-1, W).sum(axis=1)
+            c = x - x.mean()
+            out.append((counts.var() / counts.mean(), c[:-lag] @ c[lag:] / (c @ c), x.mean()))
+        return np.median(out, axis=0)
+
+    fano, acf, rate = clustering(ModelParams())
+    lo, hi = -40.0, 40.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if normal_cdf(mid) < rate else (lo, mid)
+    null_fano, null_acf, _ = clustering(ModelParams(k=1e-12, Lambda=hi))
+    print(f"criterion 14: median Fano {fano:.2f} against the null's {null_fano:.2f}, "
+          f"median lag-{lag} autocorrelation {acf:.3f} against {null_acf:.3f}")
+    assert fano > 1.0, f"median Fano factor {fano:.3f}: trade counts are not overdispersed"
+    assert fano > null_fano, f"median Fano factor {fano:.3f} is not above the null's {null_fano:.3f}"
+    assert acf > null_acf, f"median lag-{lag} autocorrelation {acf:.4f} is not above the null's {null_acf:.4f}"

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -31,7 +32,6 @@ from bubblesim import (
 )
 from bubblesim.cli import (
     _CONFIG_KEYS,
-    ConfigError,
     build_parser,
     main,
     parse_config,
@@ -56,16 +56,16 @@ def _run(*argv):
 def test_seed_range_parsing():
     assert parse_seed_range("0..2") == (0, 1, 2)
     assert parse_seed_range("7..7") == (7,)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_seed_range("5..2")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_seed_range("1-3")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_seed_range("a..b")
     # refused before a tuple is built: B >= 2**64, and 2**64 seeds in 0..2**64-1
     with pytest.raises(ValueError, match=r"seed range B must be in \[0, 2\*\*64\)"):
         parse_seed_range("0..99999999999999999999")
-    with pytest.raises(ConfigError, match="too long"):
+    with pytest.raises(ValueError, match="too long"):
         parse_seed_range("0..18446744073709551615")
 
 
@@ -956,6 +956,47 @@ def test_console_script_runs_end_to_end(tmp_path):
     assert proc.returncode == 0, proc.stderr
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == CSV_HEADER
+
+
+# The wrapper pip writes for a console script: distlib's
+# ScriptMaker.script_template, as pip 23.2.1 vendors it.
+_PIP_SCRIPT = """\
+# -*- coding: utf-8 -*-
+import re
+import sys
+from {module} import {func}
+if __name__ == '__main__':
+    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])
+    sys.exit({func}())
+"""
+
+
+def test_the_console_script_pip_writes_runs_main(tmp_path):
+    # pyproject.toml is read with a regex: tomllib needs Python 3.11
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    target = re.search(r'^\[project\.scripts\]\nbubblesim = "(.*)"$', pyproject, re.M).group(1)
+    assert target == "bubblesim.cli:main"
+    module, func = target.split(":")
+    script = tmp_path / "bubblesim"
+    script.write_text(_PIP_SCRIPT.format(module=module, func=func))
+    env = {**os.environ, "PYTHONPATH": str(Path(bubblesim.io.__file__).parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, str(script), *argv], env=env, capture_output=True, text=True)
+
+    out = tmp_path / "run"
+    proc = run("simulate", "--T", "50", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trajectory.csv", "trajectory.svg"]
+    proc = run("simulate", "--T=abc")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_a_spawned_worker_importing_the_main_module_runs_no_cli(capsys):
+    # spawn and forkserver import the parent's __main__ module as __mp_main__
+    runpy.run_module("bubblesim.__main__", run_name="__mp_main__")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_every_command_of_the_ci_console_script_step_exits_as_the_step_expects(tmp_path, monkeypatch, capsys):

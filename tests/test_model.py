@@ -428,3 +428,54 @@ def test_simulate_fails_like_the_oracle_on_overflow(b, bad):
         simulate_stepwise(params, 3)
     assert str(kernel_err.value) == str(oracle_err.value)
     assert str(kernel_err.value) == f"normal_cdf requires a finite argument (got {bad})"
+
+
+def _assert_prefix(short: Trajectory, full: Trajectory) -> None:
+    """``short`` is the first len(short) periods of ``full``, byte for byte."""
+    n = len(short)
+    for name in COLUMNS:
+        assert getattr(short, name).tobytes() == getattr(full, name)[:n].tobytes(), name
+    assert short.n_rng_draws == 2 * (short.params.T - 1)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# the ranges of the golden corpus's random cases (tests/make_golden.py)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    horizons=st.lists(st.integers(2, 3000), min_size=2, max_size=2),
+    seed=st.integers(0, 2**64 - 1),
+    d=_log_uniform(-4.0, 0.0),
+    r=_log_uniform(-5.0, 0.5),
+    Lambda=st.floats(-4.0, 3.0),
+    k=_log_uniform(-2.0, 3.0),
+    h=_log_uniform(-3.0, 1.0),
+    roots=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3, unique=True),
+    log_p0=st.floats(-3.0, 3.0),
+    x0=st.floats(-2.0, 2.0),
+    takes=st.lists(st.integers(0, 6000), min_size=2, max_size=2, unique=True),
+)
+def test_a_shorter_horizon_gives_a_prefix_of_the_run_and_of_its_draws(
+    horizons, seed, d, r, Lambda, k, h, roots, log_p0, x0, takes
+):
+    T1, T = sorted(horizons)
+    a, b, c = sorted(roots)
+    params = ModelParams(T=T, d=d, r=r, Lambda=Lambda, k=k, h=h, a=a, b=b, c=c,
+                         log_p0=log_p0, x0=x0)
+    _assert_prefix(simulate(params.with_value("T", T1), seed), simulate(params, seed))
+    n1, n2 = sorted(takes)
+    assert RngStream(seed).take(n2).tobytes().startswith(RngStream(seed).take(n1).tobytes())
+
+
+def test_a_run_fails_at_its_first_bad_period_whatever_the_horizon():
+    # seed 1's up-ticks at periods 90 and 91 make k M about 1e308 at
+    # period 91 and inf at period 92
+    params = ModelParams(T=400, k=1e308, d=1.0)
+    last = simulate(params.with_value("T", 91), 1)
+    for T1 in (2, 90):
+        _assert_prefix(simulate(params.with_value("T", T1), 1), last)
+    for T in (92, 400):
+        with pytest.raises(ValueError, match=r"^normal_cdf requires a finite argument \(got inf\)$"):
+            simulate(params.with_value("T", T), 1)
