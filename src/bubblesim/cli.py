@@ -9,11 +9,11 @@ Three subcommands, mutually exclusive by construction:
 Configuration is resolved in three layers: built-in defaults, then a flat
 JSON config file (--config), then command-line flags.  One rule holds for
 every key: a given flag wins over the file, whatever the file holds for it,
-and the file over the default.  An empty --out or --axis counts as not
-given.  Flags read numbers as the file does: the type that owns a field
-judges a flag's int or float (-0 keeps its sign), or else its text.  The
-effective configuration is echoed into every JSON summary, so outputs are
-self-describing.
+and the file over the default.  An empty out or axis counts as not given,
+from a flag or from the file.  Flags read numbers as the file does: the
+type that owns a field judges a flag's int or float (-0 keeps its sign), or
+else its text.  The effective configuration is echoed into every JSON
+summary, so outputs are self-describing.
 
 --seeds A..B is an inclusive range and needs 0 <= A <= B < 2**64.
 
@@ -70,7 +70,7 @@ class RunConfig:
     params: ModelParams
     seed: int
     seeds: tuple[int, ...]
-    crash: CrashConfig | None  # None: derive from each run's own params
+    crash: CrashConfig | None  # None only in a sweep without detector keys: each cell derives its own
     out: Path
     plot: bool
     axis: str | None
@@ -150,22 +150,20 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags into one RunConfig.
 
     One rule for every key: a given flag wins over the file, and the file
-    over the stock value.  An empty --out or --axis counts as not given.
-    Numbers are read by the types they build (params.real and
-    params.integer), so a file's 1 and a flag's 1.0 give the same run.
-    Parameter constraint violations surface with the violated constraint in
-    the message.
+    over the stock value.  An empty out or axis counts as not given, from a
+    flag or from the file.  Numbers are read by the types they build
+    (params.real and params.integer), so a file's 1 and a flag's 1.0 give
+    the same run.  Parameter constraint violations surface with the violated
+    constraint in the message.
     """
     filed = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    flags = {
-        k: v for k, v in vars(args).items()
-        if k in _CONFIG_KEYS and v is not None and not (k in ("out", "axis") and v == "")
-    }
-    given = {**filed, **flags}
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    given = {k: v for entries in (filed, flags) for k, v in entries.items()
+             if not (k in ("out", "axis") and v == "")}
 
     params = ModelParams(**{k: given[k] for k in PARAM_FIELDS if k in given})
     det = {k: given[k] for k in _DETECTOR_KEYS if k in given}
-    crash = CrashConfig.for_params(params, **det) if det else None  # defaults only for keys not given
+    crash = CrashConfig.for_params(params, **det) if det or args.mode == "simulate" else None
     axis = str(given.get("axis", "")).lower()
     derived = {"b": "threshold", "d": "min_drawdown"}.get(axis) if args.mode == "sweep" else None
     if det and derived and derived not in det:  # its default would pin every cell to the base value
@@ -193,7 +191,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         seed=seed,
         seeds=_resolve_seeds(given.get("seeds")),
         crash=crash,
-        out=Path(given.get("out") or _DEFAULT_OUT),
+        out=Path(given.get("out", _DEFAULT_OUT)),
         plot=given.get("plot", True),
         axis=given.get("axis"),
         values=values,
@@ -257,12 +255,11 @@ def _run_simulate(cfg: RunConfig) -> dict[str, bytes | Iterable[bytes] | None]:
     the streamed CSV rows is built here, before main writes anything, so a
     plot that fails leaves no artifact."""
     traj = simulate(cfg.params, cfg.seed)
-    crash = cfg.crash if cfg.crash is not None else CrashConfig.for_params(cfg.params)
-    stats = summarize(traj, crash)
+    stats = summarize(traj, cfg.crash)
     return {
         "trajectory.csv": _csv_text(traj),
-        "summary.json": _json_text(summary_payload(stats, cfg.params, cfg.seed, crash)),
-        "trajectory.svg": _trajectory_svg(traj, crash.threshold) if cfg.plot else None,
+        "summary.json": _json_text(summary_payload(stats, cfg.params, cfg.seed, cfg.crash)),
+        "trajectory.svg": _trajectory_svg(traj, cfg.crash.threshold) if cfg.plot else None,
     }
 
 
@@ -274,10 +271,7 @@ def _run_sweep_cmd(cfg: RunConfig) -> dict[str, bytes | Iterable[bytes] | None]:
     if cfg.values is None:
         raise ValueError("sweep requires --values (or a values entry in the config file)")
     spec = SweepSpec(base=cfg.params, axis=cfg.axis, values=cfg.values, seeds=cfg.seeds)
-    try:
-        result = run_sweep(spec, cfg.crash)
-    except RuntimeError as exc:
-        raise ValueError(str(exc)) from exc
+    result = run_sweep(spec, cfg.crash)
     files = {
         "sweep.json": _json_text(sweep_payload(result, cfg.crash)),
         "sweep.svg": _sweep_svg(result) if cfg.plot else None,

@@ -69,6 +69,13 @@ def _text(x: float, y: float, s: str, cls: str, anchor: str = "start", size: int
     )
 
 
+def _frame(x: float, y: float | str, width: float, height: float) -> str:
+    return (
+        f'<rect class="frame" x="{x}" y="{y}" width="{width}" height="{height}" '
+        'fill="none" stroke="#888" stroke-width="0.8"/>'
+    )
+
+
 def _panel(
     name: str,
     title: str,
@@ -90,10 +97,7 @@ def _panel(
     sy = _scale(lo, hi, top + _PANEL_H, top)
 
     parts = [f'<g class="panel" data-name="{name}">']
-    parts.append(
-        f'<rect class="frame" x="{x0}" y="{top:.2f}" width="{x1 - x0}" '
-        f'height="{_PANEL_H}" fill="none" stroke="#888" stroke-width="0.8"/>'
-    )
+    parts.append(_frame(x0, f"{top:.2f}", x1 - x0, _PANEL_H))
     parts.append(_text(x0, top - 7, title, "title", size=13))
     parts.append(_text(x0 - 6, sy(hi) + 4, f"{hi:.4g}", "ytick", anchor="end"))
     parts.append(_text(x0 - 6, sy(lo) + 4, f"{lo:.4g}", "ytick", anchor="end"))
@@ -175,10 +179,7 @@ def _sweep_svg(result: SweepResult) -> list[bytes]:
     x1 = _W - _MARGIN_RIGHT
     main_h = 330
     body = ['<g class="panel" data-name="paths">']
-    body.append(
-        f'<rect class="frame" x="{x0}" y="{_TOP}" width="{x1 - x0}" '
-        f'height="{main_h}" fill="none" stroke="#888" stroke-width="0.8"/>'
-    )
+    body.append(_frame(x0, _TOP, x1 - x0, main_h))
     title = f"log price, one path per {spec.axis} (seed {rep_seed})"
     body.append(_text(x0, _TOP - 7, title, "title", size=13))
     if drawn:
@@ -219,10 +220,7 @@ def _sweep_svg(result: SweepResult) -> list[bytes]:
     medians = compare_medians(result, "peak_log_price")
     known = [(i, value, m) for i, (value, m) in enumerate(medians) if m is not None]
     body.append('<g class="inset">')
-    body.append(
-        f'<rect class="frame" x="{x0}" y="{inset_top}" width="{inset_w}" '
-        f'height="{inset_h}" fill="none" stroke="#888" stroke-width="0.8"/>'
-    )
+    body.append(_frame(x0, inset_top, inset_w, inset_h))
     body.append(_text(x0, inset_top - 7, "median peak log price", "title"))
     if known:
         at, _, ms = zip(*known)

@@ -298,7 +298,7 @@ def run_sweep(
 
     A cell that fails (invalid derived parameters, say) is recorded with its
     error and excluded from the aggregates.  If every cell fails, raises
-    RuntimeError carrying the first error.
+    ValueError carrying the first error.
 
     Each value's first-seed cell also keeps its log-price path in
     ``paths``, so plotting the sweep simulates nothing again.
@@ -315,7 +315,7 @@ def run_sweep(
     outcomes = [outcome for i in range(n_values) for outcome in outcomes[i::n_values]]
     cells = [cell for cell, _ in outcomes]
     if all(c.error is not None for c in cells):
-        raise RuntimeError(f"every sweep cell failed; first error: {cells[0].error}")
+        raise ValueError(f"every sweep cell failed; first error: {cells[0].error}")
     paths = tuple(path for _, path in outcomes[:: len(spec.seeds)])
     return SweepResult(
         spec=spec, cells=tuple(cells), summaries=_aggregate(spec.values, cells), paths=paths

@@ -234,6 +234,10 @@ def test_empty_config_is_the_stock_setup(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     expected = ModelParams(T=200).as_dict()
     assert summary["config"]["params"] == expected
+    # a run resolves its detector once; only a sweep leaves it to each cell
+    stock = parse_config(_PARSER.parse_args(["simulate", "--config", str(cfg)]))
+    assert stock.crash == CrashConfig.for_params(stock.params)
+    assert parse_config(_PARSER.parse_args(["sweep", "--config", str(cfg)])).crash is None
 
 
 def test_flags_override_the_config_file(tmp_path):
@@ -501,6 +505,10 @@ def test_the_first_bad_config_entry_exits_1(tmp_path, monkeypatch, capsys, data,
     ({"plot": 0}, ("--no-plot",), "plot", False),
     ({"values": "0.01,0.02"}, ("--values", "0.1"), "values", (0.1,)),
     ({"seeds": 5}, ("--seeds", "3..4"), "seeds", (3, 4)),
+    # an empty entry in the file counts as not given, as an empty flag does
+    ({"axis": ""}, (), "axis", None),
+    ({"axis": ""}, ("--axis", "r"), "axis", "r"),
+    ({"out": ""}, (), "out", Path("out")),
 ])
 def test_precedence_at_the_edges(tmp_path, data, argv, key, want):
     path = tmp_path / "cfg.json"
@@ -707,7 +715,12 @@ def test_sweep_axis_lambda_spelling(tmp_path):
 def test_sweep_with_no_valid_cell_exits_1(tmp_path, capsys):
     assert _run("sweep", "--axis", "b", "--values", "1.5,2.5", "--seeds", "0..1",
                 "--T", "250", "--out", str(tmp_path / "sw")) == 1
-    assert "requires a < b < c" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(
+        "error: every sweep cell failed; first error: ValueError: ModelParams requires a < b < c"
+    )
+    assert not (tmp_path / "sw").exists()
 
 
 # a log-price path that overflows to inf has no range to plot
@@ -1015,3 +1028,16 @@ def test_every_command_of_the_ci_console_script_step_exits_as_the_step_expects(t
             assert (code, len(err.splitlines())) == (1, 1), (line, err)
         else:
             assert code == 0, (line, err)
+
+
+def test_every_cli_example_of_the_readme_exits_0(tmp_path, monkeypatch, capsys):
+    # each line that starts with "bubblesim " in the README's sh blocks,
+    # whose trailing "# ..." comments shlex drops
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("bubblesim ")]
+    assert len(lines) > 1
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, err = main(shlex.split(line, comments=True)[1:]), capsys.readouterr().err
+        assert code == 0, (line, err)

@@ -270,7 +270,7 @@ def test_invalid_cells_are_isolated_not_fatal():
 
 def test_fully_failed_sweep_raises():
     spec = SweepSpec(base=SMALL, axis="b", values=(1.5, 2.5), seeds=(0,))
-    with pytest.raises(RuntimeError, match="requires a < b < c"):
+    with pytest.raises(ValueError, match="requires a < b < c"):
         run_sweep(spec)
 
 
