@@ -11,6 +11,12 @@ Detection is deliberately a pure filter: candidate episodes are resolved the
 same way regardless of the drawdown floor, and the floor only selects which
 ones are reported.  Raising the floor therefore never creates new events,
 only removes marginal ones, which makes sweeps over the floor monotone.
+
+Detection and the summary read only a trajectory's log-price, momentum and
+n_trades columns.  ``detect_crashes`` and ``summarize`` hand those to
+``_crashes`` and ``_summary``, which work on the arrays alone, so a sweep
+cell, which builds just those three columns, is summarized by the same code
+and the detector exists once.
 """
 
 from __future__ import annotations
@@ -116,10 +122,14 @@ def detect_crashes(traj: Trajectory, cfg: CrashConfig | None = None) -> list[Cra
     """
     if cfg is None:
         cfg = CrashConfig.for_params(traj.params)
-    if len(traj) < 2:
-        raise ValueError(f"detect_crashes requires at least 2 records (got {len(traj)})")
-    lp = traj.log_price
-    cross = up_crossings(traj.momentum, cfg.threshold).tolist()
+    return _crashes(traj.log_price, traj.momentum, cfg)
+
+
+def _crashes(lp: np.ndarray, momentum: np.ndarray, cfg: CrashConfig) -> list[CrashEvent]:
+    """``detect_crashes`` on the log-price and momentum columns."""
+    if len(lp) < 2:
+        raise ValueError(f"detect_crashes requires at least 2 records (got {len(lp)})")
+    cross = up_crossings(momentum, cfg.threshold).tolist()
     window = cfg.peak_window + 1
     events: list[CrashEvent] = []
     i = 0
@@ -146,18 +156,26 @@ def summarize(traj: Trajectory, cfg: CrashConfig | None = None) -> SummaryStats:
     """
     if cfg is None:
         cfg = CrashConfig.for_params(traj.params)
-    events = detect_crashes(traj, cfg)
+    return _summary(traj.log_price, traj.momentum, traj.n_trades, cfg)
+
+
+def _summary(
+    log_price: np.ndarray, momentum: np.ndarray, n_trades: np.ndarray, cfg: CrashConfig
+) -> SummaryStats:
+    """``summarize`` on the three columns it reads, which are all a sweep
+    cell builds."""
+    events = _crashes(log_price, momentum, cfg)
     if len(events) >= 2:
         gaps = [b.t_cross - a.t_cross for a, b in zip(events, events[1:])]
         mean_gap: float | None = sum(gaps) / len(gaps)
     else:
         mean_gap = None
     return SummaryStats(
-        peak_log_price=float(np.max(traj.log_price)),
-        total_trades=int(traj.n_trades[-1]),
+        peak_log_price=float(np.max(log_price)),
+        total_trades=int(n_trades[-1]),
         n_crashes=len(events),
         mean_inter_crash_interval=mean_gap,
-        max_momentum=float(np.max(traj.momentum)),
+        max_momentum=float(np.max(momentum)),
         # periods 0 and 1 are initial conditions; momentum exists for t >= 1
-        time_above_threshold=int(np.sum(traj.momentum[1:] > cfg.threshold)),
+        time_above_threshold=int(np.sum(momentum[1:] > cfg.threshold)),
     )

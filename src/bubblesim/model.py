@@ -46,20 +46,37 @@ their bins and the trade draws' ``_ZHI`` depend on (seed, T) only, and the
 trade draws' momentum floors on (seed, T, Lambda, k) only, so a runner keeps
 its last draws while (seed, T) repeats and its last floors while (seed, T,
 Lambda, k) does: a b sweep draws and floors each seed once, a Lambda sweep
-draws it once, a T sweep shares nothing.  ``_path`` runs the loop and
-rebuilds the columns.
+draws it once, a T sweep shares nothing.  ``_path`` runs the loop and hands
+back a ``_Run``, which two finishing steps turn into columns.
 
 A run takes all 2*(T-1) uniforms from the stream at once, as one numpy array,
 then runs one loop that carries only the state the path feeds back on: the
 momentum M_t, the pressure x_t and the tick count.  Each period it stores M_t
-and tests the trade draw; it tests the direction draw only when a trade fires.
-The other columns (lambda, x, direction, trade, n_trades, log P) are rebuilt
-afterwards as whole numpy columns, with the loop's IEEE operations in the
-loop's order, so every bit is the same as a period-by-period evaluation.  The
+and tests the trade draw; it tests the direction draw only when a trade fires,
+and records the period and the new log-price of each trade.  The loop hands
+back M, those two records and its last pressure x_T.  From them:
+
+  * ``_Run.trajectory``, for ``simulate``, builds every column.  lambda, x
+    and direction are rebuilt as whole numpy columns with the loop's IEEE
+    operations in the loop's order, so every bit is the same as a
+    period-by-period evaluation.  x is filled in one buffer, x0 twice and
+    then the cubic increments, and summed in place from period 1 on, which
+    adds in the loop's order with no concatenation.  It raises at the first
+    period whose intensity or pressure is not finite, intensity first.
+  * ``_Run.summary_columns``, for a sweep cell, builds only what
+    ``summarize`` reads: M, log P and n_trades.  It decides finiteness
+    without the lambda and x columns.  x_T is finite exactly when every x
+    is, as a non-finite running sum never becomes finite again; lambda =
+    Lambda + k*M, rounded, never falls as M rises (k > 0), so it is finite
+    everywhere exactly when it is at M's min and max, which are nan when any
+    M is.  Only when that fails does it build every column, which raises as
+    ``trajectory`` does.
+
+Both build log P alike: log_p0 at t = 0, 1, then the trades' log-prices
+gathered by trade count, with log_p0 + d*0 before the first trade (not
+log_p0, so log_p0 = -0.0 gives +0.0 there, as a tick sum of 0 does).  The
 draws' bins come from one pass over all 2*(T-1) of them; the trade and
-direction bins are its even and odd views.  x is filled in one buffer, x0
-twice and then the cubic increments, and summed in place from period 1 on,
-which adds in the loop's order with no concatenation.
+direction bins are its even and odd views.
 
 Both Bernoulli(Phi) decisions use one exact bracket table and one rule.  A
 draw's bin gives two points of a fixed z grid: at or below the lower one the
@@ -76,6 +93,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,16 +262,16 @@ def simulate(params: ModelParams, seed: int) -> Trajectory:
     Raises ``ValueError`` (from ``normal_cdf``) at the first period whose
     intensity or direction pressure is not finite, intensity first.
     """
-    return _simulator()(params, seed)
+    return _simulator()(params, seed).trajectory()
 
 
 def _simulator():
-    """A runner ``run(params, seed)`` giving what ``simulate`` gives, which
+    """A runner ``run(params, seed)`` giving the ``_Run`` of that run, which
     shares draws and floors between its calls by the module docstring's rule;
     it holds one seed's at a time, and a call that raises keeps them."""
     drawn = floored = draws = floor = None  # drawn: (seed, T); floored: + (Lambda, k)
 
-    def run(params: ModelParams, seed: int) -> Trajectory:
+    def run(params: ModelParams, seed: int) -> _Run:
         nonlocal drawn, floored, draws, floor
         key = (as_seed(seed), params.T)
         if key != drawn:
@@ -269,10 +287,10 @@ def _simulator():
     return run
 
 
-def _path(params: ModelParams, draws: tuple, floor: list) -> Trajectory:
-    """The run of ``params`` on the draws and trade-draw floors that
-    ``_simulator`` holds for it: the loop and the columns."""
-    rng, u_trade, u_dir, _, j_dir, zhi = draws
+def _path(params: ModelParams, draws: tuple, floor: list) -> _Run:
+    """The loop of ``params`` on the draws and trade-draw floors that
+    ``_simulator`` holds for it."""
+    _, u_trade, u_dir, _, _, zhi = draws
     log_p0, d, x0 = params.log_p0, params.d, params.x0
     Lambda, k = params.Lambda, params.k
     h, a, b, c = params.h, params.a, params.b, params.c
@@ -284,10 +302,11 @@ def _path(params: ModelParams, draws: tuple, floor: list) -> Trajectory:
     # Only momentum and x feed back into the path, and x only at a trade.
     # A trade draw is decided by its bin's floor and _ZHI, and by erfc only
     # in between.  Phi is written inline, not via normal_cdf, as the loop
-    # must never raise: erfc takes nan and +-inf, and the check after the
-    # loop raises for the first non-finite value, intensity first.
+    # must never raise: erfc takes nan and +-inf, and the finishing step
+    # raises for the first non-finite value, intensity first.
     momentum = [0.0] * n
     traded_at: list[int] = []
+    prices = [log_p0 + d * 0]  # the price before any trade; + d*0 turns -0.0 into +0.0
     lp = log_p0
     m = ret = 0.0
     xt = x0
@@ -302,40 +321,82 @@ def _path(params: ModelParams, draws: tuple, floor: list) -> Trajectory:
             ret = new_lp - lp
             lp = new_lp
             traded_at.append(t)
+            prices.append(new_lp)
         else:
             ret = 0.0  # the return of an unchanged finite price
+    return _Run(params, draws, np.fromiter(momentum, float, n), traded_at, prices, xt)
 
-    # The other columns, rebuilt whole with the loop's IEEE operations in
-    # the loop's order: cumsum (add.accumulate) adds strictly left to right.
-    mom = np.fromiter(momentum, float, n)
-    trade = np.zeros(n, dtype=np.int64)
-    trade[traded_at] = 1
-    direction = np.zeros(n, dtype=np.int64)
-    x = np.empty(n)
-    x[0] = x[1] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = Lambda + k * mom
-        x[2:] = cubic_increment(params, mom[2:])
-        np.add.accumulate(x[1:], out=x[1:])
+
+class _Run(NamedTuple):
+    """What the loop of one run hands back: its momentum column, the periods
+    it traded at, the price table (the price before any trade, then each
+    trade's new log price) and its last pressure x_T.  ``trajectory`` and
+    ``summary_columns`` are its two finishing steps."""
+
+    params: ModelParams
+    draws: tuple
+    momentum: np.ndarray
+    traded_at: list
+    prices: list
+    x_end: float
+
+    def trajectory(self) -> Trajectory:
+        """Every column, for ``simulate``.  Raises ``ValueError`` (from
+        ``normal_cdf``) at the first period whose intensity or pressure is
+        not finite, intensity first."""
+        params, mom = self.params, self.momentum
+        rng, _, u_dir, _, j_dir, _ = self.draws
+        n = len(mom)
+        x = np.empty(n)
+        x[0] = x[1] = params.x0
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = params.Lambda + params.k * mom
+            x[2:] = cubic_increment(params, mom[2:])
+            np.add.accumulate(x[1:], out=x[1:])
         if not (np.isfinite(lam).all() and np.isfinite(x).all()):
             # normal_cdf raises on the first bad period, lam first
             t = int((~(np.isfinite(lam) & np.isfinite(x))).argmax())
             normal_cdf(float(lam[t]))
             normal_cdf(float(x[t]))
+        direction = np.zeros(n, dtype=np.int64)
         direction[2:] = _below_normal_cdf(u_dir, x[2:], j_dir)
-        log_price = log_p0 + d * np.cumsum(trade * (2 * direction - 1))
-    log_price[:2] = log_p0
+        trade, n_trades, log_price = self._trades()
+        return Trajectory(
+            params=params,
+            seed=rng.seed,
+            t=np.arange(n, dtype=np.int64),
+            log_price=log_price,
+            momentum=mom,
+            lam=lam,
+            x=x,
+            trade=trade,
+            direction=direction,
+            n_trades=n_trades,
+            n_rng_draws=rng.n_draws,
+        )
 
-    return Trajectory(
-        params=params,
-        seed=rng.seed,
-        t=np.arange(n, dtype=np.int64),
-        log_price=log_price,
-        momentum=mom,
-        lam=lam,
-        x=x,
-        trade=trade,
-        direction=direction,
-        n_trades=np.cumsum(trade),
-        n_rng_draws=rng.n_draws,
-    )
+    def summary_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The log price, momentum and n_trades columns, for a sweep cell,
+        bit for bit those of ``trajectory``; raises as it does.
+
+        Every lambda and x is finite exactly when lambda at the momentum's
+        min and max and x_T are (see the module docstring); where one is
+        not, ``trajectory`` builds every column and raises at the first bad
+        period."""
+        params, mom = self.params, self.momentum
+        lam_lo = params.Lambda + params.k * float(mom.min())
+        lam_hi = params.Lambda + params.k * float(mom.max())
+        if not (math.isfinite(lam_lo) and math.isfinite(lam_hi) and math.isfinite(self.x_end)):
+            self.trajectory()
+        _, n_trades, log_price = self._trades()
+        return log_price, mom, n_trades
+
+    def _trades(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The trade and n_trades columns, and the log price: log_p0 at
+        t = 0, 1, then the price table gathered by trade count."""
+        trade = np.zeros(len(self.momentum), dtype=np.int64)
+        trade[self.traded_at] = 1
+        n_trades = np.cumsum(trade)
+        log_price = np.array(self.prices)[n_trades]
+        log_price[:2] = self.params.log_p0
+        return trade, n_trades, log_price

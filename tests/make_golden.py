@@ -38,11 +38,21 @@ def _number(v):
     return v.hex() if isinstance(v, float) else v
 
 
+def params_of(params: dict) -> ModelParams:
+    """The ModelParams a case spells: every float field with ``float.hex``
+    and T as an int."""
+    return ModelParams(**{k: v if k == "T" else float.fromhex(v) for k, v in params.items()})
+
+
+def stats_json(stats) -> dict:
+    """Summary stats in the corpus's JSON form."""
+    return {name: _number(getattr(stats, name)) for name in stats.__slots__}
+
+
 def outcome(params: dict, seed: int) -> dict:
-    """What one case gives, in the corpus's JSON form.  ``params`` spells
-    every float field with ``float.hex`` and T as an int."""
+    """What one case gives, in the corpus's JSON form."""
     try:
-        p = ModelParams(**{k: v if k == "T" else float.fromhex(v) for k, v in params.items()})
+        p = params_of(params)
         traj = simulate(p, seed)
     except ValueError as exc:
         return {"error": str(exc)}
@@ -58,7 +68,7 @@ def outcome(params: dict, seed: int) -> dict:
         out["detector_error"] = str(exc)
         return out
     stats = summarize(traj, cfg)
-    out["stats"] = {name: _number(getattr(stats, name)) for name in stats.__slots__}
+    out["stats"] = stats_json(stats)
     out["events"] = [
         [_number(getattr(ev, name)) for name in ev.__slots__] for ev in detect_crashes(traj, cfg)
     ]

@@ -58,6 +58,7 @@ PRIVATE_IMPORTS = [
     ("cli", "svgplot", "_trajectory_svg"),
     ("svgplot", "io", "_points"),
     ("svgplot", "io", "_write_files"),
+    ("sweep", "analysis", "_summary"),
     ("sweep", "model", "_simulator"),
 ]
 

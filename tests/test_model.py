@@ -196,7 +196,7 @@ def _exact(v: float) -> str:
 def test_a_runner_shares_draws_only_with_the_same_valid_seed():
     # True == 1 but is no seed: seed 1's held draws must not serve it
     run, params = _simulator(), ModelParams(T=50)
-    assert run(params, 1.0).log_price.tobytes() == simulate(params, 1).log_price.tobytes()
+    assert run(params, 1.0).trajectory().log_price.tobytes() == simulate(params, 1).log_price.tobytes()
     with pytest.raises(ValueError, match="seed must be an integer"):
         run(params, True)
 

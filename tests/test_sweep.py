@@ -205,10 +205,15 @@ def _oracle_cell(base: ModelParams, axis: str, value: float, seed: int):
         # the a = -1.7e308 cells raise in the path (the cubic overflows to
         # inf), and the cells after them reuse the draws and floors they made
         (ModelParams(T=20, h=1e10, c=1e10), "a", (-1.7e308, -1e10, -1.0), (3, 4)),
+        # log P is -0.0 at t = 0, 1 and +0.0 from t = 2 until the first trade
+        (ModelParams(T=300, log_p0=-0.0), "b", (0.01, 0.02, 0.03), (0, 1)),
+        # only the intensity overflows: valid cells mixed with (got inf) and
+        # (got -inf) failures, each raised at the intensity
+        (ModelParams(T=40, Lambda=3.0, d=100.0), "k", (1e300, 1e306, 1e307), (0, 1, 2)),
     ],
     ids=[
         "b-failing-repeated-seed", "Lambda", "k", "T-huge", "b-one-seed-four-values", "b-3-seeds-3-values",
-        "a-raising-in-the-path",
+        "a-raising-in-the-path", "b-log-p0-minus-zero", "k-only-the-intensity-overflows",
     ],
 )
 def test_every_cell_equals_its_own_simulation_bit_for_bit(base, axis, values, seeds, n_jobs):
@@ -234,8 +239,11 @@ def test_every_cell_equals_its_own_simulation_bit_for_bit(base, axis, values, se
     ],
 )
 def test_a_serial_sweep_draws_each_seed_once_per_t(monkeypatch, axis, values, draws, floors):
-    calls = {"take": 0, "_momentum_floor": 0}
-    for owner, step in ((bubblesim.model.RngStream, "take"), (bubblesim.model, "_momentum_floor")):
+    # and builds no direction column: a sweep cell finishes its run into the
+    # columns its summary reads
+    calls = {"take": 0, "_momentum_floor": 0, "_below_normal_cdf": 0}
+    model = bubblesim.model
+    for owner, step in ((model.RngStream, "take"), (model, "_momentum_floor"), (model, "_below_normal_cdf")):
 
         def counted(*args, _step=step, _run=getattr(owner, step)):
             calls[_step] += 1
@@ -243,7 +251,7 @@ def test_a_serial_sweep_draws_each_seed_once_per_t(monkeypatch, axis, values, dr
 
         monkeypatch.setattr(owner, step, counted)
     run_sweep(SweepSpec(base=SMALL, axis=axis, values=values, seeds=(0, 1)))
-    assert calls == {"take": draws, "_momentum_floor": floors}
+    assert calls == {"take": draws, "_momentum_floor": floors, "_below_normal_cdf": 0}
 
 
 def test_each_value_keeps_the_log_price_path_of_its_first_seed():
