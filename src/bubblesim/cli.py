@@ -9,11 +9,11 @@ Three subcommands, mutually exclusive by construction:
 Configuration is resolved in three layers: built-in defaults, then a flat
 JSON config file (--config), then command-line flags.  One rule holds for
 every key: a given flag wins over the file, whatever the file holds for it,
-and the file over the default.  An empty out or axis counts as not given,
-from a flag or from the file.  Flags read numbers as the file does: the
-type that owns a field judges a flag's int or float (-0 keeps its sign), or
-else its text.  The effective configuration is echoed into every JSON
-summary, so outputs are self-describing.
+and the file over the default.  A null entry, or an empty out or axis,
+counts as not given, from a flag or from the file.  Flags read numbers as
+the file does: the type that owns a field judges a flag's int or float (-0
+keeps its sign), or else its text.  The effective configuration is echoed
+into every JSON summary, so outputs are self-describing.
 
 --seeds A..B is an inclusive range and needs 0 <= A <= B < 2**64.
 
@@ -150,16 +150,16 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags into one RunConfig.
 
     One rule for every key: a given flag wins over the file, and the file
-    over the stock value.  An empty out or axis counts as not given, from a
-    flag or from the file.  Numbers are read by the types they build
-    (params.real and params.integer), so a file's 1 and a flag's 1.0 give
-    the same run.  Parameter constraint violations surface with the violated
-    constraint in the message.
+    over the stock value.  A None (null) entry, or an empty out or axis,
+    counts as not given, from a flag or from the file.  Numbers are read by
+    the types they build (params.real and params.integer), so a file's 1 and
+    a flag's 1.0 give the same run.  Parameter constraint violations surface
+    with the violated constraint in the message.
     """
     filed = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
     given = {k: v for entries in (filed, flags) for k, v in entries.items()
-             if not (k in ("out", "axis") and v == "")}
+             if v is not None and not (k in ("out", "axis") and v == "")}
 
     params = ModelParams(**{k: given[k] for k in PARAM_FIELDS if k in given})
     det = {k: given[k] for k in _DETECTOR_KEYS if k in given}

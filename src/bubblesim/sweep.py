@@ -31,15 +31,14 @@ A cell whose derived parameters are invalid (say a swept b landing above c)
 records an error string and the sweep continues; only a sweep with no
 surviving cell raises.
 
-A cell finishes its run into the three columns summarize reads (log price,
-momentum, n_trades), not into a Trajectory, and reduces them with the
-array-level form of summarize that analysis.py keeps; model.py states why
-its finiteness check needs no other column.  The first seed's cell of each
-value also hands back its log-price path, the representative path plot_sweep
-draws, so a sweep and its plot simulate every (value, seed) pair once.  The
-result then holds |values| x (T+1) floats of paths besides the cell
-statistics; in a parallel sweep only those cells send a path back from the
-workers.
+A cell hands its finished run to summarize as it is: the run holds the
+params, log price, momentum and n_trades that summarize reads and no other
+column (model.py states the one finishing step it shares with simulate).
+The first seed's cell of each value also hands back its log-price path, the
+representative path plot_sweep draws, so a sweep and its plot simulate every
+(value, seed) pair once.  The result then holds |values| x (T+1) floats of
+paths besides the cell statistics; in a parallel sweep only those cells send
+a path back from the workers.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analysis import CrashConfig, SummaryStats, _summary
+from .analysis import CrashConfig, SummaryStats, summarize
 from .model import _simulator
 from .params import PARAM_FIELDS, ModelParams, as_seed, integer, real
 
@@ -154,13 +153,13 @@ def _run_cells(
         seed, value = spec.seeds[i // n_values], spec.values[i % n_values]
         try:
             params = spec.base.with_value(spec.axis, value)
-            log_price, momentum, n_trades = run(params, seed).summary_columns()
-            stats = _summary(log_price, momentum, n_trades, cfg or CrashConfig.for_params(params))
+            ran = run(params, seed)
+            stats = summarize(ran, cfg)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             outcomes.append((SweepCell(value=value, seed=seed, stats=None, error=error), None))
             continue
-        path = log_price if i < n_values else None
+        path = ran.log_price if i < n_values else None
         outcomes.append((SweepCell(value=value, seed=seed, stats=stats, error=None), path))
     return outcomes
 

@@ -1,5 +1,7 @@
 """Crash detection on hand-built trajectories plus the frozen baseline summary."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -294,3 +296,25 @@ def test_summary_invariants_across_seeds():
         assert st.n_crashes >= 0
         assert st.total_trades <= p.T
         assert st.time_above_threshold <= p.T
+
+
+def _float_hexes(result) -> list[str]:
+    """float.hex of every float field of a SummaryStats or of each event."""
+    items = result if isinstance(result, list) else [result]
+    return [float.hex(v) for item in items for v in (getattr(item, f) for f in item.__slots__)
+            if isinstance(v, float)]
+
+
+@pytest.mark.parametrize("cfg", [None, CrashConfig(threshold=0.01, peak_window=200, min_drawdown=0.03)])
+def test_summary_and_detector_read_only_params_and_three_columns(cfg):
+    # a sweep cell hands summarize a finished run that holds only these four
+    for seed in (1, 2, 5):
+        traj = simulate(ModelParams(), seed)
+        bare = types.SimpleNamespace(
+            params=traj.params, log_price=traj.log_price, momentum=traj.momentum, n_trades=traj.n_trades
+        )
+        for read in (summarize, detect_crashes):
+            got, want = read(bare, cfg), read(traj, cfg)
+            assert repr(got) == repr(want)
+            assert _float_hexes(got) == _float_hexes(want)
+        assert len(detect_crashes(bare, cfg)) > 0

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import bubblesim
@@ -58,7 +59,6 @@ PRIVATE_IMPORTS = [
     ("cli", "svgplot", "_trajectory_svg"),
     ("svgplot", "io", "_points"),
     ("svgplot", "io", "_write_files"),
-    ("sweep", "analysis", "_summary"),
     ("sweep", "model", "_simulator"),
 ]
 
@@ -71,6 +71,38 @@ def test_private_names_imported_across_modules_are_pinned():
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 found += [(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")]
     assert sorted(found) == PRIVATE_IMPORTS
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a variable or as an
+    attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+    )
+
+
+def test_every_private_name_is_read_outside_its_own_definition():
+    # a private helper, constant or method that nothing else in the package
+    # reads is dead code; a recursive call does not count as a use
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(Path(bubblesim.__file__).parent.glob("*.py"))]
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    defined = []  # (name, the node that defines it)
+    for tree in trees:
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in (node, *(m for m in members if isinstance(m, ast.FunctionDef))):
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((item.name, item))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    private = [(name, node) for name, node in defined if name.startswith("_") and not name.endswith("__")]
+    assert len(private) > 20
+    unread = [name for name, node in private if reads[name] == _reads(node)[name]]
+    assert unread == []
 
 
 def test_names_only_the_tests_used_are_not_exported():

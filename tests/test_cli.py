@@ -517,6 +517,23 @@ def test_precedence_at_the_edges(tmp_path, data, argv, key, want):
     assert getattr(cfg, key) == want
 
 
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_a_null_entry_is_not_given_and_a_flag_beats_it(tmp_path_factory, key, data):
+    path = tmp_path_factory.getbasetemp() / f"null-{key}.json"
+    path.write_text(json.dumps({key: None}))
+    command = "simulate" if key == "seed" else "sweep"
+
+    def resolve(*argv):
+        return parse_config(_PARSER.parse_args([command, *argv]))
+
+    assert resolve("--config", str(path)) == resolve()
+    assert _resolved(resolve("--config", str(path)), key) == _default(key)
+    flag = _config_flag(key, data.draw(_CONFIG_VALUES[key]))
+    assert resolve("--config", str(path), *flag) == resolve(*flag)
+
+
 def test_config_whole_number_peak_window_is_accepted(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"peak_window": 300.0, "threshold": 0, "min_drawdown": 1}))
@@ -576,8 +593,9 @@ def _listed(item):
 
 _DEFAULTS = {**ModelParams().as_dict(), **asdict(CrashConfig.for_params(ModelParams())), "seed": 0}
 _FUZZ_KEYS = {key: _spelled(value) for key, value in _DEFAULTS.items()}
-# every run is small: T at most 50 (no 400-digit T), at most 3 seeds (a null
-# seeds entry means the default 50) and at most 3 values
+# every run is small: T at most 50 or, from a null entry, the default 5000
+# (no 400-digit T), at most 3 seeds (a null seeds entry means the default
+# 50) and at most 3 values
 _FUZZ_KEYS["T"] = st.sampled_from([e for e in _EDGES if e != "1" + "0" * 400])
 _FUZZ_KEYS["seeds"] = _listed(_EDGE) | _EDGE.filter(lambda x: x != "null")
 _FUZZ_KEYS["values"] = _listed(_EDGE) | _EDGE

@@ -417,15 +417,24 @@ def test_vanishing_k_and_h_leave_two_fixed_bernoulli_streams():
         assert np.array_equal(traj.direction[2:], u[1::2] < normal_cdf(x0))
 
 
-@pytest.mark.parametrize("b, bad", [(0.02, "inf"), (0.0, "nan")])
-def test_simulate_fails_like_the_oracle_on_overflow(b, bad):
-    # h (m-a) overflows at m = 0; times (m-b) = 0 it becomes nan.  A failed
-    # sweep cell stores this message in sweep.json.
-    params = ModelParams(T=20, h=1e300, a=-1e10, b=b, c=1e10)
+@pytest.mark.parametrize(
+    "params, seed, bad",
+    [
+        # h (m-a) overflows at m = 0; times (m-b) = 0 it becomes nan
+        (ModelParams(T=20, h=1e300, a=-1e10, b=0.02, c=1e10), 3, "inf"),
+        (ModelParams(T=20, h=1e300, a=-1e10, b=0.0, c=1e10), 3, "nan"),
+        # only the intensity at the momentum's minimum overflows: x and the
+        # intensity at its maximum stay finite
+        (ModelParams(T=40, Lambda=3.0, d=100.0, k=1e307), 1, "-inf"),
+    ],
+    ids=["0.02-inf", "0.0-nan", "lambda-at-min-inf"],  # the first two by their b
+)
+def test_simulate_fails_like_the_oracle_on_overflow(params, seed, bad):
+    # A failed sweep cell stores this message in sweep.json.
     with pytest.raises(ValueError) as kernel_err:
-        simulate(params, 3)
+        simulate(params, seed)
     with pytest.raises(ValueError) as oracle_err:
-        simulate_stepwise(params, 3)
+        simulate_stepwise(params, seed)
     assert str(kernel_err.value) == str(oracle_err.value)
     assert str(kernel_err.value) == f"normal_cdf requires a finite argument (got {bad})"
 
