@@ -13,9 +13,9 @@ ones are reported.  Raising the floor therefore never creates new events,
 only removes marginal ones, which makes sweeps over the floor monotone.
 
 Detection and the summary read only a trajectory's params and its log-price,
-momentum and n_trades columns.  A sweep cell's finished run holds just those
-four, so ``summarize`` reads it as it is and there is one detector and one
-summary.
+momentum and n_trades columns.  A sweep cell's finished run holds those
+four, and of the other columns only trade, so ``summarize`` reads it as it
+is and there is one detector and one summary.
 """
 
 from __future__ import annotations

@@ -67,14 +67,13 @@ step follows, for ``simulate`` and every sweep cell alike:
     log_p0 = -0.0 gives +0.0 there, as a tick sum of 0 does).
 
 The ``_Run`` holds params, log P, M and n_trades, all that ``summarize``
-reads, so a sweep cell summarizes it as it is.  ``_Run.trajectory`` adds
-lambda, x, direction, trade and t for ``simulate``: lambda, x and direction
-are rebuilt as whole numpy columns with the loop's IEEE operations in the
-loop's order, so every bit is the same as a period-by-period evaluation.  x
-is filled in one buffer, x0 twice and then the cubic increments, and summed
-in place from period 1 on, which adds in the loop's order with no
-concatenation.  The draws' bins come from one pass over all 2*(T-1) of them;
-the trade and direction bins are its even and odd views.
+reads, so a sweep cell summarizes it as it is, and the trade column.
+``_Run.trajectory`` adds lambda, x, direction and t for ``simulate``,
+rebuilding the first three as whole numpy columns with the loop's IEEE
+operations in the loop's order, so every bit is the loop's.  x is filled in
+one buffer, x0 twice and then the cubic increments, and summed in place
+from period 1 on, in the loop's order.  All 2*(T-1) draws are binned in
+one pass; the trade and direction bins are its even and odd views.
 
 Both Bernoulli(Phi) decisions use one exact bracket table and one rule.  A
 draw's bin gives two points of a fixed z grid: at or below the lower one the
@@ -286,10 +285,10 @@ def _simulator():
 
 
 def _path(params: ModelParams, draws: tuple, floor: list) -> _Run:
-    """The run of ``params`` on the draws and trade-draw floors that
-    ``_simulator`` holds for it, finished into its log price, momentum and
-    n_trades columns.  Raises ``ValueError`` (from ``normal_cdf``) at the
-    first period whose intensity or pressure is not finite, intensity first."""
+    """The run of ``params`` on the draws and floors that ``_simulator``
+    holds for it, finished into its log price, momentum, n_trades and trade
+    columns.  Raises ``ValueError`` (from ``normal_cdf``) at the first period
+    whose intensity or pressure is not finite, intensity first."""
     _, u_trade, u_dir, _, _, zhi = draws
     log_p0, d, x0 = params.log_p0, params.d, params.x0
     Lambda, k = params.Lambda, params.k
@@ -336,7 +335,7 @@ def _path(params: ModelParams, draws: tuple, floor: list) -> _Run:
     n_trades = np.cumsum(trade)
     log_price = np.array(prices)[n_trades]
     log_price[:2] = log_p0
-    return _Run(params, draws, log_price, mom, n_trades)
+    return _Run(params, draws, log_price, mom, n_trades, trade)
 
 
 def _lam_x(params: ModelParams, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,15 +351,15 @@ def _lam_x(params: ModelParams, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class _Run(NamedTuple):
-    """One finished run.  ``summarize`` and ``detect_crashes`` read its
-    params, log_price, momentum and n_trades as they read a Trajectory's;
-    ``trajectory`` adds the other columns."""
+    """One finished run: what ``summarize`` and ``detect_crashes`` read of a
+    Trajectory, and trade; ``trajectory`` adds lambda, x, direction and t."""
 
     params: ModelParams
     draws: tuple
     log_price: np.ndarray
     momentum: np.ndarray
     n_trades: np.ndarray
+    trade: np.ndarray
 
     def trajectory(self) -> Trajectory:
         """Every column, for ``simulate``."""
@@ -377,7 +376,7 @@ class _Run(NamedTuple):
             momentum=mom,
             lam=lam,
             x=x,
-            trade=np.diff(self.n_trades, prepend=0),
+            trade=self.trade,
             direction=direction,
             n_trades=self.n_trades,
             n_rng_draws=rng.n_draws,

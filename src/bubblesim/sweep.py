@@ -31,9 +31,9 @@ A cell whose derived parameters are invalid (say a swept b landing above c)
 records an error string and the sweep continues; only a sweep with no
 surviving cell raises.
 
-A cell hands its finished run to summarize as it is: the run holds the
-params, log price, momentum and n_trades that summarize reads and no other
-column (model.py states the one finishing step it shares with simulate).
+A cell hands its finished run to summarize as it is: it builds the trade
+column on its way to n_trades, but no intensity, x or direction column
+(model.py states the one finishing step it shares with simulate).
 The first seed's cell of each value also hands back its log-price path, the
 representative path plot_sweep draws, so a sweep and its plot simulate every
 (value, seed) pair once.  The result then holds |values| x (T+1) floats of

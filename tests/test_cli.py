@@ -38,6 +38,7 @@ from bubblesim.cli import (
     parse_seed_range,
 )
 from bubblesim.params import PARAM_FIELDS
+from console_script import COMMANDS, check
 
 # A file left open on a commit path fails its test: the unclosed file's
 # finalizer warns, and pytest reports that as an unraisable exception.
@@ -1012,16 +1013,15 @@ def test_the_console_script_pip_writes_runs_main(tmp_path):
     script.write_text(_PIP_SCRIPT.format(module=module, func=func))
     env = {**os.environ, "PYTHONPATH": str(Path(bubblesim.io.__file__).parents[1])}
 
-    def run(*argv):
-        return subprocess.run([sys.executable, str(script), *argv], env=env, capture_output=True, text=True)
+    def run(argv):
+        proc = subprocess.run([sys.executable, str(script), *argv], env=env, capture_output=True, text=True)
+        return proc.returncode, proc.stderr
 
-    out = tmp_path / "run"
-    proc = run("simulate", "--T", "50", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trajectory.csv", "trajectory.svg"]
-    proc = run("simulate", "--T=abc")
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    # the table's first good and first bad command: one process each
+    first = [next(entry for entry in COMMANDS if entry[1] == code) for code in (0, 1)]
+    check(run, tmp_path / "out", first)
+    written = sorted(p.name for p in (tmp_path / "out").rglob("*") if p.is_file())
+    assert written == ["summary.json", "trajectory.csv", "trajectory.svg"]
 
 
 def test_a_spawned_worker_importing_the_main_module_runs_no_cli(capsys):
@@ -1031,21 +1031,9 @@ def test_a_spawned_worker_importing_the_main_module_runs_no_cli(capsys):
 
 
 def test_every_command_of_the_ci_console_script_step_exits_as_the_step_expects(tmp_path, monkeypatch, capsys):
-    # The workflow's console-script step, run through main: a command piped
-    # into "|| code=$?" must exit 1 with one error line, the others 0.  The
-    # workflow is read as text, each line that starts with "bubblesim ".
-    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
-    lines = [s for line in workflow.read_text().splitlines() if (s := line.strip()).startswith("bubblesim ")]
-    assert any(line.endswith("|| code=$?") for line in lines) and len(lines) > 1
+    # the table CI runs through the installed script, run through main
     monkeypatch.chdir(tmp_path)
-    for line in lines:
-        argv = shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
-        argv = argv[1 : argv.index("2>") if "2>" in argv else None]
-        code, err = main(argv), capsys.readouterr().err
-        if line.endswith("|| code=$?"):
-            assert (code, len(err.splitlines())) == (1, 1), (line, err)
-        else:
-            assert code == 0, (line, err)
+    check(lambda argv: (main(argv), capsys.readouterr().err), tmp_path)
 
 
 def test_every_cli_example_of_the_readme_exits_0(tmp_path, monkeypatch, capsys):

@@ -417,6 +417,36 @@ def test_vanishing_k_and_h_leave_two_fixed_bernoulli_streams():
         assert np.array_equal(traj.direction[2:], u[1::2] < normal_cdf(x0))
 
 
+def _simulate_on(monkeypatch, params: ModelParams, uniforms: list[float]) -> Trajectory:
+    """``simulate(params, 0)`` with its stream's draws replaced by the given
+    uniforms, checked bit for bit against ``step`` on the same uniforms."""
+    monkeypatch.setattr(RngStream, "take", lambda self, n: np.array(uniforms))
+    traj = simulate(params, 0)
+    state, rng = initial_state(params), FixedUniforms(uniforms)
+    for t in range(2, params.T + 1):
+        state, row = step(params, state, rng)
+        for name in COLUMNS:
+            assert _exact(float(getattr(traj, name)[t])) == _exact(float(getattr(row, name))), (t, name)
+    return traj
+
+
+# A Bernoulli(Phi) draw u equal to Phi is 0: the rule is u < Phi, not <=.
+_TIE = {"T": 3, "Lambda": 0.0, "k": 1e-300, "x0": 0.0}
+
+
+def test_a_trade_draw_equal_to_its_phi_gives_no_trade(monkeypatch):
+    # at t = 2 the intensity is 0 and Phi(0) = 0.5 = u
+    traj = _simulate_on(monkeypatch, ModelParams(**_TIE), [0.5, 0.3, 0.9, 0.5])
+    assert traj.n_trades.tolist() == [0, 0, 0, 0]
+
+
+def test_a_direction_draw_equal_to_its_phi_gives_a_down_tick(monkeypatch):
+    # h = 5e-324: the increment underflows, so x_2 is exactly 0.0 and
+    # Phi(0) = 0.5 = u at the trade of t = 2
+    traj = _simulate_on(monkeypatch, ModelParams(**_TIE, h=5e-324), [0.3, 0.5, 0.9, 0.5])
+    assert (traj.trade[2], traj.direction[2], traj.log_price[2]) == (1, 0, -0.01)
+
+
 @pytest.mark.parametrize(
     "params, seed, bad",
     [
