@@ -73,6 +73,8 @@ class SummaryStats:
     """Scalar summary of one trajectory under one detector configuration.
 
     mean_inter_crash_interval is None when fewer than two crashes occurred.
+    peak_log_price and max_momentum are read at the first period of their
+    maximum, the detector's tie rule, so a zero maximum has its first sign.
     time_above_threshold counts periods t >= 1 with momentum strictly above
     the detector threshold, so it is at most T.
     """
@@ -90,8 +92,6 @@ def up_crossings(momentum: np.ndarray, threshold: float) -> np.ndarray:
     m = np.asarray(momentum, dtype=float)
     if m.ndim != 1:
         raise ValueError(f"up_crossings requires a 1-d array (got ndim={m.ndim})")
-    if m.size < 2:
-        return np.empty(0, dtype=np.int64)
     hits = np.flatnonzero((m[:-1] <= threshold) & (m[1:] > threshold)) + 1
     return hits.astype(np.int64)
 
@@ -158,11 +158,11 @@ def summarize(traj: Trajectory, cfg: CrashConfig | None = None) -> SummaryStats:
     else:
         mean_gap = None
     return SummaryStats(
-        peak_log_price=float(np.max(traj.log_price)),
+        peak_log_price=traj.log_price.item(traj.log_price.argmax()),
         total_trades=int(traj.n_trades[-1]),
         n_crashes=len(events),
         mean_inter_crash_interval=mean_gap,
-        max_momentum=float(np.max(traj.momentum)),
+        max_momentum=traj.momentum.item(traj.momentum.argmax()),
         # periods 0 and 1 are initial conditions; momentum exists for t >= 1
         time_above_threshold=int(np.sum(traj.momentum[1:] > cfg.threshold)),
     )

@@ -136,6 +136,10 @@ def cases() -> list[tuple[dict, int]]:
     out.append((_base(10, d=10.0, Lambda=30.0, k=1e308, h=1e308,
                       a=-1e-300, b=math.exp(-0.001) * 10.0, c=20.0), 1))
     out.append((_base(3000, r=20.0, Lambda=-3.0), 21))  # momentum underflows to -0.0
+    # a maximum momentum of zero, first reached as +0.0 with -0.0 later,
+    # where np.max's zero depended on numpy's SIMD path
+    for T in (56, 256):
+        out.append((_base(T, r=700.0, x0=-40.0), 0))
     out.append(({"T": 1}, 0))  # T below 2: refused
     # the baseline at the paper's b values, where crash events are many
     for b in (0.0001, 0.01, 0.02):
@@ -147,6 +151,8 @@ def cases() -> list[tuple[dict, int]]:
 # a log-price path that overflows to inf: non-finite stats and CSV cells
 _OVERFLOW = ["--log_p0", "1.79e308", "--d", "1e307", "--Lambda", "30", "--T", "2", "--no-plot"]
 CLI_RUNS = [
+    ["simulate", "--seed", "42"],  # the baseline run whose CSV criterion 04 pins
+    ["sweep", "--axis", "b", "--values", "0.0001,0.01,0.02", "--seeds", "0..2"],
     ["simulate", "--T", "50.0", "--seed", "1e3"],  # int-spelled flags
     ["simulate", "--T", "400", "--seed", "5", "--threshold", "0.01", "--peak-window", "100",
      "--min-drawdown", "0.05"],

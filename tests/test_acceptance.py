@@ -63,6 +63,7 @@ Six criteria need context:
 """
 
 import hashlib
+import json
 import math
 import warnings
 import xml.etree.ElementTree as ET
@@ -82,20 +83,14 @@ from bubblesim import (
 )
 from bubblesim.cli import main
 from bubblesim.model import cubic_increment
+from make_golden import GOLDEN
 from oracles import momentum_direct, normal_cdf_reference
 from synthetic import flat_trajectory, single_crash_trajectory
 
 # sha256 of the baseline seed-42 trajectory CSV, frozen from the first
-# verified run
+# verified run; tests/golden.json records it too, beside every other CLI
+# artifact's
 BASELINE_SEED42_CSV_SHA256 = "17c5f1757c6f61337cd6e1139cab5f0218ab681b311ef3da63cb2d744b9539d5"
-
-# sha256 of the other CLI artifacts, frozen from the same code as the CSV:
-# `simulate --seed 42` and `sweep --axis b --values 0.0001,0.01,0.02
-# --seeds 0..2`.  No other test pins the SVG bytes.
-BASELINE_SEED42_SVG_SHA256 = "0194bc6ee3b426eaac7ed8d124a651e5e3098e46296691785e5e7e0a94e9a646"
-BASELINE_SEED42_JSON_SHA256 = "f3104629afee0d7c353e9e9562d11bf79a613adee66666e414bcd55b463eec2c"
-B_SWEEP_3_JSON_SHA256 = "8d3a99779d21f47fc1b7eac0a32b8c8876a94552cfbb00300b3a812ffb52463a"
-B_SWEEP_3_SVG_SHA256 = "551b617d76bc4846f40c85076d4171e179b8c8bac04a7176cb0b30a2f4e8cdf2"
 
 # exact pilot outcome for the crossing ensemble (criterion 10 demands >= 80)
 PILOT_CROSSING_COUNT = 100
@@ -183,22 +178,17 @@ def test_criterion_04_determinism(tmp_path):
     print(f"criterion 04: CSV sha256 {digest[:16]}..., serial == parallel")
 
 
-def test_frozen_cli_artifact_bytes(tmp_path):
-    """Every CLI artifact of seed 42 and of a small b-sweep keeps its bytes."""
-    sim, sweep = tmp_path / "sim", tmp_path / "sweep"
-    assert main(["simulate", "--seed", "42", "--out", str(sim)]) == 0
-    assert main(["sweep", "--axis", "b", "--values", "0.0001,0.01,0.02",
-                 "--seeds", "0..2", "--out", str(sweep)]) == 0
-    expected = {
-        sim / "trajectory.csv": BASELINE_SEED42_CSV_SHA256,
-        sim / "trajectory.svg": BASELINE_SEED42_SVG_SHA256,
-        sim / "summary.json": BASELINE_SEED42_JSON_SHA256,
-        sweep / "sweep.json": B_SWEEP_3_JSON_SHA256,
-        sweep / "sweep.svg": B_SWEEP_3_SVG_SHA256,
-    }
-    for path, want in expected.items():
-        got = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert got == want, f"{path.name} hash drifted: {got}"
+def test_frozen_cli_artifact_bytes():
+    """The golden corpus pins every CLI artifact of seed 42 and of a small
+    b-sweep, which test_golden.py re-runs, and its seed-42 CSV is the one
+    criterion 04 froze: a rewritten corpus cannot move that hash."""
+    runs = {tuple(run["argv"]): run for run in json.loads(GOLDEN.read_text(encoding="utf-8")) if "argv" in run}
+    sim = runs["simulate", "--seed", "42"]
+    sweep = runs["sweep", "--axis", "b", "--values", "0.0001,0.01,0.02", "--seeds", "0..2"]
+    assert sim["exit"] == sweep["exit"] == 0
+    assert sorted(sim["files"]) == ["summary.json", "trajectory.csv", "trajectory.svg"]
+    assert sorted(sweep["files"]) == ["sweep.json", "sweep.svg"]
+    assert sim["files"]["trajectory.csv"] == BASELINE_SEED42_CSV_SHA256
 
 
 def test_criterion_05_lattice_and_rng_freeze():
@@ -212,7 +202,8 @@ def test_criterion_05_lattice_and_rng_freeze():
         )
         traj = simulate(params, int(rng.integers(0, 2**32)))
         j = np.rint((traj.log_price - params.log_p0) / params.d).astype(np.int64)
-        assert np.array_equal(params.log_p0 + params.d * j, traj.log_price)
+        rebuilt = params.log_p0 + params.d * j
+        assert rebuilt.dtype == traj.log_price.dtype and rebuilt.tobytes() == traj.log_price.tobytes()
         assert np.all(np.abs(j) <= traj.t)
         frozen = traj.trade == 0
         assert np.all(traj.log_price[1:][frozen[1:]] == traj.log_price[:-1][frozen[1:]])

@@ -278,6 +278,14 @@ def test_time_above_threshold_counts_strict_exceedances():
     assert st.max_momentum == 0.5
 
 
+def test_a_zero_maximum_has_the_sign_of_its_first_period():
+    # np.max of +0.0 and -0.0 returns either, by numpy's SIMD path; the
+    # summary reads the first period of the maximum, as the detector does
+    for first, last in ((0.0, -0.0), (-0.0, 0.0)):
+        st = summarize(make_trajectory([first] * 50 + [last] * 3, [0] * 53), CFG)
+        assert np.signbit(st.max_momentum) == np.signbit(first)
+
+
 def test_golden_baseline_seed1_summary():
     # frozen from the first verified run; guards the whole pipeline at once
     st = summarize(simulate(ModelParams(), 1))

@@ -1,6 +1,6 @@
-"""CLI behavior: flag/file layering, outputs, exit codes."""
+"""CLI behavior: flag/file layering, outputs, exit codes, and the fault table
+of every call that commits files."""
 
-import builtins
 import contextlib
 import io
 import itertools
@@ -25,10 +25,16 @@ from bubblesim import (
     CSV_HEADER,
     CrashConfig,
     ModelParams,
+    SweepSpec,
+    plot_sweep,
+    plot_trajectory,
     read_trajectory_csv,
+    run_sweep,
     simulate,
     summarize,
     summary_payload,
+    write_summary_json,
+    write_trajectory_csv,
 )
 from bubblesim.cli import (
     _CONFIG_KEYS,
@@ -39,6 +45,7 @@ from bubblesim.cli import (
 )
 from bubblesim.params import PARAM_FIELDS
 from console_script import COMMANDS, check
+from faults import Faults
 
 # A file left open on a commit path fails its test: the unclosed file's
 # finalizer warns, and pytest reports that as an unraisable exception.
@@ -817,104 +824,117 @@ def _artifacts(out: Path, *argv) -> dict[str, bytes]:
     return _files(out)
 
 
-class _Faults:
-    """Counts the open, write and os.replace calls of bubblesim.io, and makes
-    the k-th of them raise OSError."""
+def _writer(write):
+    """The commit of one writer call ``write(out, seed)``: None, or the text
+    of the OSError it raised."""
 
-    def __init__(self, k: int):
-        self.k, self.calls, self.replaced = k, 0, 0
-        self.fired: str | None = None
+    def commit(out: Path, seed: int) -> str | None:
+        try:
+            write(out, seed)
+        except OSError as exc:
+            return str(exc)
+        return None
 
-    def tick(self, what: str) -> None:
-        self.calls += 1
-        if self.calls == self.k:
-            self.fired = what
-            raise OSError(5, f"injected failure of {what}")
-
-    def install(self, mp: pytest.MonkeyPatch) -> None:
-        faults, real_replace = self, os.replace
-
-        class CountedFile:
-            def __init__(self, fh):
-                self._fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self._fh.close()
-
-            def write(self, text):
-                faults.tick("write")
-                return self._fh.write(text)
-
-        def counted_open(*args, **kwargs):
-            faults.tick("open")
-            return CountedFile(builtins.open(*args, **kwargs))
-
-        def counted_replace(src, dst):
-            faults.tick("replace")
-            real_replace(src, dst)
-            faults.replaced += 1
-
-        mp.setattr(bubblesim.io, "open", counted_open, raising=False)
-        mp.setattr(bubblesim.io.os, "replace", counted_replace)
+    return commit
 
 
+def _cli(*argv):
+    """The commit of ``bubblesim *argv *run --out OUT``: None on exit 0 with
+    nothing on stderr, else the text of its one error line, on exit 2."""
+
+    def commit(out: Path, run: tuple[str, ...]) -> str | None:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = _run(*argv, *run, "--out", str(out))
+        lines = err.getvalue().splitlines()
+        if code == 0 and not lines:
+            return None
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)
+        return lines[0].removeprefix("error: ")
+
+    return commit
+
+
+_P50 = ModelParams(T=50)
+_WRITERS = {
+    "write_trajectory_csv": lambda out, seed: write_trajectory_csv(simulate(_P50, seed), out / "trajectory.csv"),
+    "write_summary_json": lambda out, seed: write_summary_json(
+        summary_payload(summarize(simulate(_P50, seed)), _P50, seed), out / "summary.json"),
+    "plot_trajectory": lambda out, seed: plot_trajectory(simulate(_P50, seed), out / "trajectory.svg"),
+    "plot_sweep": lambda out, seed: plot_sweep(
+        run_sweep(SweepSpec(_P50, "b", (0.01, 0.02), (seed,))), out / "sweep.svg"),
+}
+# the CLI commands that commit files: (argv, first run, second run)
 _COMMITS = [
     (("simulate", "--T", "50"), ("--seed", "1"), ("--seed", "2")),
     (("sweep", "--axis", "b", "--values", "0.01,0.02", "--T", "50"), ("--seeds", "0..1"), ("--seeds", "2..3")),
 ]
+# every call that commits files, as (commit, first run, second run): the
+# second run's files differ from the first's, and a run without a plot
+# drops the first run's plot
+_FAULT_TABLE = [
+    *(pytest.param(_writer(write), 1, 2, id=name) for name, write in _WRITERS.items()),
+    *(pytest.param(_cli(*argv), first, second, id=argv[0]) for argv, first, second in _COMMITS),
+    *(pytest.param(_cli(*argv), first, (*second, "--no-plot"), id=f"{argv[0]}-no-plot")
+      for argv, first, second in _COMMITS),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, first, second",
-    _COMMITS + [(argv, first, (*second, "--no-plot")) for argv, first, second in _COMMITS],
-    ids=["simulate", "sweep", "simulate-no-plot", "sweep-no-plot"],
-)
-def test_a_failed_commit_leaves_no_file_of_the_failed_run(tmp_path, capsys, argv, first, second):
-    new = _artifacts(tmp_path / "new", *argv, *second)
+def _committed(commit, out: Path, run) -> dict[str, bytes]:
+    """The files in ``out`` after a clean commit of ``run``."""
+    out.mkdir(exist_ok=True)
+    assert commit(out, run) is None
+    return _files(out)
+
+
+@pytest.mark.parametrize("commit, first, second", _FAULT_TABLE)
+def test_a_failed_commit_leaves_no_file_of_the_failed_run(tmp_path, commit, first, second):
+    # the rule io._write_files documents, with the k-th open, write or
+    # rename of the second run's commit failing over the first run's files,
+    # for every k until the commit completes
+    new = _committed(commit, tmp_path / "new", second)
     out = tmp_path / "out"
-    old = _artifacts(out, *argv, *first)
+    old = _committed(commit, out, first)
     assert new.keys() <= old.keys() and all(old[name] != new[name] for name in new)
-    capsys.readouterr()
     failed = set()
     for k in itertools.count(1):
-        faults = _Faults(k)
+        faults = Faults(k)
         with pytest.MonkeyPatch.context() as mp:
             faults.install(mp)
-            code = _run(*argv, *second, "--out", str(out))
+            error = commit(out, second)
         if faults.fired is None:
             break
         failed.add(faults.fired)
-        err = capsys.readouterr().err.splitlines()
-        assert code == 2 and len(err) == 1 and err[0].startswith("error: failed to write ")
-        left = _files(out)
-        assert not any(data == new.get(name) for name, data in left.items())
-        assert {name: old[name] for name in left} == left  # no temp file either
-        if faults.fired != "replace":
-            assert left == old
-        elif faults.replaced == 0:
-            assert left == {name: old[name] for name in new}  # a dropped plot is already gone
-        if left != old:
-            old = _artifacts(out, *argv, *first)  # the next k starts from the whole first set
-    assert code == 0 and _files(out) == new
+        named = [faults.target] if faults.fired == "replace" else new
+        assert error is not None, k
+        assert any(error.startswith(f"failed to write {out / name}: ") for name in named), error
+        if faults.fired == "replace":  # the renamed targets and a dropped plot are gone
+            kept = {name: old[name] for name in new if name not in faults.renamed}
+        else:
+            kept = old
+        assert _files(out) == kept  # every other file keeps its bytes, and no temp file is left
+        if kept != old:
+            assert _committed(commit, out, first) == old  # the next k starts from the whole first set
+    assert error is None and _files(out) == new
     assert failed == {"open", "write", "replace"}
 
 
-def test_a_failed_rename_of_the_summary_keeps_only_the_previous_files(tmp_path, monkeypatch, capsys):
+def test_a_failed_rename_of_the_summary_keeps_only_the_previous_files(tmp_path):
+    # the simulate entry's r = 1 rename fault: trajectory.csv is renamed
+    # onto, then the rename onto summary.json fails
+    commit = _cli("simulate", "--T", "200")
+    probe = Faults(0)
+    with pytest.MonkeyPatch.context() as mp:
+        probe.install(mp)
+        assert commit(tmp_path / "probe", ("--seed", "2")) is None
+    assert probe.renamed[:2] == ["trajectory.csv", "summary.json"]
     out = tmp_path / "D"
-    old = _artifacts(out, "simulate", "--seed", "1", "--T", "200")
-    real_replace = os.replace
-
-    def refuse_summary(src, dst):
-        if Path(dst).name == "summary.json":
-            raise OSError(5, "Input/output error")
-        real_replace(src, dst)
-
-    monkeypatch.setattr(bubblesim.io.os, "replace", refuse_summary)
-    assert _run("simulate", "--seed", "2", "--T", "200", "--out", str(out)) == 2
-    assert f"error: failed to write {out / 'summary.json'}" in capsys.readouterr().err
+    old = _committed(commit, out, ("--seed", "1"))
+    faults = Faults(probe.calls - len(probe.renamed) + 2)  # the renames are the last calls
+    with pytest.MonkeyPatch.context() as mp:
+        faults.install(mp)
+        error = commit(out, ("--seed", "2"))
+    assert (faults.fired, faults.target) == ("replace", "summary.json")
+    assert error.startswith(f"failed to write {out / 'summary.json'}: ")
     assert _files(out) == {name: old[name] for name in ("summary.json", "trajectory.svg")}
 
 

@@ -56,7 +56,7 @@ def test_every_case_whose_params_construct_gives_its_recorded_stats_as_a_one_cel
 
 
 def test_every_cli_run_writes_its_recorded_bytes():
-    assert len(_CLI_RUNS) >= 6 and {"sweep.svg", "trajectory.csv"} <= {
+    assert len(_CLI_RUNS) >= 8 and {"sweep.svg", "trajectory.csv"} <= {
         name for run in _CLI_RUNS for name in run["files"]}
     for run in _CLI_RUNS:
         assert cli_outcome(run["argv"]) == {"exit": run["exit"], "files": run["files"]}, run["argv"]

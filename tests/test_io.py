@@ -27,6 +27,7 @@ from bubblesim import (
     write_summary_json,
     write_trajectory_csv,
 )
+from faults import Faults
 from oracles import read_trajectory_csv_whole, sweep_payload_by_field, trajectory_csv_text
 from synthetic import flat_trajectory
 
@@ -68,14 +69,10 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     cols = read_trajectory_csv(path)
-    assert np.array_equal(cols["t"], traj.t)
-    assert np.array_equal(cols["log_price"], traj.log_price)  # floats, bitwise
-    assert np.array_equal(cols["momentum"], traj.momentum)
-    assert np.array_equal(cols["lambda"], traj.lam)
-    assert np.array_equal(cols["x"], traj.x)
-    assert np.array_equal(cols["trade"], traj.trade)
-    assert np.array_equal(cols["direction"], traj.direction)
-    assert np.array_equal(cols["n_trades"], traj.n_trades)
+    for name in CSV_HEADER.split(","):
+        want = bubblesim.io.traj_column(traj, name)
+        assert cols[name].dtype == want.dtype
+        assert cols[name].tobytes() == want.tobytes(), name  # floats, bitwise
     assert cols["t"].dtype == np.int64
     assert cols["momentum"].dtype == np.float64
 
@@ -447,45 +444,42 @@ def test_write_error_carries_the_path(tmp_path):
         write_trajectory_csv(simulate(ModelParams(T=2), 0), target)
 
 
-class _HalfWrittenFile:
-    """File stand-in that writes half of its text, then fails like a full disk."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._fh.close()
-
-    def write(self, text):
-        self._fh.write(text[: len(text) // 2])
-        self._fh.flush()
-        raise OSError(28, "No space left on device")
+# What a failed open, write or rename leaves behind is checked for every k,
+# every writer and every CLI command by the fault table in test_cli.py; the
+# two faults below are the one-file cases of its write_trajectory_csv entry.
 
 
-def _fail_mid_write(monkeypatch):
-    monkeypatch.setattr(bubblesim.io, "open",
-                        lambda *a, **kw: _HalfWrittenFile(builtins.open(*a, **kw)), raising=False)
+def _fail_mid_write(probe: Faults) -> tuple[int, str]:
+    """The call after the open and the header piece: a write, over a
+    half-written file."""
+    return 3, "write"
 
 
-def _fail_on_replace(monkeypatch):
-    def refuse(src, dst):
-        raise OSError(5, "Input/output error")
-
-    monkeypatch.setattr(bubblesim.io.os, "replace", refuse)
+def _fail_on_replace(probe: Faults) -> tuple[int, str]:
+    """The one rename, the last call of the commit."""
+    return probe.calls, "replace"
 
 
 @pytest.mark.parametrize("inject", [_fail_mid_write, _fail_on_replace])
-def test_failed_write_leaves_the_existing_file_and_no_temp_file(tmp_path, monkeypatch, inject):
-    target = tmp_path / "trajectory.csv"
+def test_failed_write_leaves_the_existing_file_and_no_temp_file(tmp_path, inject):
+    traj = simulate(P, 1)
+    probe = Faults(0)
+    with pytest.MonkeyPatch.context() as mp:
+        probe.install(mp)
+        write_trajectory_csv(traj, tmp_path / "probe.csv")
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "trajectory.csv"
     target.write_text("previous artifact\n")
-    inject(monkeypatch)
-    with pytest.raises(OSError, match=f"failed to write {target}"):
-        write_trajectory_csv(simulate(P, 1), target)
+    k, what = inject(probe)
+    faults = Faults(k)
+    with pytest.MonkeyPatch.context() as mp:
+        faults.install(mp)
+        with pytest.raises(OSError, match=f"failed to write {target}"):
+            write_trajectory_csv(traj, target)
+    assert faults.fired == what
     assert target.read_text() == "previous artifact\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+    assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
 
 
 def test_successful_write_replaces_the_file_and_leaves_no_temp_file(tmp_path):

@@ -229,7 +229,8 @@ def test_simulate_price_lattice_is_exact():
     j = np.rint((traj.log_price - p.log_p0) / p.d).astype(int)
     assert np.all(np.abs(j) <= traj.t)
     rebuilt = p.log_p0 + p.d * j
-    assert np.array_equal(rebuilt, traj.log_price)  # bitwise, not approximately
+    assert rebuilt.dtype == traj.log_price.dtype
+    assert rebuilt.tobytes() == traj.log_price.tobytes()  # bitwise, not approximately
 
 
 def test_simulate_trade_count_bound():
