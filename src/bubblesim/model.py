@@ -51,29 +51,35 @@ finishes the run into a ``_Run``.
 
 A run takes all 2*(T-1) uniforms from the stream at once, as one numpy array,
 then runs one loop that carries only the state the path feeds back on: the
-momentum M_t, the pressure x_t and the tick count.  Each period it stores M_t
-and tests the trade draw; it tests the direction draw only when a trade fires,
-and records the period and the new log-price of each trade.  One finishing
-step follows, for ``simulate`` and every sweep cell alike:
+momentum M_t, the tick count, and x_t, which is read only at a trade.  Each
+period it stores M_t and tests the trade draw.  Only at a trade does it add
+the x increments since the last trade, in one step: the one increment after
+a trade, else their closed-form sum over that stretch of pure decay, which
+is a guess in floating point.  It then tests the direction draw and records
+the trade's period and tick count.  One finishing step follows, for
+``simulate`` and every sweep cell alike:
 
+  * The exact x column: x0 twice, then the cubic increments, summed in
+    place by ``np.add.accumulate`` one by one in period order.
   * One finiteness rule: every lambda and x is finite exactly when x_T and
     lambda at M's min and max are.  A non-finite running sum never becomes
     finite again, and lambda = Lambda + k*M, rounded, never falls as M rises
     (k > 0); M's min and max are nan when any M is.  Only when that fails
-    are the lambda and x columns built, to raise at the first period whose
-    intensity or pressure is not finite, intensity first.
-  * log P is log_p0 at t = 0, 1, then the trades' log-prices gathered by
-    trade count, with log_p0 + d*0 before the first trade (not log_p0, so
+    is the lambda column built, to find the first period whose intensity or
+    pressure is not finite.
+  * Every trade's direction before that period is decided again on the
+    exact x.  At the first wrong guess the loop resumes from that trade and
+    adds each increment in period order from then on, so a run resumes at
+    most once.  Then a bad period raises, intensity first.
+  * log P is log_p0 at t = 0, 1, then log_p0 + d*ticks gathered by trade
+    count, with log_p0 + d*0 before the first trade (not log_p0, so
     log_p0 = -0.0 gives +0.0 there, as a tick sum of 0 does).
 
 The ``_Run`` holds params, log P, M and n_trades, all that ``summarize``
-reads, so a sweep cell summarizes it as it is, and the trade column.
-``_Run.trajectory`` adds lambda, x, direction and t for ``simulate``,
-rebuilding the first three as whole numpy columns with the loop's IEEE
-operations in the loop's order, so every bit is the loop's.  x is filled in
-one buffer, x0 twice and then the cubic increments, and summed in place
-from period 1 on, in the loop's order.  All 2*(T-1) draws are binned in
-one pass; the trade and direction bins are its even and odd views.
+reads, so a sweep cell summarizes it as it is, and the x and trade columns.
+``_Run.trajectory`` adds lambda, built with the loop's IEEE operations, and
+direction and t, for ``simulate``.  All 2*(T-1) draws are binned in one
+pass; the trade and direction bins are its even and odd views.
 
 Both Bernoulli(Phi) decisions use one exact bracket table and one rule.  A
 draw's bin gives two points of a fixed z grid: at or below the lower one the
@@ -286,17 +292,29 @@ def _simulator():
 
 def _path(params: ModelParams, draws: tuple, floor: list) -> _Run:
     """The run of ``params`` on the draws and floors that ``_simulator``
-    holds for it, finished into its log price, momentum, n_trades and trade
-    columns.  Raises ``ValueError`` (from ``normal_cdf``) at the first period
-    whose intensity or pressure is not finite, intensity first."""
-    _, u_trade, u_dir, _, _, zhi = draws
-    log_p0, d, x0 = params.log_p0, params.d, params.x0
+    holds for it, finished into its log price, momentum, x, n_trades and
+    trade columns.  Raises ``ValueError`` (from ``normal_cdf``) at the first
+    period whose intensity or pressure is not finite, intensity first.
+
+    The loop guesses x at each trade; the finishing step checks every guess
+    and resumes the loop at most once, from the first wrong one (module
+    docstring).
+    """
+    _, u_trade, u_dir, _, j_dir, zhi = draws
+    log_p0, d, x0, r = params.log_p0, params.d, params.x0, params.r
     Lambda, k = params.Lambda, params.k
     h, a, b, c = params.h, params.a, params.b, params.c
-    decay = math.exp(-params.r)
+    decay = math.exp(-r)
     erfc = math.erfc
     sqrt2 = _SQRT2
     n = params.T + 1
+    # F(m) = g3 m^3 - g2 m^2 + g1 m, each g over 1 - decay**j = -expm1(-j r):
+    # over L periods of pure decay from momentum m1 to m_t the increments
+    # sum to F(m1) - F(decay m_t) - g0 L
+    g3 = h / -math.expm1(-3.0 * r)
+    g2 = h * (a + b + c) / -math.expm1(-2.0 * r)
+    g1 = h * (a * b + b * c + c * a) / -math.expm1(-r)
+    g0 = h * a * b * c
 
     # Only momentum and x feed back into the path, and x only at a trade.
     # A trade draw is decided by its bin's floor and _ZHI, and by erfc only
@@ -305,67 +323,106 @@ def _path(params: ModelParams, draws: tuple, floor: list) -> _Run:
     # after the loop raises for the first non-finite value.
     momentum = [0.0] * n
     traded_at: list[int] = []
-    prices = [log_p0 + d * 0]  # the price before any trade; + d*0 turns -0.0 into +0.0
+    tick_counts = [0]  # before the first trade and after each
     lp = log_p0
     m = ret = 0.0
     xt = x0
     ticks = 0
-    for t, low in enumerate(floor, 2):
-        m = decay * (m + ret)
-        momentum[t] = m
-        xt = xt + h * (m - a) * (m - b) * (m - c)
-        if m > low and ((z := Lambda + k * m) >= zhi[t - 2] or u_trade[t - 2] < 0.5 * erfc(-z / sqrt2)):
-            ticks += 1 if float(u_dir[t - 2]) < 0.5 * erfc(-xt / sqrt2) else -1
-            new_lp = log_p0 + d * ticks
-            ret = new_lp - lp
-            lp = new_lp
-            traded_at.append(t)
-            prices.append(new_lp)
-        else:
-            ret = 0.0  # the return of an unchanged finite price
-    mom = np.fromiter(momentum, float, n)
-    if not (math.isfinite(Lambda + k * float(mom.min()))
-            and math.isfinite(Lambda + k * float(mom.max())) and math.isfinite(xt)):
-        lam, x = _lam_x(params, mom)
-        t = int((~(np.isfinite(lam) & np.isfinite(x))).argmax())
-        normal_cdf(float(lam[t]))  # raises on the first bad period, lam first
-        normal_cdf(float(x[t]))
+    last, exact = 1, False  # the last trade's period (1 before any); no resume yet
+    while True:
+        for t, low in enumerate(floor if last == 1 else floor[last - 1:], last + 1):
+            m = decay * (m + ret)
+            momentum[t] = m
+            if m > low and ((z := Lambda + k * m) >= zhi[t - 2] or u_trade[t - 2] < 0.5 * erfc(-z / sqrt2)):
+                if t == last + 1:
+                    xt = xt + h * (m - a) * (m - b) * (m - c)
+                elif exact:
+                    for ms in momentum[last + 1:t + 1]:
+                        xt = xt + h * (ms - a) * (ms - b) * (ms - c)
+                elif decay == 1.0:  # the stretch's momentum stays m
+                    xt = xt + (t - last) * (h * (m - a) * (m - b) * (m - c))
+                else:
+                    m1, q = momentum[last + 1], decay * m
+                    xt = xt + ((m1 * (m1 * (m1 * g3 - g2) + g1) - q * (q * (q * g3 - g2) + g1)) - g0 * (t - last))
+                ticks += 1 if float(u_dir[t - 2]) < 0.5 * erfc(-xt / sqrt2) else -1
+                new_lp = log_p0 + d * ticks
+                ret = new_lp - lp
+                lp = new_lp
+                traded_at.append(t)
+                tick_counts.append(ticks)
+                last = t
+            else:
+                ret = 0.0  # the return of an unchanged finite price
+        mom = np.fromiter(momentum, float, n)
+        x = _x(params, mom)
+        bad = n  # the first period whose intensity or pressure is not finite
+        if not (math.isfinite(Lambda + k * float(mom.min()))
+                and math.isfinite(Lambda + k * float(mom.max())) and math.isfinite(x[-1])):
+            lam = _lam(params, mom)
+            bad = int((~(np.isfinite(lam) & np.isfinite(x))).argmax())
+        traded = np.fromiter(traded_at, np.intp, len(traded_at))
+        at = traded[:np.searchsorted(traded, bad)]
+        counts = np.fromiter(tick_counts, np.int64, len(tick_counts))
+        below = _below_normal_cdf(u_dir[at - 2], x[at], j_dir[at - 2])
+        wrong = np.flatnonzero(below != (counts[1:len(at) + 1] > counts[:len(at)]))
+        if not len(wrong):
+            break
+        i = int(wrong[0])
+        last = traded_at[i]
+        del traded_at[i + 1:], tick_counts[i + 1:]
+        ticks = tick_counts[i] + (1 if below[i] else -1)
+        lp = log_p0 + d * ticks
+        # before any trade the loop's lp is log_p0, here log_p0 + d*0: they differ
+        # only at -0.0, where lp is +-d, so the return is the loop's
+        ret = lp - (log_p0 + d * tick_counts[i])
+        tick_counts.append(ticks)
+        m, xt, exact = momentum[last], float(x[last]), True
+    if bad < n:
+        normal_cdf(float(lam[bad]))  # raises on the first bad period, lam first
+        normal_cdf(float(x[bad]))
     trade = np.zeros(n, dtype=np.int64)
-    trade[traded_at] = 1
+    trade[traded] = 1
     n_trades = np.cumsum(trade)
-    log_price = np.array(prices)[n_trades]
+    with np.errstate(over="ignore"):
+        log_price = (log_p0 + d * counts)[n_trades]
     log_price[:2] = log_p0
-    return _Run(params, draws, log_price, mom, n_trades, trade)
+    return _Run(params, draws, log_price, mom, x, n_trades, trade)
 
 
-def _lam_x(params: ModelParams, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lambda and x columns of the momentum column ``mom``, bit for bit
-    the loop's values."""
+def _lam(params: ModelParams, mom: np.ndarray) -> np.ndarray:
+    """The lambda column of the momentum column ``mom``, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return params.Lambda + params.k * mom
+
+
+def _x(params: ModelParams, mom: np.ndarray) -> np.ndarray:
+    """The x column of the momentum column ``mom``, its increments added one
+    by one in period order, as the step-by-step update adds them."""
     x = np.empty(len(mom))
     x[0] = x[1] = params.x0
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = params.Lambda + params.k * mom
         x[2:] = cubic_increment(params, mom[2:])
         np.add.accumulate(x[1:], out=x[1:])
-    return lam, x
+    return x
 
 
 class _Run(NamedTuple):
     """One finished run: what ``summarize`` and ``detect_crashes`` read of a
-    Trajectory, and trade; ``trajectory`` adds lambda, x, direction and t."""
+    Trajectory, and the x and trade columns the finishing step built;
+    ``trajectory`` adds lambda, direction and t."""
 
     params: ModelParams
     draws: tuple
     log_price: np.ndarray
     momentum: np.ndarray
+    x: np.ndarray
     n_trades: np.ndarray
     trade: np.ndarray
 
     def trajectory(self) -> Trajectory:
         """Every column, for ``simulate``."""
-        params, mom = self.params, self.momentum
+        params, mom, x = self.params, self.momentum, self.x
         rng, _, u_dir, _, j_dir, _ = self.draws
-        lam, x = _lam_x(params, mom)
         direction = np.zeros(len(mom), dtype=np.int64)
         direction[2:] = _below_normal_cdf(u_dir, x[2:], j_dir)
         return Trajectory(
@@ -374,7 +431,7 @@ class _Run(NamedTuple):
             t=np.arange(len(mom), dtype=np.int64),
             log_price=self.log_price,
             momentum=mom,
-            lam=lam,
+            lam=_lam(params, mom),
             x=x,
             trade=self.trade,
             direction=direction,

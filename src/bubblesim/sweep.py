@@ -32,7 +32,7 @@ records an error string and the sweep continues; only a sweep with no
 surviving cell raises.
 
 A cell hands its finished run to summarize as it is: it builds the trade
-column on its way to n_trades, but no intensity, x or direction column
+and x columns, to check its trades, but no intensity or direction column
 (model.py states the one finishing step it shares with simulate).
 The first seed's cell of each value also hands back its log-price path, the
 representative path plot_sweep draws, so a sweep and its plot simulate every
@@ -185,7 +185,7 @@ def _aggregate(values: tuple[float, ...], cells: list[SweepCell]) -> tuple[Value
                 rows.setdefault(len(present), []).append((i, name, present))
     for stacked in rows.values():
         arr = np.array([present for _, _, present in stacked], dtype=float)
-        with np.errstate(invalid="ignore"):  # inf stats: the IQR is nan by design
+        with np.errstate(over="ignore", invalid="ignore"):  # by design: inf or huge stats give a nan IQR or inf median
             median = np.median(arr, axis=1)
             q25, q75 = np.percentile(arr, [25, 75], axis=1)
             iqr = q75 - q25

@@ -327,7 +327,7 @@ def value_summary(value: float, cells: Sequence[SweepCell]) -> ValueSummary:
         ]
         if vals:
             arr = np.asarray(vals, dtype=float)
-            with np.errstate(invalid="ignore"):  # inf stats: the IQR is nan by design
+            with np.errstate(over="ignore", invalid="ignore"):  # by design: inf or huge stats give a nan IQR or inf median
                 median[name] = float(np.median(arr))
                 iqr[name] = float(np.percentile(arr, 75) - np.percentile(arr, 25))
         else:

@@ -69,7 +69,6 @@ import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
-import pytest
 
 from bubblesim import (
     ModelParams,

@@ -240,7 +240,10 @@ def test_erfc_decides_only_the_draws_inside_their_bracket(monkeypatch, seed):
     m, lam, x = traj.momentum[2:], traj.lam[2:], traj.x[2:]
     trade_draws = (m > _momentum_floor(params.Lambda, params.k)[j_trade]) & (lam < _ZHI[j_trade])
     direction_draws = (x > _ZLO[j_dir]) & (x < _ZHI[j_dir])
-    assert len(calls) == trade_draws.sum() + traj.n_trades[-1] + direction_draws.sum()
+    # the loop's guess at each trade, the check of each trade's exact x, and
+    # the direction column: erfc only inside the bracket for the last two
+    checked = direction_draws[traj.trade[2:] == 1].sum()
+    assert len(calls) == trade_draws.sum() + traj.n_trades[-1] + checked + direction_draws.sum()
     assert trade_draws.sum() < 0.1 * (params.T - 1)  # the floor rejects most periods
 
 

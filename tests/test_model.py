@@ -22,6 +22,7 @@ from bubblesim import (
     simulate,
     write_trajectory_csv,
 )
+from bubblesim import model
 from bubblesim.model import _simulator, cubic_increment
 from oracles import SimState, bernoulli, initial_state, intensity, simulate_stepwise, step
 
@@ -311,6 +312,14 @@ _BASE = dict(T=50, seed=1, d=0.01, r=0.001, Lambda=-2.0, k=10.0, h=0.2,
 _M_AT_ROOT = math.exp(-700.0) * 1e308
 _OVERFLOW = dict(d=1e308, r=700.0, Lambda=30.0, h=1e-12, x0=1000.0,
                  roots=[_M_AT_ROOT, _M_AT_ROOT + 1, _M_AT_ROOT + 2])
+# A tiny r and a huge h make the loop's one-step sum of a stretch's x
+# increments guess a direction wrong, so the run resumes from that trade.
+# Found by a random search (h log-uniform in [1, 1e300], r in [1e-14, 1],
+# T in 2..399, Lambda in [-3, 2], seeds 0..999) for runs that call
+# _below_normal_cdf twice; 26 of 3,000 did, all with r below 1e-11.  Had
+# the loop kept guessing after the resume, this one would resume 5 times.
+_RESUMING = {**_BASE, "T": 29, "seed": 245, "r": 1.0110880090479347e-13,
+             "Lambda": -0.08288105665225487, "h": 2.169694001692744e+295}
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -353,11 +362,36 @@ _OVERFLOW = dict(d=1e308, r=700.0, Lambda=30.0, h=1e-12, x0=1000.0,
 @example(**{**_BASE, "T": 400, "Lambda": -1e300, "k": 1e-300})
 @example(**{**_BASE, "T": 400, "Lambda": -1e6, "k": 1e300})
 @example(**{**_BASE, "T": 400, "Lambda": math.nextafter(-2.0, 0.0)})
+# the loop's stretch sums: decay == 1.0 (each stretch's momentum is
+# constant), decay underflowing, dense trades, and a run that resumes
+@example(**{**_BASE, "T": 400, "r": 5e-324})
+@example(**{**_BASE, "T": 400, "r": 700.0})
+@example(**{**_BASE, "T": 400, "Lambda": 3.0})
+@example(**_RESUMING)
 def test_simulate_equals_the_stepwise_oracle_property(T, seed, d, r, Lambda, k, h, roots, log_p0, x0):
     a, b, c = sorted(roots)
     params = ModelParams(T=T, d=d, r=r, Lambda=Lambda, k=k, h=h, a=a, b=b, c=c,
                          log_p0=log_p0, x0=x0)
     _assert_same_outcome(params, seed)
+
+
+def test_a_run_resumes_once_from_its_first_wrong_direction(monkeypatch):
+    # one check of every trade's direction after the first pass, and one
+    # after the resumed pass, which adds each increment as the oracle does
+    calls = []
+    below = model._below_normal_cdf
+
+    def counted(*args):
+        calls.append(args)
+        return below(*args)
+
+    monkeypatch.setattr(model, "_below_normal_cdf", counted)
+    kw = dict(_RESUMING)
+    seed, (a, b, c) = kw.pop("seed"), kw.pop("roots")
+    params = ModelParams(**kw, a=a, b=b, c=c)
+    run = _simulator()(params, seed)
+    assert len(calls) == 2
+    _assert_bitwise_equal(run.trajectory(), simulate_stepwise(params, seed))
 
 
 def test_the_edge_examples_reach_their_edges():
@@ -443,7 +477,10 @@ def test_a_trade_draw_equal_to_its_phi_gives_no_trade(monkeypatch):
 
 def test_a_direction_draw_equal_to_its_phi_gives_a_down_tick(monkeypatch):
     # h = 5e-324: the increment underflows, so x_2 is exactly 0.0 and
-    # Phi(0) = 0.5 = u at the trade of t = 2
+    # Phi(0) = 0.5 = u at the trade of t = 2.  The loop's own direction test
+    # only guesses: with <= there, the check of the trade on the exact x
+    # resumes the run with the down-tick, so that mutant is equivalent.  The
+    # check's rule is _below_normal_cdf's, and its <= mutant fails here.
     traj = _simulate_on(monkeypatch, ModelParams(**_TIE, h=5e-324), [0.3, 0.5, 0.9, 0.5])
     assert (traj.trade[2], traj.direction[2], traj.log_price[2]) == (1, 0, -0.01)
 

@@ -240,18 +240,27 @@ def test_every_cell_equals_its_own_simulation_bit_for_bit(base, axis, values, se
 )
 def test_a_serial_sweep_draws_each_seed_once_per_t(monkeypatch, axis, values, draws, floors):
     # and builds no direction column: a sweep cell finishes its run into the
-    # columns its summary reads
+    # columns its summary reads, and decides only its trades' directions
     calls = {"take": 0, "_momentum_floor": 0, "_below_normal_cdf": 0}
+    checked = []
     model = bubblesim.model
     for owner, step in ((model.RngStream, "take"), (model, "_momentum_floor"), (model, "_below_normal_cdf")):
 
         def counted(*args, _step=step, _run=getattr(owner, step)):
             calls[_step] += 1
+            if _step == "_below_normal_cdf":
+                checked.append(len(args[0]))
             return _run(*args)
 
         monkeypatch.setattr(owner, step, counted)
-    run_sweep(SweepSpec(base=SMALL, axis=axis, values=values, seeds=(0, 1)))
-    assert calls == {"take": draws, "_momentum_floor": floors, "_below_normal_cdf": 0}
+    result = run_sweep(SweepSpec(base=SMALL, axis=axis, values=values, seeds=(0, 1)))
+    assert calls == {"take": draws, "_momentum_floor": floors, "_below_normal_cdf": 6}
+    # one check per cell, in the run's seed-major order, the length of its
+    # trade count and never T - 1
+    ran = sorted(result.cells, key=lambda c: c.seed)
+    cells = [(c.stats.total_trades, SMALL.with_value(axis, c.value).T) for c in ran]
+    assert checked == [trades for trades, _ in cells]
+    assert all(trades < T - 1 for trades, T in cells)
 
 
 def test_each_value_keeps_the_log_price_path_of_its_first_seed():
