@@ -68,9 +68,10 @@ the trade's period and tick count.  One finishing step follows, for
     is the lambda column built, to find the first period whose intensity or
     pressure is not finite.
   * Every trade's direction before that period is decided again on the
-    exact x.  At the first wrong guess the loop resumes from that trade and
-    adds each increment in period order from then on, so a run resumes at
-    most once.  Then a bad period raises, intensity first.
+    exact x.  If any guess was wrong, the run is done again from t = 2 in
+    one exact pass, which adds each increment in period order, so its
+    directions are the column's: a run takes at most two passes.  Then a
+    bad period raises, intensity first.
   * log P is log_p0 at t = 0, 1, then log_p0 + d*ticks gathered by trade
     count, with log_p0 + d*0 before the first trade (not log_p0, so
     log_p0 = -0.0 gives +0.0 there, as a tick sum of 0 does).
@@ -296,9 +297,10 @@ def _path(params: ModelParams, draws: tuple, floor: list) -> _Run:
     trade columns.  Raises ``ValueError`` (from ``normal_cdf``) at the first
     period whose intensity or pressure is not finite, intensity first.
 
-    The loop guesses x at each trade; the finishing step checks every guess
-    and resumes the loop at most once, from the first wrong one (module
-    docstring).
+    The first pass guesses x at each trade; only after a wrong guess does
+    an exact pass run the whole path again (module docstring).  Each pass
+    turns its per-period and per-trade lists into arrays and drops them
+    before the x column is built: a T = 10**6 run peaks at about 250 MB.
     """
     _, u_trade, u_dir, _, j_dir, zhi = draws
     log_p0, d, x0, r = params.log_p0, params.d, params.x0, params.r
@@ -321,16 +323,16 @@ def _path(params: ModelParams, draws: tuple, floor: list) -> _Run:
     # in between.  Phi is written inline, not via normal_cdf, as the loop
     # must never raise: erfc takes nan and +-inf, and the finiteness test
     # after the loop raises for the first non-finite value.
-    momentum = [0.0] * n
-    traded_at: list[int] = []
-    tick_counts = [0]  # before the first trade and after each
-    lp = log_p0
-    m = ret = 0.0
-    xt = x0
-    ticks = 0
-    last, exact = 1, False  # the last trade's period (1 before any); no resume yet
-    while True:
-        for t, low in enumerate(floor if last == 1 else floor[last - 1:], last + 1):
+    for exact in (False, True):
+        momentum = [0.0] * n
+        traded_at: list[int] = []
+        tick_counts = [0]  # before the first trade and after each
+        lp = log_p0
+        m = ret = 0.0
+        xt = x0
+        ticks = 0
+        last = 1  # the last trade's period (1 before any)
+        for t, low in enumerate(floor, 2):
             m = decay * (m + ret)
             momentum[t] = m
             if m > low and ((z := Lambda + k * m) >= zhi[t - 2] or u_trade[t - 2] < 0.5 * erfc(-z / sqrt2)):
@@ -354,29 +356,19 @@ def _path(params: ModelParams, draws: tuple, floor: list) -> _Run:
             else:
                 ret = 0.0  # the return of an unchanged finite price
         mom = np.fromiter(momentum, float, n)
+        traded = np.fromiter(traded_at, np.intp, len(traded_at))
+        counts = np.fromiter(tick_counts, np.int64, len(tick_counts))
+        del momentum, traded_at, tick_counts
         x = _x(params, mom)
         bad = n  # the first period whose intensity or pressure is not finite
         if not (math.isfinite(Lambda + k * float(mom.min()))
                 and math.isfinite(Lambda + k * float(mom.max())) and math.isfinite(x[-1])):
             lam = _lam(params, mom)
             bad = int((~(np.isfinite(lam) & np.isfinite(x))).argmax())
-        traded = np.fromiter(traded_at, np.intp, len(traded_at))
         at = traded[:np.searchsorted(traded, bad)]
-        counts = np.fromiter(tick_counts, np.int64, len(tick_counts))
         below = _below_normal_cdf(u_dir[at - 2], x[at], j_dir[at - 2])
-        wrong = np.flatnonzero(below != (counts[1:len(at) + 1] > counts[:len(at)]))
-        if not len(wrong):
+        if np.array_equal(below, counts[1:len(at) + 1] > counts[:len(at)]):
             break
-        i = int(wrong[0])
-        last = traded_at[i]
-        del traded_at[i + 1:], tick_counts[i + 1:]
-        ticks = tick_counts[i] + (1 if below[i] else -1)
-        lp = log_p0 + d * ticks
-        # before any trade the loop's lp is log_p0, here log_p0 + d*0: they differ
-        # only at -0.0, where lp is +-d, so the return is the loop's
-        ret = lp - (log_p0 + d * tick_counts[i])
-        tick_counts.append(ticks)
-        m, xt, exact = momentum[last], float(x[last]), True
     if bad < n:
         normal_cdf(float(lam[bad]))  # raises on the first bad period, lam first
         normal_cdf(float(x[bad]))

@@ -313,11 +313,10 @@ _M_AT_ROOT = math.exp(-700.0) * 1e308
 _OVERFLOW = dict(d=1e308, r=700.0, Lambda=30.0, h=1e-12, x0=1000.0,
                  roots=[_M_AT_ROOT, _M_AT_ROOT + 1, _M_AT_ROOT + 2])
 # A tiny r and a huge h make the loop's one-step sum of a stretch's x
-# increments guess a direction wrong, so the run resumes from that trade.
-# Found by a random search (h log-uniform in [1, 1e300], r in [1e-14, 1],
-# T in 2..399, Lambda in [-3, 2], seeds 0..999) for runs that call
-# _below_normal_cdf twice; 26 of 3,000 did, all with r below 1e-11.  Had
-# the loop kept guessing after the resume, this one would resume 5 times.
+# increments guess a direction wrong, so the run is done again in one exact
+# pass from t = 2.  Found by a random search (h log-uniform in [1, 1e300], r
+# in [1e-14, 1], T in 2..399, Lambda in [-3, 2], seeds 0..999) for runs that
+# call _below_normal_cdf twice; 26 of 3,000 did, all with r below 1e-11.
 _RESUMING = {**_BASE, "T": 29, "seed": 245, "r": 1.0110880090479347e-13,
              "Lambda": -0.08288105665225487, "h": 2.169694001692744e+295}
 
@@ -363,7 +362,7 @@ _RESUMING = {**_BASE, "T": 29, "seed": 245, "r": 1.0110880090479347e-13,
 @example(**{**_BASE, "T": 400, "Lambda": -1e6, "k": 1e300})
 @example(**{**_BASE, "T": 400, "Lambda": math.nextafter(-2.0, 0.0)})
 # the loop's stretch sums: decay == 1.0 (each stretch's momentum is
-# constant), decay underflowing, dense trades, and a run that resumes
+# constant), decay underflowing, dense trades, and a run with an exact rerun
 @example(**{**_BASE, "T": 400, "r": 5e-324})
 @example(**{**_BASE, "T": 400, "r": 700.0})
 @example(**{**_BASE, "T": 400, "Lambda": 3.0})
@@ -375,9 +374,8 @@ def test_simulate_equals_the_stepwise_oracle_property(T, seed, d, r, Lambda, k, 
     _assert_same_outcome(params, seed)
 
 
-def test_a_run_resumes_once_from_its_first_wrong_direction(monkeypatch):
-    # one check of every trade's direction after the first pass, and one
-    # after the resumed pass, which adds each increment as the oracle does
+def _count_direction_checks(monkeypatch) -> list:
+    """The argument tuples of every ``_below_normal_cdf`` call from now on."""
     calls = []
     below = model._below_normal_cdf
 
@@ -386,12 +384,30 @@ def test_a_run_resumes_once_from_its_first_wrong_direction(monkeypatch):
         return below(*args)
 
     monkeypatch.setattr(model, "_below_normal_cdf", counted)
+    return calls
+
+
+def test_a_wrong_guess_makes_one_exact_rerun_from_t_2(monkeypatch):
+    # one check of every trade's direction after the guessing pass, and one
+    # after the exact pass, which adds each increment as the oracle does
+    calls = _count_direction_checks(monkeypatch)
     kw = dict(_RESUMING)
     seed, (a, b, c) = kw.pop("seed"), kw.pop("roots")
     params = ModelParams(**kw, a=a, b=b, c=c)
     run = _simulator()(params, seed)
     assert len(calls) == 2
     _assert_bitwise_equal(run.trajectory(), simulate_stepwise(params, seed))
+
+
+@pytest.mark.parametrize("b", [0.0001, 0.01, 0.02])
+def test_a_default_run_takes_one_guessing_pass(monkeypatch, b):
+    # the guesses hold at the defaults, so each run checks its directions once
+    calls = _count_direction_checks(monkeypatch)
+    run = _simulator()
+    for seed in (0, 1, 2):
+        calls.clear()
+        run(ModelParams(b=b), seed)
+        assert len(calls) == 1, seed
 
 
 def test_the_edge_examples_reach_their_edges():
@@ -477,10 +493,9 @@ def test_a_trade_draw_equal_to_its_phi_gives_no_trade(monkeypatch):
 
 def test_a_direction_draw_equal_to_its_phi_gives_a_down_tick(monkeypatch):
     # h = 5e-324: the increment underflows, so x_2 is exactly 0.0 and
-    # Phi(0) = 0.5 = u at the trade of t = 2.  The loop's own direction test
-    # only guesses: with <= there, the check of the trade on the exact x
-    # resumes the run with the down-tick, so that mutant is equivalent.  The
-    # check's rule is _below_normal_cdf's, and its <= mutant fails here.
+    # Phi(0) = 0.5 = u at the trade of t = 2.  The check's rule is
+    # _below_normal_cdf's, and the exact rerun decides with the loop's own
+    # test, so a <= mutant of either fails here.
     traj = _simulate_on(monkeypatch, ModelParams(**_TIE, h=5e-324), [0.3, 0.5, 0.9, 0.5])
     assert (traj.trade[2], traj.direction[2], traj.log_price[2]) == (1, 0, -0.01)
 
