@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -102,26 +102,17 @@ class ModelParams:
     x0: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in PARAM_FIELDS:
-            number = integer if name == "T" else real
-            object.__setattr__(self, name, number(getattr(self, name), f"ModelParams {name}"))
-        if self.T < 2:
-            raise ValueError(f"ModelParams requires T >= 2 (got T={self.T})")
-        for name in ("d", "r", "k", "h"):
-            if getattr(self, name) <= 0:
-                raise ValueError(
-                    f"ModelParams requires {name} > 0 (got {name}={getattr(self, name)})"
-                )
-        if not (self.a < self.b < self.c):
-            raise ValueError(
-                f"ModelParams requires a < b < c (got a={self.a}, b={self.b}, c={self.c})"
-            )
+        _check(self, PARAM_FIELDS)
 
     def with_value(self, name: str, value: float) -> "ModelParams":
-        """Return a copy with one field replaced (revalidated on construction)."""
+        """Return a copy with one field replaced, checked by the rules that
+        involve that field (the others hold already)."""
         if name not in PARAM_FIELDS:
             raise ValueError(f"unknown parameter field {name!r}")
-        return replace(self, **{name: value})
+        params = object.__new__(type(self))
+        params.__dict__.update(self.__dict__, **{name: value})
+        _check(params, (name,))
+        return params
 
     def as_dict(self) -> dict:
         """Plain dict of all parameter fields, e.g. for JSON provenance."""
@@ -129,3 +120,22 @@ class ModelParams:
 
 
 PARAM_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(ModelParams))
+
+
+def _check(params: ModelParams, names: tuple[str, ...]) -> None:
+    """Turn the named fields of ``params`` into numbers by the number rule,
+    then check every range rule that involves one of them.  The order is
+    fixed, number rule first, so a field fails with the same text whether it
+    is given to ModelParams or to ``with_value``."""
+    for name in names:
+        number = integer if name == "T" else real
+        object.__setattr__(params, name, number(getattr(params, name), f"ModelParams {name}"))
+    if "T" in names and params.T < 2:
+        raise ValueError(f"ModelParams requires T >= 2 (got T={params.T})")
+    for name in ("d", "r", "k", "h"):
+        if name in names and getattr(params, name) <= 0:
+            raise ValueError(f"ModelParams requires {name} > 0 (got {name}={getattr(params, name)})")
+    if ("a" in names or "b" in names or "c" in names) and not (params.a < params.b < params.c):
+        raise ValueError(
+            f"ModelParams requires a < b < c (got a={params.a}, b={params.b}, c={params.c})"
+        )

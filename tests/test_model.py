@@ -367,6 +367,8 @@ _RESUMING = {**_BASE, "T": 29, "seed": 245, "r": 1.0110880090479347e-13,
 @example(**{**_BASE, "T": 400, "r": 700.0})
 @example(**{**_BASE, "T": 400, "Lambda": 3.0})
 @example(**_RESUMING)
+# decay is exactly 0.0: a down-tick at a zero momentum leaves -0.0 next
+@example(**{**_BASE, "r": 800.0, "seed": 2})
 def test_simulate_equals_the_stepwise_oracle_property(T, seed, d, r, Lambda, k, h, roots, log_p0, x0):
     a, b, c = sorted(roots)
     params = ModelParams(T=T, d=d, r=r, Lambda=Lambda, k=k, h=h, a=a, b=b, c=c,
@@ -410,9 +412,30 @@ def test_a_default_run_takes_one_guessing_pass(monkeypatch, b):
         assert len(calls) == 1, seed
 
 
+@pytest.mark.parametrize("n", [0, 1, model._PACK, model._PACK + 1, 2 * model._PACK + 3])
+def test_the_momentum_list_packs_bit_for_bit(n):
+    # _packed packs slices of _PACK floats: these n end in, at and past one
+    values = [(-0.0, 0.0, math.nan, -math.inf, 5e-324, i / 3)[i % 6] for i in range(n)]
+    assert model._packed(values).tobytes() == np.array(values, dtype=float).tobytes()
+
+
+def _signed_zeros(traj) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the -0.0 and the +0.0 momenta of ``traj``."""
+    zero = traj.momentum == 0.0
+    negative = np.signbit(traj.momentum)
+    return zero & negative, zero & ~negative
+
+
 def test_the_edge_examples_reach_their_edges():
+    # the zero rule: a -0.0 momentum in a period without a trade is followed
+    # by +0.0, and a down-tick at a zero momentum by -0.0
     traj = simulate(ModelParams(T=3000, r=20.0, Lambda=-3.0), 21)
-    assert np.any((traj.momentum == 0.0) & np.signbit(traj.momentum))
+    minus, plus = _signed_zeros(traj)
+    assert np.any(minus[:-1] & (traj.trade[:-1] == 0) & plus[1:])
+    traj = simulate(ModelParams(T=50, r=800.0), 2)
+    minus, plus = _signed_zeros(traj)
+    down = (traj.trade[1:] == 1) & (traj.log_price[1:] < traj.log_price[:-1])
+    assert np.any(down[:-1] & (minus | plus)[1:-1] & minus[2:])
     a, b, c = _OVERFLOW["roots"]
     rest = {name: v for name, v in _OVERFLOW.items() if name != "roots"}
     overflow = ModelParams(T=3, a=a, b=b, c=c, **rest)

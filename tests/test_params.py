@@ -114,6 +114,29 @@ def test_with_value_rejects_a_non_integral_horizon():
             ModelParams().with_value("T", bad)
 
 
+_CANDIDATES = (0, 1, 2, -3, 0.0, -0.0, 0.02, -0.1, 2.5, 5.0, -5.0, 2000.0, math.nan, math.inf,
+               -math.inf, 10**400, Fraction(5, 2), Fraction(10**400), np.float32(0.5),
+               np.int64(7), True, np.bool_(False), None, "1.0", [1.0])
+
+
+@pytest.mark.parametrize("base", [ModelParams(), ModelParams(T=2, a=-0.5, b=0.0, c=0.5)])
+@pytest.mark.parametrize("name", PARAM_FIELDS)
+def test_with_value_gives_what_construction_gives(base, name):
+    # the same error text for every bad value, and the same fields otherwise
+    bad = 0
+    for value in _CANDIDATES:
+        try:
+            want = repr(ModelParams(**{**base.as_dict(), name: value}))
+        except ValueError as exc:
+            want, bad = str(exc), bad + 1
+            with pytest.raises(ValueError) as got:
+                base.with_value(name, value)
+            assert str(got.value) == want, value
+        else:
+            assert repr(base.with_value(name, value)) == want, value
+    assert bad >= 9
+
+
 def test_as_dict_round_trips():
     p = ModelParams(b=0.03, Lambda=-1.5)
     assert ModelParams(**p.as_dict()) == p
